@@ -114,8 +114,9 @@ def main(argv=None) -> int:
                         '"levy:D=theory" | "lan:L=theory,tuned=true" | '
                         '"relative:Lstar=theory"')
     p.add_argument("--oracle", default="smoothing:k=1,epsilon=0.01",
-                   help='e.g. "smoothing:k=1,epsilon=0.01" | '
-                        '"power:p=21,square_input=true" | "exact"')
+                   help='e.g. "smoothing:k=1,epsilon=0.01" (exact eigen-solve '
+                        'per draw) | "power:p=21,square_input=true" | "exact"; '
+                        'other options are rejected')
     p.add_argument("--T", type=int, default=1000)
     p.add_argument("--mu", type=float, default=None,
                    help="regularization weight (default 1/sqrt(T))")

@@ -3,7 +3,7 @@ report files, and the iterations-to-precision metric."""
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +18,9 @@ from .solvers import (RunTrace, StepSchedule, lan_acsa, levy_adaptive,
                       oblivious_acsmd, oblivious_smd, relative_md)
 
 EXCEEDED = "exceeded"
+
+_ORACLE_CONFIGS = {"smoothing": SmoothingOracleConfig,
+                   "power": PowerOracleConfig, "exact": ExactOracleConfig}
 
 # Appendix-style tuning factors applied by the hyper-tuned variants.
 TUNE_L = 50.0
@@ -237,17 +240,20 @@ class BenchReport:
     warnings: list = field(default_factory=list)
 
     def finalize(self):
+        """Per-(dim, solver) nearest-rank iteration percentiles, misses as inf."""
         solver_names = [_solver_label(s) for s in self.config.solvers]
         for dim in self.config.dims:
             for name in solver_names:
                 group = [c for c in self.cells if c.dim == dim and c.solver == name]
-                iters = np.array([c.iterations_sort_key for c in group])
+                iters = sorted(c.iterations_sort_key for c in group)
                 gaps = np.array([c.final_gap for c in group])
                 self.summaries[(dim, name)] = {
-                    "median_iterations": float(np.median(iters)),
-                    "p10_iterations": float(np.percentile(iters, 10)),
-                    "p90_iterations": float(np.percentile(iters, 90)),
+                    "median_iterations": _nearest_rank(iters, 50),
+                    "p10_iterations": _nearest_rank(iters, 10),
+                    "p90_iterations": _nearest_rank(iters, 90),
                     "median_final_gap": float(np.median(gaps)),
+                    "n_reached": sum(1 for c in group if c.status == "ok"),
+                    "n_runs": len(group),
                     "n_errors": sum(1 for c in group if c.status == "error"),
                 }
         # soft monotonicity check: iterations-to-precision should not shrink
@@ -262,6 +268,12 @@ class BenchReport:
         return self
 
 
+def _nearest_rank(sorted_values: list, pct: float) -> float:
+    """Smallest value with at least pct percent of the values at or below it."""
+    rank = max(1, math.ceil(pct / 100.0 * len(sorted_values)))
+    return sorted_values[rank - 1]
+
+
 def _solver_label(spec: dict) -> str:
     if "name" in spec:
         return spec["name"]
@@ -272,17 +284,16 @@ def _solver_label(spec: dict) -> str:
 
 
 def build_oracle(spec: dict):
-    """Oracle config object from a plain dict (CLI / YAML form)."""
+    """Oracle config object from a plain dict (CLI / YAML form); unknown keys raise."""
     kind = spec["kind"]
-    if kind == "smoothing":
-        keys = ("k", "epsilon", "eig_tol", "eig_max_iter", "eig_accept")
-        return SmoothingOracleConfig(**{k: spec[k] for k in keys if k in spec})
-    if kind == "power":
-        keys = ("p", "square_input")
-        return PowerOracleConfig(**{k: spec[k] for k in keys if k in spec})
-    if kind == "exact":
-        return ExactOracleConfig()
-    raise ValueError(f"unknown oracle kind: {kind}")
+    cls = _ORACLE_CONFIGS.get(kind)
+    if cls is None:
+        raise ValueError(f"unknown oracle kind: {kind}")
+    options = {k: v for k, v in spec.items() if k != "kind"}
+    unknown = sorted(set(options) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown option {unknown[0]!r} for the {kind} oracle")
+    return cls(**options)
 
 
 def _resolve_param(spec, key, theory, tuned, tune_factor):
@@ -381,8 +392,10 @@ def run_bench(cfg: ExperimentConfig) -> BenchReport:
     return report
 
 
-def _fmt_iters(value: float, T: int) -> str:
-    return f">{T}" if not math.isfinite(value) else f"{value:.0f}"
+def _fmt_iters(value: float, summary: dict) -> str:
+    if math.isfinite(value):
+        return f"{value:.0f}"
+    return f"{summary['n_reached']}/{summary['n_runs']} reached"
 
 
 def _write_report_files(report: BenchReport, outdir: Path) -> None:
@@ -401,19 +414,18 @@ def _write_report_files(report: BenchReport, outdir: Path) -> None:
     (outdir / "timing.csv").write_text("\n".join(timing) + "\n")
 
     solver_names = [_solver_label(s) for s in cfg.solvers]
-    width = max(12, max((len(n) for n in solver_names), default=12) + 2)
+    entries = {}
+    for key, s in report.summaries.items():
+        med, p10, p90 = (_fmt_iters(s[f"{q}_iterations"], s)
+                         for q in ("median", "p10", "p90"))
+        entries[key] = f"{med} [{p10}, {p90}]"
+    width = max(len(t) for t in [*solver_names, *entries.values()]) + 2
     text = [f"iterations to reach precision {cfg.target_precision:g} "
-            f"(median over {len(cfg.seeds)} seeds, [p10, p90])", ""]
-    text.append("dim".ljust(8) + "".join(n.ljust(width + 14) for n in solver_names))
+            f"(nearest-rank median over {len(cfg.seeds)} seeds, [p10, p90])", ""]
+    text.append("dim".ljust(8) + "".join(n.ljust(width) for n in solver_names))
     for dim in cfg.dims:
-        row = [f"{dim}".ljust(8)]
-        for name in solver_names:
-            s = report.summaries[(dim, name)]
-            med = _fmt_iters(s["median_iterations"], cfg.T)
-            band = (f"[{_fmt_iters(s['p10_iterations'], cfg.T)}, "
-                    f"{_fmt_iters(s['p90_iterations'], cfg.T)}]")
-            row.append(f"{med} {band}".ljust(width + 14))
-        text.append("".join(row))
+        text.append(f"{dim}".ljust(8) + "".join(
+            entries[(dim, name)].ljust(width) for name in solver_names))
     text.append("")
     for dim in cfg.dims:
         text.append(f"F_ref(d={dim}) = {report.F_ref[dim]!r}")

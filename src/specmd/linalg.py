@@ -106,9 +106,10 @@ def _dominance_shift(a: np.ndarray) -> float:
 def _ritz_pair(u, wu, v, w):
     """Top Ritz pair of span{u, v} given the images wu = A u and w = A v.
 
-    Returns (theta, x, residual_norm) for the shifted operator, or None when
-    the two iterates are too parallel for a stable two-dimensional solve.
-    Costs a handful of dot products and no extra matrix-vector product.
+    Returns (rho, x, residual_norm) for the shifted operator, with rho the
+    Rayleigh quotient of the unit vector x, or None when the two iterates are
+    too parallel for a stable two-dimensional solve. Costs a handful of dot
+    products and no extra matrix-vector product.
     """
     c = float(u @ v)
     det = 1.0 - c * c
@@ -136,8 +137,9 @@ def _ritz_pair(u, wu, v, w):
         return None
     x = x / norm
     mx = (y1 * wu + y2 * w) / norm
-    r = mx - theta * x
-    return theta, x, math.sqrt(float(r @ r))
+    rho = float(x @ mx)
+    r = mx - rho * x
+    return rho, x, math.sqrt(float(r @ r))
 
 
 def leading_eigpair(m: SymMatrix, tol: float = 1e-8, max_iter: int | None = None,
@@ -196,12 +198,12 @@ def leading_eigpair(m: SymMatrix, tol: float = 1e-8, max_iter: int | None = None
         if u is not None and residual <= 1e-2 * max(1.0, abs(lam)):
             ritz = _ritz_pair(u, wu, v, w)
             if ritz is not None:
-                theta_s, x, res_x = ritz
-                theta = theta_s - shift
+                rho_s, x, res_x = ritz
+                rho = rho_s - shift
                 if res_x < best_res:
-                    best_res, best_lam, best_v = res_x, theta, x
-                if res_x <= tol * max(1.0, abs(theta)):
-                    return theta, x
+                    best_res, best_lam, best_v = res_x, rho, x
+                if res_x <= tol * max(1.0, abs(rho)):
+                    return rho, x
         if plateau is not None and best_res <= plateau * max(1.0, abs(best_lam)):
             since_plateau += 1
             if since_plateau >= polish_budget:

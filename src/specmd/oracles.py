@@ -10,39 +10,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (ConvergenceError, SymMatrix, ensure_rng, leading_eigpair,
-                     mat_power_apply, sym_from)
+from .linalg import SymMatrix, ensure_rng, mat_power_apply, sym_from
+# unused here; perfbench's tracer wraps specmd.oracles.leading_eigpair by name
+from .linalg import leading_eigpair  # noqa: F401
 
 
 @dataclass(frozen=True)
 class SmoothingOracleConfig:
     """Rank-one Gaussian smoothing: max over k draws of lambda_max(X + (eps/d) z z^T).
 
-    eig_tol / eig_max_iter control the inner power iteration (max_iter None
-    means the solver default of 50*d). When the top eigenvalues of a draw
-    cluster, the iteration stalls at a residual near the cluster width; the
-    rank-one perturbation itself only separates eigenvalues at scale epsilon,
-    so any vector of such a cluster is a valid subgradient direction at the
-    smoothing's own resolution. Stalled iterates with residual <= eig_accept
-    * max(1, |lambda|) are therefore accepted (eig_accept None defaults to
-    epsilon).
+    Every draw is solved exactly by a dense symmetric eigen-solve (LAPACK),
+    so the returned value and direction are exact for the drawn matrices
+    and the oracle consumes only the k normal vectors from the stream.
     """
 
     k: int = 1
     epsilon: float = 1e-2
-    eig_tol: float = 1e-8
-    eig_max_iter: int | None = None
-    eig_accept: float | None = None
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-
-    @property
-    def accept_level(self) -> float:
-        return self.epsilon if self.eig_accept is None else self.eig_accept
 
 
 @dataclass(frozen=True)
@@ -79,47 +68,36 @@ class GradSample:
             raise ValueError(f"oracle value is not finite: {self.value}")
 
 
-def _leading_or_stalled(m: np.ndarray, cfg: SmoothingOracleConfig, rng):
-    try:
-        return leading_eigpair(SymMatrix(m), tol=cfg.eig_tol,
-                               max_iter=cfg.eig_max_iter, rng=rng,
-                               plateau=cfg.accept_level)
-    except ConvergenceError as err:
-        if err.residual <= cfg.accept_level * max(1.0, abs(err.best_lambda)):
-            return err.best_lambda, err.best_vector
-        raise
-
-
 def smoothing_grad(x: SymMatrix, cfg: SmoothingOracleConfig, rng) -> GradSample:
     """One draw of the rank-one smoothing oracle.
 
-    Draws z_1..z_k i.i.d. standard normal, picks the draw maximizing
+    Draws z_1..z_k i.i.d. standard normal (one (k, d) block, the same stream
+    as k draws of size d), picks the draw maximizing
     lambda_max(X + (eps/d) z z^T), and returns that eigenvalue together with
     v v^T for a unit leading eigenvector v of the winning matrix (a valid
-    subgradient direction of the max by Danskin's rule).
+    subgradient direction of the max by Danskin's rule). All k matrices are
+    solved by one stacked eigh call; ties go to the first draw.
 
-    The input is centered by its mean diagonal entry before the eigen-solves;
-    this shrinks the dominance shift of the power iteration and makes the
-    returned direction equivariant under X -> X + c*I by construction (the
-    centered matrices coincide, so identical RNG streams give identical
-    gradients).
+    The input is centered by its mean diagonal entry before the eigen-solve.
+    This makes the returned direction equivariant under X -> X + c*I by
+    construction: the centered matrices coincide, so identical RNG streams
+    give bitwise-identical gradients.
     """
     gen = ensure_rng(rng)
     d = x.dim
-    scale = cfg.epsilon / d
     offset = float(np.mean(np.diag(x.data)))
     base = x.data.copy()
     base[np.diag_indices(d)] -= offset
 
-    best_val = -np.inf
-    best_vec = None
-    for _ in range(cfg.k):
-        z = gen.standard_normal(d)
-        lam, vec = _leading_or_stalled(base + scale * np.outer(z, z), cfg, gen)
-        if lam > best_val:
-            best_val, best_vec = lam, vec
-    return GradSample(grad=sym_from(np.outer(best_vec, best_vec)),
-                      value=best_val + offset)
+    z = gen.standard_normal((cfg.k, d))
+    stack = (cfg.epsilon / d) * (z[:, :, None] * z[:, None, :])
+    stack += base
+    vals, vecs = np.linalg.eigh(stack)
+    best = int(np.argmax(vals[:, -1]))
+    v = vecs[best, :, -1]
+    # v_i * v_j == v_j * v_i, so the outer product is exactly symmetric
+    return GradSample(grad=SymMatrix(np.outer(v, v)),
+                      value=float(vals[best, -1]) + offset)
 
 
 def power_value_grad(x: SymMatrix, u: np.ndarray, p: int) -> GradSample:
@@ -177,9 +155,7 @@ def resolve_oracle(spec):
 def oracle_echo(spec) -> dict:
     """JSON-friendly description of an oracle spec for trace headers."""
     if isinstance(spec, SmoothingOracleConfig):
-        return {"kind": "smoothing", "k": spec.k, "epsilon": spec.epsilon,
-                "eig_tol": spec.eig_tol, "eig_max_iter": spec.eig_max_iter,
-                "eig_accept": spec.eig_accept}
+        return {"kind": "smoothing", "k": spec.k, "epsilon": spec.epsilon}
     if isinstance(spec, PowerOracleConfig):
         return {"kind": "power", "p": spec.p, "square_input": spec.square_input}
     if isinstance(spec, ExactOracleConfig):

@@ -163,10 +163,15 @@ def eval_F(x: SymMatrix) -> float:
     return float(full_spectrum(x)[0])
 
 
+def eval_penalty(x: SymMatrix, prob: CompositeProblem) -> float:
+    """Regularization term mu ||X - X1||_F^2 of the composite objective."""
+    diff = x.data - prob.x1.data
+    return prob.mu * float(np.tensordot(diff, diff))
+
+
 def eval_Psi(x: SymMatrix, prob: CompositeProblem) -> float:
     """Composite objective F(X) + mu ||X - X1||_F^2."""
-    diff = x.data - prob.x1.data
-    return eval_F(x) + prob.mu * float(np.tensordot(diff, diff))
+    return eval_F(x) + eval_penalty(x, prob)
 
 
 def gen_instance(d: int, noise_sigma: float, seed: int) -> BoxSet:

@@ -14,7 +14,8 @@ import numpy as np
 
 from .linalg import SymMatrix, ensure_rng
 from .oracles import oracle_echo, resolve_oracle
-from .problem import CompositeProblem, eval_F, eval_Psi, project_box, prox_step
+from .problem import (CompositeProblem, eval_F, eval_penalty, project_box,
+                      prox_step)
 
 
 class SolverError(RuntimeError):
@@ -145,7 +146,8 @@ class _TraceBuilder:
         if t % self.stride != 0 and t != self.T:
             return
         point = SymMatrix(avg_arr.copy())
-        self.rows.append((t, eval_F(point), eval_Psi(point, self.prob),
+        f = eval_F(point)
+        self.rows.append((t, f, f + eval_penalty(point, self.prob),
                           grad_norm, time.perf_counter() - self.start))
 
     def build(self, final_arr) -> RunTrace:
@@ -273,7 +275,7 @@ def levy_adaptive(prob: CompositeProblem, D: float, M: float, T: int, rng,
         gnorm = float(np.linalg.norm(sample.grad.data))
         acc += gnorm * gnorm
         eta = 2.0 * D / math.sqrt(acc) if acc > 0 else 0.0
-        x_bar = ((t - 1) * x_bar + x) / t
+        x_bar += (x - x_bar) / t
         x = project_box(SymMatrix(x - eta * sample.grad.data), prob.feasible).data
         builder.record(t, x_bar, gnorm)
     return builder.build(x_bar)
@@ -340,7 +342,7 @@ def relative_md(prob: CompositeProblem, Lstar: float, Gamma: float, T: int, rng,
     for t in range(1, T + 1):
         sample = _draw(oracle, x, gen, t, builder)
         builder.note_iterate(x)
-        x_bar = ((t - 1) * x_bar + x) / t
+        x_bar += (x - x_bar) / t
         x = project_box(SymMatrix(x - eta * sample.grad.data), prob.feasible).data
         builder.record(t, x_bar, float(np.linalg.norm(sample.grad.data)))
     return builder.build(x_bar)

@@ -13,6 +13,15 @@ def random_psd(d, seed, floor=0.1):
     return sym_from(b @ b.T + floor * np.eye(d))
 
 
+def dense_draw(x, epsilon, z):
+    """Top eigenpair of one smoothing draw, by a 2-d eigh of the centered matrix."""
+    d = x.dim
+    offset = np.mean(np.diag(x.data))
+    vals, vecs = np.linalg.eigh(x.data - offset * np.eye(d)
+                                + epsilon / d * np.outer(z, z))
+    return vals[-1] + offset, vecs[:, -1]
+
+
 class TestSmoothingOracle:
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -67,6 +76,37 @@ class TestSmoothingOracle:
             b = smoothing_grad(shifted, cfg, make_rng(99))
             assert np.array_equal(a.grad.data, b.grad.data)
             assert b.value - a.value == pytest.approx(shift, abs=1e-12)
+
+    @pytest.mark.parametrize("x", [
+        sym_from(make_rng(17).standard_normal((6, 6))),
+        # top pair split below any power-iteration tolerance
+        sym_from(np.diag([1.0, 1.0 - 1e-12, 0.2])),
+    ])
+    def test_matches_dense_solve_on_the_same_stream(self, x):
+        cfg = SmoothingOracleConfig(k=1, epsilon=1e-2)
+        z = make_rng(18).standard_normal(x.dim)
+        top, v = dense_draw(x, cfg.epsilon, z)
+        sample = smoothing_grad(x, cfg, make_rng(18))
+        assert sample.value == pytest.approx(top, abs=1e-12)
+        assert np.max(np.abs(sample.grad.data - np.outer(v, v))) <= 1e-12
+
+    def test_stacked_solve_picks_the_per_draw_winner(self):
+        # reference: k separate draws of size d, first maximum wins
+        d, k = 5, 3
+        cfg = SmoothingOracleConfig(k=k, epsilon=1.0)
+        rng = make_rng(19)
+        for trial in range(20):
+            x = sym_from(rng.standard_normal((d, d)))
+            stream = make_rng(200 + trial)
+            best_val, best_vec = -np.inf, None
+            for _ in range(k):
+                top, v = dense_draw(x, cfg.epsilon, stream.standard_normal(d))
+                if top > best_val:
+                    best_val, best_vec = top, v
+            sample = smoothing_grad(x, cfg, make_rng(200 + trial))
+            assert sample.value == pytest.approx(best_val, abs=1e-12)
+            assert np.max(np.abs(sample.grad.data
+                                 - np.outer(best_vec, best_vec))) <= 1e-12
 
 
 class TestPowerOracle:
