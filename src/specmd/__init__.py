@@ -2,7 +2,7 @@
 minimization: randomized oracles, parameter-free solvers, baselines, and a
 benchmark harness."""
 
-from .linalg import (ConvergenceError, SymMatrix, frob_inner, frob_norm,
+from .linalg import (ConvergenceError, SymMatrix, frob_inner,
                      full_spectrum, leading_eigpair, make_rng,
                      mat_power_apply, sym_from, sym_identity, sym_zeros)
 from .oracles import (ExactOracleConfig, GradSample, PowerOracleConfig,
@@ -16,7 +16,7 @@ from .solvers import (RunTrace, SolverError, StepSchedule, lan_acsa,
                       relative_md, relative_step, schedule_at,
                       transition_time_relative, transition_time_smooth)
 from .harness import (BenchReport, ExperimentConfig, iterations_to_precision,
-                      read_trace, reference_run, reference_value, run_bench,
+                      read_trace, reference_run, run_bench,
                       theory_parameters, write_trace)
 
 __version__ = "0.1.0"
@@ -26,12 +26,12 @@ __all__ = [
     "Diagnostics", "ExactOracleConfig", "ExperimentConfig", "GradSample",
     "PowerOracleConfig", "RunTrace", "SmoothingOracleConfig", "SolverError",
     "StepSchedule", "SymMatrix", "eval_F", "eval_Psi", "exact_subgrad",
-    "frob_inner", "frob_norm", "full_spectrum", "gen_instance",
+    "frob_inner", "full_spectrum", "gen_instance",
     "iterations_to_precision", "lan_acsa", "leading_eigpair", "levy_adaptive",
     "load_instance", "make_problem", "make_rng", "mat_power_apply",
     "oblivious_acsmd", "oblivious_smd", "power_grad", "power_value_grad",
     "project_box", "prox_step", "read_trace", "reference_run",
-    "reference_value", "relative_md", "relative_step", "resolve_oracle",
+    "relative_md", "relative_step", "resolve_oracle",
     "run_bench", "save_instance", "schedule_at", "smoothing_grad", "sym_from",
     "sym_identity", "sym_zeros", "theory_parameters",
     "transition_time_relative", "transition_time_smooth", "write_trace",

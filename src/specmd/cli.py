@@ -142,7 +142,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_verify)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as err:
+        print(f"specmd: error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

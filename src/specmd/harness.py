@@ -82,13 +82,6 @@ def reference_run(instance: BoxSet, budget: int = 20000, seed: int = 0,
     return best, trace
 
 
-def reference_value(instance: BoxSet, budget: int = 20000, seed: int = 0,
-                    mu: float | None = None, oracle=None) -> float:
-    """Reference objective value used as F_ref by the precision metric."""
-    value, _ = reference_run(instance, budget, seed, mu=mu, oracle=oracle)
-    return value
-
-
 def theory_parameters(instance: BoxSet, oracle, T: int) -> dict:
     """Conservative a-priori constants for baselines asking for "theory" values.
 
@@ -307,31 +300,39 @@ def _resolve_param(spec, key, theory, tuned, tune_factor):
     return value / tune_factor if tuned else value
 
 
-def run_solver_spec(spec: dict, prob, T: int, seed: int, theory: dict,
-                    hyper_tuned_default: bool = False,
-                    eval_stride: int | None = None) -> RunTrace:
-    """Dispatch one solver spec dict to the matching solver function."""
-    kind = spec["kind"]
+def resolve_solver_spec(spec: dict, theory: dict,
+                        hyper_tuned_default: bool = False) -> tuple:
+    """(solver, parameters) for solver(prob, *parameters, T, seed, ...).
+
+    An unknown kind or a "theory" constant this oracle has no value for
+    raises ValueError here, before any solver runs.
+    """
+    kind = spec.get("kind")
     tuned = bool(spec.get("tuned", hyper_tuned_default))
     if kind in ("smd", "acsmd"):
         sched = StepSchedule(degree=int(spec.get("degree", 1)),
                              scale=float(spec.get("scale", 1.0)))
-        solver = oblivious_smd if kind == "smd" else oblivious_acsmd
-        return solver(prob, sched, T, seed, eval_stride=eval_stride)
+        return (oblivious_smd if kind == "smd" else oblivious_acsmd), (sched,)
     if kind == "levy":
         d_val = _resolve_param(spec, "D", theory, tuned, TUNE_D)
-        m_val = float(spec.get("M", theory.get("M", 1.0)))
-        return levy_adaptive(prob, d_val, m_val, T, seed, eval_stride=eval_stride)
+        return levy_adaptive, (d_val, float(spec.get("M", theory.get("M", 1.0))))
     if kind == "lan":
         l_val = _resolve_param(spec, "L", theory, tuned, TUNE_L)
-        sigma = float(spec.get("sigma", theory.get("sigma", 1.0)))
-        return lan_acsa(prob, l_val, sigma, T, seed, eval_stride=eval_stride)
+        return lan_acsa, (l_val, float(spec.get("sigma", theory.get("sigma", 1.0))))
     if kind == "relative":
         lstar = _resolve_param(spec, "Lstar", theory, tuned, TUNE_LSTAR)
         gamma_raw = spec.get("Gamma", "theory")
         gamma = theory["Gamma"] if gamma_raw == "theory" else float(gamma_raw)
-        return relative_md(prob, lstar, gamma, T, seed, eval_stride=eval_stride)
+        return relative_md, (lstar, gamma)
     raise ValueError(f"unknown solver kind: {kind}")
+
+
+def run_solver_spec(spec: dict, prob, T: int, seed: int, theory: dict,
+                    hyper_tuned_default: bool = False,
+                    eval_stride: int | None = None) -> RunTrace:
+    """Dispatch one solver spec dict to the matching solver function."""
+    solver, params = resolve_solver_spec(spec, theory, hyper_tuned_default)
+    return solver(prob, *params, T, seed, eval_stride=eval_stride)
 
 
 def run_bench(cfg: ExperimentConfig) -> BenchReport:
@@ -342,14 +343,22 @@ def run_bench(cfg: ExperimentConfig) -> BenchReport:
     config), timing.csv (wall-clock, excluded from the determinism claim),
     and config_echo.yaml.
     """
+    oracle_cfg = build_oracle(cfg.oracle)
+    instances = {dim: gen_instance(dim, cfg.noise_sigma, cfg.instance_seed)
+                 for dim in cfg.dims}
+    theories = {dim: theory_parameters(box, oracle_cfg, cfg.T)
+                for dim, box in instances.items()}
+    # a bad solver spec fails here, before any reference run is paid for
+    for spec in cfg.solvers:
+        for theory in theories.values():
+            resolve_solver_spec(spec, theory, cfg.hyper_tuned)
+
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    oracle_cfg = build_oracle(cfg.oracle)
     cells = []
     f_refs = {}
-
-    for dim in cfg.dims:
-        instance = gen_instance(dim, cfg.noise_sigma, cfg.instance_seed)
+    for dim, instance in instances.items():
+        theory = theories[dim]
         save_instance(outdir / f"instance_d{dim}.txt", instance,
                       seed=cfg.instance_seed, noise_sigma=cfg.noise_sigma)
         f_ref, ref_trace = reference_run(instance, cfg.reference_budget,
@@ -360,7 +369,6 @@ def run_bench(cfg: ExperimentConfig) -> BenchReport:
         write_trace(outdir / f"reference_d{dim}.csv", ref_trace)
 
         prob = make_problem(instance, oracle_cfg, T=cfg.T)
-        theory = theory_parameters(instance, oracle_cfg, cfg.T)
         for spec in cfg.solvers:
             label = _solver_label(spec)
             for seed in cfg.seeds:

@@ -87,10 +87,6 @@ def frob_inner(a: SymMatrix, b: SymMatrix) -> float:
     return float(np.tensordot(a.data, b.data))
 
 
-def frob_norm(a: SymMatrix) -> float:
-    return float(np.linalg.norm(a.data))
-
-
 def _dominance_shift(a: np.ndarray) -> float:
     """Shift c >= -lambda_min(M) from the Gershgorin disc bound.
 

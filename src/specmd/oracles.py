@@ -38,9 +38,11 @@ class SmoothingOracleConfig:
 class PowerOracleConfig:
     """Matrix-power oracle <X^p u, u>^(1/p) with u uniform on [0,1]^d.
 
-    With square_input the quadratic form is evaluated on X @ X (so the value
-    tracks lambda_max(X)^2 and stays well defined off the PSD cone); the
-    returned gradient is chain-ruled back to X.
+    With square_input the form is <X^(2p) u, u>^(1/p) = ||X^p u||^(2/p), the
+    same oracle on X @ X: its value tracks lambda_max(X)^2 and stays well
+    defined off the PSD cone. Either way a draw costs n matrix-vector
+    products (n = 2p with square_input, p without) and one d x n x d GEMM
+    for the gradient; no d x d x d product is formed.
     """
 
     p: int = 21
@@ -66,6 +68,8 @@ class GradSample:
     def __post_init__(self):
         if not np.isfinite(self.value):
             raise ValueError(f"oracle value is not finite: {self.value}")
+        if not np.isfinite(self.grad.data).all():
+            raise ValueError("oracle gradient has non-finite entries")
 
 
 def smoothing_grad(x: SymMatrix, cfg: SmoothingOracleConfig, rng) -> GradSample:
@@ -100,36 +104,38 @@ def smoothing_grad(x: SymMatrix, cfg: SmoothingOracleConfig, rng) -> GradSample:
                       value=float(vals[best, -1]) + offset)
 
 
+def _krylov_value_grad(x: SymMatrix, u: np.ndarray, n: int, p: int) -> GradSample:
+    """Value and gradient of <X^n u, u>^(1/p); power_value_grad is n = p."""
+    k = np.array(mat_power_apply(x, n, u))
+    s = float(k[n - n // 2] @ k[n // 2])
+    if s <= 0.0:
+        raise ValueError(
+            f"<X^n u, u> = {s:g} is not positive for the sampled direction")
+    value = s ** (1.0 / p)
+    coef = value / (p * s)
+    return GradSample(grad=sym_from((coef * k[:n]).T @ k[n - 1::-1]),
+                      value=value)
+
+
 def power_value_grad(x: SymMatrix, u: np.ndarray, p: int) -> GradSample:
     """Exact value and gradient of phi_u(X) = <X^p u, u>^(1/p) at a fixed u.
 
-    The gradient is (1/p) s^(1/p - 1) sum_j sym(w_j w_{p-1-j}^T) with
-    w_j = X^j u, the true gradient of the per-sample function, hence an
-    unbiased draw once u is random.
+    With the Krylov vectors k_j = X^j u (j = 0..p), s = <X^p u, u> is
+    k_(p-h) . k_h for h = p // 2, and the gradient is
+    s^(1/p) / (p s) * sym(sum_(j<p) k_j k_(p-1-j)^T): the true gradient of
+    the per-sample function, hence an unbiased draw once u is random. The
+    sum is one GEMM of the stacked k_j against themselves in reverse order,
+    so a call costs p matrix-vector products and one d x p x d GEMM; no
+    d x d x d product is formed.
     """
-    w = mat_power_apply(x, p, u)
-    s = float(w[p] @ w[0])
-    if s <= 0.0:
-        raise ValueError(
-            f"<X^p u, u> = {s:g} is not positive for the sampled direction")
-    value = s ** (1.0 / p)
-    coef = value / (p * s)
-    acc = np.zeros((x.dim, x.dim))
-    for j in range(p):
-        acc += np.outer(w[j], w[p - 1 - j])
-    return GradSample(grad=sym_from(coef * acc), value=value)
+    return _krylov_value_grad(x, u, p, p)
 
 
 def power_grad(x: SymMatrix, cfg: PowerOracleConfig, rng) -> GradSample:
     """One draw of the matrix-power oracle with u uniform on [0,1]^d."""
-    gen = ensure_rng(rng)
-    u = gen.random(x.dim)
-    if not cfg.square_input:
-        return power_value_grad(x, u, cfg.p)
-    y = sym_from(x.data @ x.data)
-    inner = power_value_grad(y, u, cfg.p)
-    chained = x.data @ inner.grad.data + inner.grad.data @ x.data
-    return GradSample(grad=sym_from(chained), value=inner.value)
+    u = ensure_rng(rng).random(x.dim)
+    n = 2 * cfg.p if cfg.square_input else cfg.p
+    return _krylov_value_grad(x, u, n, cfg.p)
 
 
 def exact_subgrad(x: SymMatrix) -> GradSample:

@@ -3,6 +3,7 @@ synthetic instance generator, and instance (de)serialization."""
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -27,13 +28,19 @@ class BoxSet:
     def dim(self) -> int:
         return self.center.dim
 
-    @property
+    @cached_property
     def lower(self) -> np.ndarray:
-        return self.center.data - self.radius
+        """Entrywise lower bound A - rho, built once per box (read-only)."""
+        bound = self.center.data - self.radius
+        bound.setflags(write=False)
+        return bound
 
-    @property
+    @cached_property
     def upper(self) -> np.ndarray:
-        return self.center.data + self.radius
+        """Entrywise upper bound A + rho, built once per box (read-only)."""
+        bound = self.center.data + self.radius
+        bound.setflags(write=False)
+        return bound
 
     @property
     def diameter_frobenius(self) -> float:
@@ -136,26 +143,7 @@ def prox_step(xt: SymMatrix, g: SymMatrix, alpha: float, gamma: float,
     box = prob.feasible
     stationary = (2.0 * mu * (alpha * prob.x1.data + gamma * xt.data)
                   - alpha * g.data) / (2.0 * mu * (alpha + gamma))
-    out = np.clip(stationary, box.lower, box.upper)
-    if __debug__:
-        _check_prox_optimality(out, xt, g, alpha, gamma, prob)
-    return SymMatrix(out)
-
-
-def _check_prox_optimality(x, xt, g, alpha, gamma, prob):
-    """Entrywise KKT conditions of the prox subproblem, to rounding error."""
-    box = prob.feasible
-    mu = prob.mu
-    deriv = (alpha * g.data + 2.0 * mu * alpha * (x - prob.x1.data)
-             + 2.0 * mu * gamma * (x - xt.data))
-    magnitude = (alpha * np.abs(g.data)
-                 + 2.0 * mu * alpha * (np.abs(x) + np.abs(prob.x1.data))
-                 + 2.0 * mu * gamma * (np.abs(x) + np.abs(xt.data)))
-    tol = 1e-9 * np.maximum(1.0, magnitude)
-    at_lower = x == box.lower
-    at_upper = x == box.upper
-    ok = (np.abs(deriv) <= tol) | (at_lower & (deriv >= -tol)) | (at_upper & (deriv <= tol))
-    assert bool(np.all(ok)), "prox step violates first-order optimality"
+    return SymMatrix(np.clip(stationary, box.lower, box.upper))
 
 
 def eval_F(x: SymMatrix) -> float:

@@ -205,8 +205,6 @@ def oblivious_smd(prob: CompositeProblem, sched: StepSchedule, T: int, rng,
         a_sum = a_new
         try:
             x = prox_step(SymMatrix(x), sample.grad, alpha, gamma, prob).data
-        except SolverError:
-            raise
         except Exception as err:
             raise SolverError(f"prox step failed at iteration {t}: {err}") from err
         builder.record(t, x_ag, float(np.linalg.norm(sample.grad.data)))
@@ -241,8 +239,6 @@ def oblivious_acsmd(prob: CompositeProblem, sched: StepSchedule, T: int, rng,
         sample = _draw(oracle, x_md, gen, t, builder)
         try:
             x = prox_step(SymMatrix(x), sample.grad, alpha, gamma, prob).data
-        except SolverError:
-            raise
         except Exception as err:
             raise SolverError(f"prox step failed at iteration {t}: {err}") from err
         builder.note_iterate(x)

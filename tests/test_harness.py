@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+import specmd.harness as harness
 from specmd.harness import (BenchReport, CellResult, ExperimentConfig,
                             _write_report_files, build_oracle, run_bench)
 
@@ -57,3 +58,20 @@ def test_build_oracle_rejects_unknown_keys():
     with pytest.raises(ValueError, match="'p'"):
         build_oracle({"kind": "exact", "p": 3})
     assert build_oracle({"kind": "smoothing", "k": 2}).k == 2
+
+
+@pytest.mark.parametrize("solver, message", [
+    ({"kind": "lan"}, "no theory value for 'L'"),
+    ({"kind": "bogus"}, "unknown solver kind"),
+])
+def test_bad_solver_spec_fails_before_any_reference_run(tmp_path, monkeypatch,
+                                                        solver, message):
+    def no_reference_run(*args, **kwargs):
+        raise AssertionError("reference run started before config validation")
+
+    monkeypatch.setattr(harness, "reference_run", no_reference_run)
+    cfg = tiny_config(tmp_path / "out", {"kind": "exact"})
+    cfg.solvers = [{"kind": "acsmd"}, solver]
+    with pytest.raises(ValueError, match=message):
+        run_bench(cfg)
+    assert not (tmp_path / "out").exists()

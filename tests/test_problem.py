@@ -4,16 +4,39 @@ import numpy as np
 import pytest
 
 from specmd.linalg import SymMatrix, make_rng, sym_from, sym_identity, sym_zeros
-from specmd.oracles import ExactOracleConfig
+from specmd.oracles import ExactOracleConfig, PowerOracleConfig, power_grad
 from specmd.problem import (BoxSet, CompositeProblem, Diagnostics, eval_F,
                             eval_Psi, gen_instance, load_instance,
                             make_problem, project_box, prox_step,
                             save_instance)
+from specmd.solvers import StepSchedule, oblivious_acsmd, schedule_at
 
 
 def random_box(seed, d=3, radius=0.8):
     return BoxSet(center=sym_from(make_rng(seed).standard_normal((d, d))),
                   radius=radius)
+
+
+def prox_kkt_violations(x, xt, g, alpha, gamma, prob):
+    """Entries breaking the prox subproblem's KKT conditions beyond rounding.
+
+    The derivative of alpha (<g, x> + mu ||x - X1||^2) + gamma mu ||x - Xt||^2
+    must vanish at an interior entry, be >= 0 at the lower face and <= 0 at
+    the upper face.
+    """
+    box = prob.feasible
+    mu = prob.mu
+    deriv = (alpha * g.data + 2.0 * mu * alpha * (x - prob.x1.data)
+             + 2.0 * mu * gamma * (x - xt.data))
+    magnitude = (alpha * np.abs(g.data)
+                 + 2.0 * mu * alpha * (np.abs(x) + np.abs(prob.x1.data))
+                 + 2.0 * mu * gamma * (np.abs(x) + np.abs(xt.data)))
+    tol = 1e-9 * np.maximum(1.0, magnitude)
+    at_lower = x == box.lower
+    at_upper = x == box.upper
+    ok = ((np.abs(deriv) <= tol) | (at_lower & (deriv >= -tol))
+          | (at_upper & (deriv <= tol)))
+    return int(np.count_nonzero(~ok))
 
 
 def random_feasible(box, rng):
@@ -25,6 +48,14 @@ class TestBoxSet:
     def test_radius_must_be_positive(self):
         with pytest.raises(ValueError):
             BoxSet(center=sym_identity(2), radius=0.0)
+
+    def test_bounds_are_built_once_and_read_only(self):
+        box = random_box(24)
+        assert box.lower is box.lower and box.upper is box.upper
+        assert np.array_equal(box.lower, box.center.data - box.radius)
+        assert np.array_equal(box.upper, box.center.data + box.radius)
+        with pytest.raises(ValueError):
+            box.lower[0, 0] = 0.0
 
     def test_frobenius_diameter(self):
         assert BoxSet(center=sym_zeros(5), radius=0.3).diameter_frobenius == 3.0
@@ -144,6 +175,46 @@ class TestProxStep:
         for _ in range(1000):
             cand = random_feasible(box, rng)
             assert best <= objective(cand) + 1e-9
+
+    @pytest.mark.parametrize("d", [3, 20, 200])
+    def test_prox_step_satisfies_kkt(self, d):
+        rng = make_rng(25 + d)
+        for trial in range(6):
+            box = random_box(100 * d + trial, d=d,
+                             radius=float(rng.uniform(0.1, 1.0)))
+            prob = make_problem(box, ExactOracleConfig(),
+                                mu=float(rng.uniform(0.05, 2.0)))
+            xt = random_feasible(box, rng)
+            # the last trials scale g so that entries land on both faces
+            scale = 1e3 if trial >= 4 else 1.0
+            g = sym_from(scale * rng.standard_normal((d, d)))
+            alpha = float(rng.uniform(0.01, 5.0))
+            gamma = float(rng.uniform(0.01, 5.0))
+            out = prox_step(xt, g, alpha, gamma, prob).data
+            assert prox_kkt_violations(out, xt, g, alpha, gamma, prob) == 0
+            if scale > 1.0:
+                assert np.any(out == box.lower) and np.any(out == box.upper)
+
+    def test_acsmd_power_iterates_satisfy_kkt(self):
+        # replay each prox step of a short run from its recorded gradient
+        box = gen_instance(8, 0.2, seed=26)
+        cfg = PowerOracleConfig(p=5)
+        grads = []
+
+        def recording_oracle(x, rng):
+            sample = power_grad(x, cfg, rng)
+            grads.append(sample.grad)
+            return sample
+
+        prob = make_problem(box, recording_oracle, T=40)
+        sched = StepSchedule(degree=1)
+        trace = oblivious_acsmd(prob, sched, 40, 27, keep_iterates=True)
+        points = [prob.x1, *trace.iterates]
+        assert len(grads) == len(trace.iterates) == 40
+        for t, g in enumerate(grads, start=1):
+            alpha, gamma = schedule_at(sched, t)
+            xt, x = points[t - 1], points[t].data
+            assert prox_kkt_violations(x, xt, g, alpha, gamma, prob) == 0
 
     def test_matches_per_entry_golden_section(self):
         scipy_opt = pytest.importorskip("scipy.optimize")
