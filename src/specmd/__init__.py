@@ -8,7 +8,7 @@ from .linalg import (ConvergenceError, SymMatrix, frob_inner,
 from .oracles import (ExactOracleConfig, GradSample, PowerOracleConfig,
                       SmoothingOracleConfig, exact_subgrad, power_grad,
                       power_value_grad, resolve_oracle, smoothing_grad)
-from .problem import (BoxSet, CompositeProblem, Diagnostics, eval_F, eval_Psi,
+from .problem import (BoxSet, CompositeProblem, eval_F, eval_Psi,
                       gen_instance, load_instance, make_problem, project_box,
                       prox_step, save_instance)
 from .solvers import (RunTrace, SolverError, StepSchedule, lan_acsa,
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchReport", "BoxSet", "CompositeProblem", "ConvergenceError",
-    "Diagnostics", "ExactOracleConfig", "ExperimentConfig", "GradSample",
+    "ExactOracleConfig", "ExperimentConfig", "GradSample",
     "PowerOracleConfig", "RunTrace", "SmoothingOracleConfig", "SolverError",
     "StepSchedule", "SymMatrix", "eval_F", "eval_Psi", "exact_subgrad",
     "frob_inner", "full_spectrum", "gen_instance",

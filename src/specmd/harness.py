@@ -70,14 +70,13 @@ def reference_run(instance: BoxSet, budget: int = 20000, seed: int = 0,
                             eval_stride=stride)
     best = trace.best_F_ag
 
-    x = trace.final_point
+    x = trace.final_point.data
     step0 = instance.radius / instance.dim ** 2
     for t in range(1, t_polish + 1):
-        sample = exact_subgrad(x)
+        sample = exact_subgrad(SymMatrix(x))
         best = min(best, sample.value)
-        composite = sample.grad.data + 2.0 * prob.mu * (x.data - prob.x1.data)
-        x = project_box(
-            SymMatrix(x.data - (step0 / math.sqrt(t)) * composite), instance)
+        composite = sample.grad.data + 2.0 * prob.mu * (x - prob.x1.data)
+        x = project_box(x - (step0 / math.sqrt(t)) * composite, instance)
     best = min(best, eval_F(x))
     return best, trace
 
@@ -92,7 +91,7 @@ def theory_parameters(instance: BoxSet, oracle, T: int) -> dict:
     d = instance.dim
     diameter = instance.diameter_frobenius
     out = {"M": 1.0, "sigma": 1.0, "D": diameter,
-           "Gamma": max(eval_F(instance.center), 1e-12) / diameter ** 2}
+           "Gamma": max(eval_F(instance.center.data), 1e-12) / diameter ** 2}
     if isinstance(oracle, SmoothingOracleConfig):
         out["L"] = d / oracle.epsilon
     if isinstance(oracle, PowerOracleConfig):
@@ -454,6 +453,9 @@ def _write_report_files(report: BenchReport, outdir: Path) -> None:
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    """Read a YAML benchmark config file."""
+    """Read a YAML benchmark config file; an unknown key raises ValueError."""
     raw = yaml.safe_load(Path(path).read_text())
+    unknown = sorted(set(raw) - {f.name for f in fields(ExperimentConfig)})
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in campaign config {path}")
     return ExperimentConfig(**raw)

@@ -39,8 +39,11 @@ def ensure_rng(rng) -> np.random.Generator:
 class SymMatrix:
     """Immutable dense real symmetric d x d matrix.
 
-    Entries are exactly symmetric (checked at construction); use `sym_from`
-    to symmetrize arbitrary square input.
+    Entries are finite and exactly symmetric (checked at construction, in
+    that order); use `sym_from` to symmetrize arbitrary square input. Built
+    only where a matrix crosses an API boundary: problem data, each oracle
+    call's input, each oracle gradient, kept iterates and a trace's final
+    point. Solver loops keep their iterates as plain float64 arrays.
     """
 
     data: np.ndarray
@@ -51,6 +54,8 @@ class SymMatrix:
             raise ValueError(f"expected a square 2-d array, got {getattr(a, 'shape', None)}")
         if a.shape[0] < 1:
             raise ValueError("matrix dimension must be >= 1")
+        if not np.isfinite(a).all():
+            raise ValueError("entries are not finite")
         if not np.array_equal(a, a.T):
             raise ValueError("entries are not exactly symmetric; build via sym_from")
         a.setflags(write=False)
@@ -84,7 +89,7 @@ def frob_inner(a: SymMatrix, b: SymMatrix) -> float:
     """Frobenius inner product sum_ij A_ij B_ij."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return float(np.tensordot(a.data, b.data))
+    return float(np.vdot(a.data, b.data))
 
 
 def _dominance_shift(a: np.ndarray) -> float:
@@ -214,9 +219,13 @@ def leading_eigpair(m: SymMatrix, tol: float = 1e-8, max_iter: int | None = None
         residual=best_res, iterations=max_iter)
 
 
-def full_spectrum(m: SymMatrix) -> np.ndarray:
-    """All eigenvalues in nonincreasing order (exact solve, trace/test use)."""
-    return np.linalg.eigvalsh(m.data)[::-1].copy()
+def full_spectrum(m: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a symmetric array in nonincreasing order.
+
+    Takes a plain square array (a SymMatrix passes its `.data`) and returns
+    a new 1-d array; exact dense solve, for traces and tests.
+    """
+    return np.linalg.eigvalsh(m)[::-1].copy()
 
 
 def mat_power_apply(x: SymMatrix, p: int, u: np.ndarray) -> list[np.ndarray]:

@@ -142,7 +142,8 @@ def exact_subgrad(x: SymMatrix) -> GradSample:
     """Deterministic subgradient v v^T at a unit leading eigenvector of X."""
     vals, vecs = np.linalg.eigh(x.data)
     v = vecs[:, -1]
-    return GradSample(grad=sym_from(np.outer(v, v)), value=float(vals[-1]))
+    # v_i * v_j == v_j * v_i, so the outer product is exactly symmetric
+    return GradSample(grad=SymMatrix(np.outer(v, v)), value=float(vals[-1]))
 
 
 def resolve_oracle(spec):

@@ -47,10 +47,11 @@ class BoxSet:
         """Frobenius diameter of the entrywise box: 2 * rho * d."""
         return 2.0 * self.radius * self.dim
 
-    def contains(self, x: SymMatrix, tol: float = FEASIBILITY_TOL) -> bool:
-        if x.dim != self.dim:
+    def contains(self, x: np.ndarray, tol: float = FEASIBILITY_TOL) -> bool:
+        """Whether the square array x lies in the box, up to tol per entry."""
+        if x.shape != self.lower.shape:
             return False
-        return bool(np.all(np.abs(x.data - self.center.data) <= self.radius + tol))
+        return bool(np.all(np.abs(x - self.center.data) <= self.radius + tol))
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ class CompositeProblem:
             raise ValueError("mu must be positive")
         if self.x1.dim != self.feasible.dim:
             raise ValueError("start point dimension does not match the box")
-        if not self.feasible.contains(self.x1):
+        if not self.feasible.contains(self.x1.data):
             raise ValueError("start point is not feasible")
 
     @property
@@ -91,49 +92,24 @@ def make_problem(box: BoxSet, oracle, T: int | None = None,
     return CompositeProblem(feasible=box, mu=mu, x1=x1, oracle=oracle)
 
 
-@dataclass(frozen=True)
-class Diagnostics:
-    """A-priori regularity constants attached to reports; solvers never read them.
-
-    Any field may be None when the corresponding assumption is not being
-    tracked. M bounds the oracle second moment, (L, sigma2) the smooth case,
-    (Lstar, Gamma) the relative-scale case, D0 the start distance, T0 the
-    transition time after which the oblivious schedule dominates the unknown
-    constant.
-    """
-
-    M: float | None = None
-    L: float | None = None
-    sigma2: float | None = None
-    Lstar: float | None = None
-    Gamma: float | None = None
-    D0: float | None = None
-    T0: int | None = None
-
-    def __post_init__(self):
-        for name in ("M", "L", "sigma2", "Lstar", "Gamma", "D0"):
-            val = getattr(self, name)
-            if val is not None and val <= 0:
-                raise ValueError(f"{name} must be positive when present")
-        if self.T0 is not None and self.T0 < 0:
-            raise ValueError("T0 must be nonnegative when present")
+def project_box(x: np.ndarray, box: BoxSet) -> np.ndarray:
+    """Entrywise clamp of the square array x onto the box, as a new array
+    (the Frobenius-nearest feasible point)."""
+    if x.shape != box.lower.shape:
+        raise ValueError(f"shape mismatch: {x.shape} vs {box.lower.shape}")
+    return np.clip(x, box.lower, box.upper)
 
 
-def project_box(x: SymMatrix, box: BoxSet) -> SymMatrix:
-    """Entrywise clamp onto the box (the Frobenius-nearest feasible point)."""
-    if x.dim != box.dim:
-        raise ValueError(f"dimension mismatch: {x.dim} vs {box.dim}")
-    return SymMatrix(np.clip(x.data, box.lower, box.upper))
-
-
-def prox_step(xt: SymMatrix, g: SymMatrix, alpha: float, gamma: float,
-              prob: CompositeProblem) -> SymMatrix:
+def prox_step(xt: np.ndarray, g: np.ndarray, alpha: float, gamma: float,
+              prob: CompositeProblem) -> np.ndarray:
     """Closed-form minimizer of the mirror-descent subproblem
 
         alpha * (<g, x> + mu ||x - X1||^2) + gamma * mu ||x - Xt||^2
 
     over the box. The objective is an entrywise-separable strictly convex
-    quadratic, so clamping its stationary point is exact.
+    quadratic, so clamping its stationary point is exact. Takes the arrays
+    Xt and g and returns the minimizer as a new array; every operation is
+    entrywise, so symmetric inputs give an exactly symmetric output.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -141,24 +117,25 @@ def prox_step(xt: SymMatrix, g: SymMatrix, alpha: float, gamma: float,
         raise ValueError("gamma must be positive")
     mu = prob.mu
     box = prob.feasible
-    stationary = (2.0 * mu * (alpha * prob.x1.data + gamma * xt.data)
-                  - alpha * g.data) / (2.0 * mu * (alpha + gamma))
-    return SymMatrix(np.clip(stationary, box.lower, box.upper))
+    stationary = (2.0 * mu * (alpha * prob.x1.data + gamma * xt)
+                  - alpha * g) / (2.0 * mu * (alpha + gamma))
+    return np.clip(stationary, box.lower, box.upper)
 
 
-def eval_F(x: SymMatrix) -> float:
-    """Exact objective lambda_max(X); for traces and tests, not solver loops."""
+def eval_F(x: np.ndarray) -> float:
+    """Exact objective lambda_max(X) of a symmetric array; for traces and
+    tests, not solver steps."""
     return float(full_spectrum(x)[0])
 
 
-def eval_penalty(x: SymMatrix, prob: CompositeProblem) -> float:
+def eval_penalty(x: np.ndarray, prob: CompositeProblem) -> float:
     """Regularization term mu ||X - X1||_F^2 of the composite objective."""
-    diff = x.data - prob.x1.data
-    return prob.mu * float(np.tensordot(diff, diff))
+    diff = x - prob.x1.data
+    return prob.mu * float(np.vdot(diff, diff))
 
 
-def eval_Psi(x: SymMatrix, prob: CompositeProblem) -> float:
-    """Composite objective F(X) + mu ||X - X1||_F^2."""
+def eval_Psi(x: np.ndarray, prob: CompositeProblem) -> float:
+    """Composite objective F(X) + mu ||X - X1||_F^2 of a symmetric array."""
     return eval_F(x) + eval_penalty(x, prob)
 
 

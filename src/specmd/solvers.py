@@ -151,9 +151,8 @@ class _TraceBuilder:
     def record(self, t, avg_arr, grad_norm):
         if t % self.stride != 0 and t != self.T:
             return
-        point = SymMatrix(avg_arr.copy())
-        f = eval_F(point)
-        self.rows.append((t, f, f + eval_penalty(point, self.prob),
+        f = eval_F(avg_arr)
+        self.rows.append((t, f, f + eval_penalty(avg_arr, self.prob),
                           grad_norm, time.perf_counter() - self.start))
 
     def build(self, final_arr) -> RunTrace:
@@ -204,7 +203,7 @@ def oblivious_smd(prob: CompositeProblem, sched: StepSchedule, T: int, rng,
         x_ag = (a_sum * x_ag + alpha * x) / a_new
         a_sum = a_new
         try:
-            x = prox_step(SymMatrix(x), sample.grad, alpha, gamma, prob).data
+            x = prox_step(x, sample.grad.data, alpha, gamma, prob)
         except Exception as err:
             raise SolverError(f"prox step failed at iteration {t}: {err}") from err
         builder.record(t, x_ag, float(np.linalg.norm(sample.grad.data)))
@@ -238,7 +237,7 @@ def oblivious_acsmd(prob: CompositeProblem, sched: StepSchedule, T: int, rng,
         x_md = (a_sum * x_ag + alpha * x) / a_new
         sample = _draw(oracle, x_md, gen, t, builder)
         try:
-            x = prox_step(SymMatrix(x), sample.grad, alpha, gamma, prob).data
+            x = prox_step(x, sample.grad.data, alpha, gamma, prob)
         except Exception as err:
             raise SolverError(f"prox step failed at iteration {t}: {err}") from err
         builder.note_iterate(x)
@@ -278,7 +277,7 @@ def levy_adaptive(prob: CompositeProblem, D: float, M: float, T: int, rng,
         acc += gnorm * gnorm
         eta = 2.0 * D / math.sqrt(acc) if acc > 0 else 0.0
         x_bar += (x - x_bar) / t
-        x = project_box(SymMatrix(x - eta * sample.grad.data), prob.feasible).data
+        x = project_box(x - eta * sample.grad.data, prob.feasible)
         builder.record(t, x_bar, gnorm)
     return builder.build(x_bar)
 
@@ -311,7 +310,7 @@ def lan_acsa(prob: CompositeProblem, L: float, sigma: float, T: int, rng,
         x_md = (a_sum * x_ag + alpha * x) / a_new
         sample = _draw(oracle, x_md, gen, t, builder)
         eta = t / (4.0 * L)
-        x = project_box(SymMatrix(x - eta * sample.grad.data), prob.feasible).data
+        x = project_box(x - eta * sample.grad.data, prob.feasible)
         builder.note_iterate(x)
         x_ag = (a_sum * x_ag + alpha * x) / a_new
         a_sum = a_new
@@ -345,7 +344,7 @@ def relative_md(prob: CompositeProblem, Lstar: float, Gamma: float, T: int, rng,
         sample = _draw(oracle, x, gen, t, builder)
         builder.note_iterate(x)
         x_bar += (x - x_bar) / t
-        x = project_box(SymMatrix(x - eta * sample.grad.data), prob.feasible).data
+        x = project_box(x - eta * sample.grad.data, prob.feasible)
         builder.record(t, x_bar, float(np.linalg.norm(sample.grad.data)))
     return builder.build(x_bar)
 

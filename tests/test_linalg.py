@@ -29,6 +29,16 @@ class TestSymFrom:
         with pytest.raises(ValueError):
             SymMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_fails_as_not_finite(self, bad):
+        # checked before symmetry: NaN != NaN would otherwise read as asymmetric
+        with pytest.raises(ValueError, match="not finite"):
+            sym_from([[bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="not finite"):
+            sym_from([[0.0, bad], [bad, 1.0]])
+        with pytest.raises(ValueError, match="not finite"):
+            SymMatrix(np.array([[0.0, bad], [0.0, 1.0]]))
+
     def test_entries_are_read_only(self):
         m = sym_identity(2)
         with pytest.raises(ValueError):
@@ -78,7 +88,7 @@ class TestLeadingEigpair:
         for _ in range(20):
             m = sym_from(rng.standard_normal((10, 10)))
             lam, v = leading_eigpair(m, rng=rng)
-            assert lam == pytest.approx(full_spectrum(m)[0], abs=1e-8)
+            assert lam == pytest.approx(full_spectrum(m.data)[0], abs=1e-8)
 
     def test_residual_contract(self):
         rng = make_rng(5)
@@ -112,17 +122,17 @@ class TestLeadingEigpair:
 
 class TestFullSpectrum:
     def test_sorted_nonincreasing(self):
-        assert np.array_equal(full_spectrum(sym_from(np.diag([1.0, 2.0, 3.0]))),
+        assert np.array_equal(full_spectrum(sym_from(np.diag([1.0, 2.0, 3.0])).data),
                               [3.0, 2.0, 1.0])
 
     def test_zero_matrix(self):
-        assert np.array_equal(full_spectrum(sym_zeros(4)), np.zeros(4))
+        assert np.array_equal(full_spectrum(sym_zeros(4).data), np.zeros(4))
 
     @pytest.mark.parametrize("d", [2, 8, 17, 64])
     def test_trace_and_frobenius_identities(self, d):
         rng = make_rng(d)
         m = sym_from(rng.standard_normal((d, d)))
-        spec = full_spectrum(m)
+        spec = full_spectrum(m.data)
         assert np.all(np.diff(spec) <= 0)
         tr = float(np.trace(m.data))
         assert spec.sum() == pytest.approx(tr, rel=1e-9, abs=1e-9)

@@ -65,7 +65,7 @@ class TestSmoothingOracle:
     def test_small_epsilon_brackets_lambda_max(self):
         d = 4
         x = sym_from(make_rng(12).standard_normal((d, d)))
-        top = full_spectrum(x)[0]
+        top = full_spectrum(x.data)[0]
         for eps in (1e-3, 1e-5):
             cfg = SmoothingOracleConfig(k=1, epsilon=eps)
             z = make_rng(13).standard_normal(d)
@@ -174,7 +174,7 @@ class TestPowerOracle:
             x = random_psd(6, 100 + seed)
             u = rng.random(6)
             sample = power_value_grad(x, u, p)
-            bound = full_spectrum(x)[0] * float(u @ u) ** (1.0 / p)
+            bound = full_spectrum(x.data)[0] * float(u @ u) ** (1.0 / p)
             assert sample.value <= bound * (1.0 + 1e-12)
 
     def test_euler_identity(self):
@@ -247,7 +247,7 @@ class TestPowerOracle:
 
     def test_square_input_tracks_squared_top_eigenvalue(self):
         x = sym_from(make_rng(28).standard_normal((6, 6)))
-        top2 = max(np.abs(full_spectrum(x))) ** 2
+        top2 = max(np.abs(full_spectrum(x.data))) ** 2
         cfg = PowerOracleConfig(p=21, square_input=True)
         values = [power_grad(x, cfg, make_rng(s)).value for s in range(40)]
         assert max(values) <= top2 * 6 ** (1.0 / 21) * (1 + 1e-10)
@@ -285,8 +285,8 @@ class TestPlumbing:
     def test_grad_sample_requires_finite_grad(self, bad):
         entries = np.zeros((2, 2))
         entries[0, 0] = bad
-        # NaN != NaN, so SymMatrix's own symmetry check already refuses a NaN
-        # entry; build the matrix past that check to reach GradSample's
+        # SymMatrix's constructor already refuses a non-finite entry; build
+        # the matrix past that check to reach GradSample's own
         grad = object.__new__(SymMatrix)
         object.__setattr__(grad, "data", entries)
         with pytest.raises(ValueError, match="gradient"):

@@ -5,7 +5,7 @@ import pytest
 
 from specmd.linalg import SymMatrix, make_rng, sym_from, sym_identity, sym_zeros
 from specmd.oracles import ExactOracleConfig, PowerOracleConfig, power_grad
-from specmd.problem import (BoxSet, CompositeProblem, Diagnostics, eval_F,
+from specmd.problem import (BoxSet, CompositeProblem, eval_F,
                             eval_Psi, gen_instance, load_instance,
                             make_problem, project_box, prox_step,
                             save_instance)
@@ -26,11 +26,11 @@ def prox_kkt_violations(x, xt, g, alpha, gamma, prob):
     """
     box = prob.feasible
     mu = prob.mu
-    deriv = (alpha * g.data + 2.0 * mu * alpha * (x - prob.x1.data)
-             + 2.0 * mu * gamma * (x - xt.data))
-    magnitude = (alpha * np.abs(g.data)
+    deriv = (alpha * g + 2.0 * mu * alpha * (x - prob.x1.data)
+             + 2.0 * mu * gamma * (x - xt))
+    magnitude = (alpha * np.abs(g)
                  + 2.0 * mu * alpha * (np.abs(x) + np.abs(prob.x1.data))
-                 + 2.0 * mu * gamma * (np.abs(x) + np.abs(xt.data)))
+                 + 2.0 * mu * gamma * (np.abs(x) + np.abs(xt)))
     tol = 1e-9 * np.maximum(1.0, magnitude)
     at_lower = x == box.lower
     at_upper = x == box.upper
@@ -41,7 +41,7 @@ def prox_kkt_violations(x, xt, g, alpha, gamma, prob):
 
 def random_feasible(box, rng):
     offs = rng.uniform(-box.radius, box.radius, size=(box.dim, box.dim))
-    return project_box(sym_from(box.center.data + offs), box)
+    return project_box(sym_from(box.center.data + offs).data, box)
 
 
 class TestBoxSet:
@@ -62,19 +62,19 @@ class TestBoxSet:
 
     def test_contains_with_slack(self):
         box = BoxSet(center=sym_zeros(2), radius=1.0)
-        assert box.contains(SymMatrix(np.full((2, 2), 1.0 + 1e-13)))
-        assert not box.contains(SymMatrix(np.full((2, 2), 1.0 + 1e-9)))
+        assert box.contains(SymMatrix(np.full((2, 2), 1.0 + 1e-13)).data)
+        assert not box.contains(SymMatrix(np.full((2, 2), 1.0 + 1e-9)).data)
 
 
 class TestProjectBox:
     def test_feasible_point_unchanged(self):
         box = random_box(1)
         x = random_feasible(box, make_rng(2))
-        assert np.array_equal(project_box(x, box).data, x.data)
+        assert np.array_equal(project_box(x, box), x)
 
     def test_scaled_identity_clamps(self):
         box = BoxSet(center=sym_zeros(3), radius=1.0)
-        assert np.array_equal(project_box(sym_from(3.0 * np.eye(3)), box).data,
+        assert np.array_equal(project_box(sym_from(3.0 * np.eye(3)).data, box),
                               np.eye(3))
 
     def test_matches_per_entry_clamp(self):
@@ -82,12 +82,12 @@ class TestProjectBox:
         rng = make_rng(4)
         for _ in range(25):
             x = sym_from(3.0 * rng.standard_normal((3, 3)))
-            out = project_box(x, box)
+            out = project_box(x.data, box)
             for i in range(3):
                 for j in range(3):
                     lo = box.center.data[i, j] - box.radius
                     hi = box.center.data[i, j] + box.radius
-                    assert out.data[i, j] == min(max(x.data[i, j], lo), hi)
+                    assert out[i, j] == min(max(x.data[i, j], lo), hi)
 
     def test_nonexpansive(self):
         box = random_box(5)
@@ -96,13 +96,13 @@ class TestProjectBox:
             x = sym_from(2.0 * rng.standard_normal((3, 3)))
             y = sym_from(2.0 * rng.standard_normal((3, 3)))
             dist_before = np.linalg.norm(x.data - y.data)
-            dist_after = np.linalg.norm(project_box(x, box).data
-                                        - project_box(y, box).data)
+            dist_after = np.linalg.norm(project_box(x.data, box)
+                                        - project_box(y.data, box))
             assert dist_after <= dist_before + 1e-12
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            project_box(sym_identity(2), random_box(7, d=3))
+            project_box(sym_identity(2).data, random_box(7, d=3))
 
 
 class TestCompositeProblem:
@@ -134,26 +134,26 @@ class TestProxStep:
         prob = make_problem(box, ExactOracleConfig(), mu=0.4)
         xt = random_feasible(box, make_rng(12))
         alpha, gamma = 0.7, 1.9
-        out = prox_step(xt, sym_zeros(box.dim), alpha, gamma, prob)
-        blend = (alpha * prob.x1.data + gamma * xt.data) / (alpha + gamma)
+        out = prox_step(xt, sym_zeros(box.dim).data, alpha, gamma, prob)
+        blend = (alpha * prob.x1.data + gamma * xt) / (alpha + gamma)
         expected = np.clip(blend, box.lower, box.upper)
-        assert np.allclose(out.data, expected, atol=1e-14)
+        assert np.allclose(out, expected, atol=1e-14)
 
     def test_vanishing_alpha_returns_xt(self):
         box = random_box(13)
         prob = make_problem(box, ExactOracleConfig(), mu=0.7)
         xt = random_feasible(box, make_rng(14))
         g = sym_from(make_rng(15).standard_normal((box.dim, box.dim)))
-        out = prox_step(xt, g, 1e-14, 3.0, prob)
-        assert np.allclose(out.data, xt.data, atol=1e-12)
+        out = prox_step(xt, g.data, 1e-14, 3.0, prob)
+        assert np.allclose(out, xt, atol=1e-12)
 
     def test_rejects_nonpositive_steps(self):
         box = random_box(16)
         prob = make_problem(box, ExactOracleConfig(), mu=1.0)
         with pytest.raises(ValueError):
-            prox_step(box.center, sym_zeros(box.dim), 0.0, 1.0, prob)
+            prox_step(box.center.data, sym_zeros(box.dim).data, 0.0, 1.0, prob)
         with pytest.raises(ValueError):
-            prox_step(box.center, sym_zeros(box.dim), 1.0, -1.0, prob)
+            prox_step(box.center.data, sym_zeros(box.dim).data, 1.0, -1.0, prob)
 
     def test_beats_random_feasible_points(self):
         box = random_box(17)
@@ -164,13 +164,12 @@ class TestProxStep:
         alpha, gamma = 1.3, 2.1
 
         def objective(x):
-            return (alpha * (float(np.tensordot(g.data, x.data))
-                             + prob.mu * float(np.tensordot(x.data - prob.x1.data,
-                                                            x.data - prob.x1.data)))
-                    + gamma * prob.mu * float(np.tensordot(x.data - xt.data,
-                                                           x.data - xt.data)))
+            return (alpha * (float(np.tensordot(g.data, x))
+                             + prob.mu * float(np.tensordot(x - prob.x1.data,
+                                                            x - prob.x1.data)))
+                    + gamma * prob.mu * float(np.tensordot(x - xt, x - xt)))
 
-        out = prox_step(xt, g, alpha, gamma, prob)
+        out = prox_step(xt, g.data, alpha, gamma, prob)
         best = objective(out)
         for _ in range(1000):
             cand = random_feasible(box, rng)
@@ -190,8 +189,8 @@ class TestProxStep:
             g = sym_from(scale * rng.standard_normal((d, d)))
             alpha = float(rng.uniform(0.01, 5.0))
             gamma = float(rng.uniform(0.01, 5.0))
-            out = prox_step(xt, g, alpha, gamma, prob).data
-            assert prox_kkt_violations(out, xt, g, alpha, gamma, prob) == 0
+            out = prox_step(xt, g.data, alpha, gamma, prob)
+            assert prox_kkt_violations(out, xt, g.data, alpha, gamma, prob) == 0
             if scale > 1.0:
                 assert np.any(out == box.lower) and np.any(out == box.upper)
 
@@ -213,8 +212,8 @@ class TestProxStep:
         assert len(grads) == len(trace.iterates) == 40
         for t, g in enumerate(grads, start=1):
             alpha, gamma = schedule_at(sched, t)
-            xt, x = points[t - 1], points[t].data
-            assert prox_kkt_violations(x, xt, g, alpha, gamma, prob) == 0
+            xt, x = points[t - 1].data, points[t].data
+            assert prox_kkt_violations(x, xt, g.data, alpha, gamma, prob) == 0
 
     def test_matches_per_entry_golden_section(self):
         scipy_opt = pytest.importorskip("scipy.optimize")
@@ -226,34 +225,34 @@ class TestProxStep:
             g = sym_from(rng.standard_normal((2, 2)))
             alpha = float(rng.uniform(0.1, 3.0))
             gamma = float(rng.uniform(0.1, 3.0))
-            out = prox_step(xt, g, alpha, gamma, prob)
+            out = prox_step(xt, g.data, alpha, gamma, prob)
             mu = prob.mu
             for i in range(2):
                 for j in range(2):
                     def entry_obj(v):
                         return (alpha * (g.data[i, j] * v
                                          + mu * (v - prob.x1.data[i, j]) ** 2)
-                                + gamma * mu * (v - xt.data[i, j]) ** 2)
+                                + gamma * mu * (v - xt[i, j]) ** 2)
                     res = scipy_opt.minimize_scalar(
                         entry_obj, bounds=(box.lower[i, j], box.upper[i, j]),
                         method="bounded", options={"xatol": 1e-10})
-                    assert out.data[i, j] == pytest.approx(res.x, abs=1e-6)
+                    assert out[i, j] == pytest.approx(res.x, abs=1e-6)
 
 
 class TestEvaluation:
     def test_eval_f_diagonal(self):
-        assert eval_F(sym_from(np.diag([5.0, 1.0]))) == 5.0
+        assert eval_F(sym_from(np.diag([5.0, 1.0])).data) == 5.0
 
     def test_eval_psi_at_start_equals_f(self):
         box = random_box(21)
         prob = make_problem(box, ExactOracleConfig(), mu=2.0)
-        assert eval_Psi(prob.x1, prob) == eval_F(prob.x1)
+        assert eval_Psi(prob.x1.data, prob) == eval_F(prob.x1.data)
 
     def test_eval_psi_adds_quadratic(self):
         box = random_box(22)
         prob = make_problem(box, ExactOracleConfig(), mu=0.3)
         x = random_feasible(box, make_rng(23))
-        diff = x.data - prob.x1.data
+        diff = x - prob.x1.data
         expected = eval_F(x) + 0.3 * float(np.tensordot(diff, diff))
         assert eval_Psi(x, prob) == pytest.approx(expected, rel=1e-12)
 
@@ -348,15 +347,3 @@ class TestInstanceFiles:
         path.write_text("d 3\n1.0 2.0\n")
         with pytest.raises(ValueError):
             load_instance(path)
-
-
-class TestDiagnostics:
-    def test_accepts_partial_fields(self):
-        diag = Diagnostics(M=1.0, T0=17)
-        assert diag.L is None
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            Diagnostics(L=-1.0)
-        with pytest.raises(ValueError):
-            Diagnostics(T0=-2)

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import constant_oracle, zero_oracle
 from specmd.linalg import SymMatrix, make_rng, sym_from, sym_zeros
-from specmd.oracles import ExactOracleConfig, GradSample, SmoothingOracleConfig
+from specmd.oracles import (ExactOracleConfig, GradSample, PowerOracleConfig,
+                            SmoothingOracleConfig)
 from specmd.problem import BoxSet, gen_instance, make_problem, project_box
 from specmd.solvers import (RunTrace, SolverError, StepSchedule, lan_acsa,
                             levy_adaptive, oblivious_acsmd, oblivious_smd,
@@ -131,12 +132,16 @@ class TestFeasibilityAndAveraging:
                                          keep_iterates=True),
     ])
     def test_iterates_stay_feasible(self, runner):
-        prob = interior_problem(seed=3, d=6, oracle=SmoothingOracleConfig())
-        trace = runner(prob, 40, 5)
-        box = prob.feasible
-        for point in trace.iterates + [trace.final_point]:
-            assert np.all(np.abs(point.data - box.center.data)
-                          <= box.radius + 1e-9)
+        for oracle in (SmoothingOracleConfig(), PowerOracleConfig(p=5)):
+            prob = interior_problem(seed=3, d=6, oracle=oracle)
+            trace = runner(prob, 40, 5)
+            box = prob.feasible
+            for point in trace.iterates + [trace.final_point]:
+                assert np.all(np.abs(point.data - box.center.data)
+                              <= box.radius + 1e-9)
+                # the loops never re-symmetrize, so their updates must keep
+                # exact symmetry on their own
+                assert np.array_equal(point.data, point.data.T)
 
     def test_smd_weighted_average_identity(self):
         prob = interior_problem(seed=4, d=4, oracle=SmoothingOracleConfig())
@@ -253,6 +258,28 @@ class TestDeterminismAndErrors:
         prob = interior_problem(seed=11, oracle=flaky)
         with pytest.raises(SolverError, match="iteration 3"):
             oblivious_smd(prob, StepSchedule(degree=1), 10, 0)
+
+    @pytest.mark.parametrize("run", [
+        lambda prob: oblivious_smd(prob, StepSchedule(degree=1), 10, 0),
+        lambda prob: oblivious_acsmd(prob, StepSchedule(degree=1), 10, 0),
+        lambda prob: levy_adaptive(prob, 3.0, 1.0, 10, 0),
+        lambda prob: lan_acsa(prob, 20.0, 1.0, 10, 0),
+        lambda prob: relative_md(prob, 10.0, 0.01, 10, 0),
+    ])
+    def test_nan_gradient_is_tagged_with_iteration(self, run):
+        calls = {"n": 0}
+
+        def nan_at_three(x, rng):
+            calls["n"] += 1
+            entries = np.zeros((x.dim, x.dim))
+            if calls["n"] == 3:
+                entries[0, 1] = np.nan
+            return GradSample(grad=sym_from(entries), value=0.0)
+
+        prob = interior_problem(seed=11, oracle=nan_at_three)
+        with pytest.raises(SolverError,
+                           match="iteration 3: entries are not finite"):
+            run(prob)
 
     def test_rejects_bad_horizon(self):
         prob = interior_problem()
