@@ -13,8 +13,7 @@ from .problem import (BoxSet, CompositeProblem, eval_F, eval_Psi,
                       prox_step, save_instance)
 from .solvers import (RunTrace, SolverError, StepSchedule, lan_acsa,
                       levy_adaptive, oblivious_acsmd, oblivious_smd,
-                      relative_md, relative_step, schedule_at,
-                      transition_time_relative, transition_time_smooth)
+                      relative_md, relative_step, schedule_at)
 from .harness import (BenchReport, ExperimentConfig, iterations_to_precision,
                       read_trace, reference_run, run_bench,
                       theory_parameters, write_trace)
@@ -33,6 +32,5 @@ __all__ = [
     "project_box", "prox_step", "read_trace", "reference_run",
     "relative_md", "relative_step", "resolve_oracle",
     "run_bench", "save_instance", "schedule_at", "smoothing_grad", "sym_from",
-    "sym_identity", "sym_zeros", "theory_parameters",
-    "transition_time_relative", "transition_time_smooth", "write_trace",
+    "sym_identity", "sym_zeros", "theory_parameters", "write_trace",
 ]

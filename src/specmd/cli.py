@@ -1,11 +1,10 @@
-"""Command-line interface: generate instances, run single solves, run
-benchmark campaigns, and verify library invariants."""
+"""Command-line interface: generate instances, run single solves, compute
+reference values, and run benchmark campaigns."""
 
 import argparse
 import sys
 from pathlib import Path
 
-from . import verify as verify_mod
 from .harness import (build_oracle, iterations_to_precision,
                       load_experiment_config, reference_run, run_bench,
                       run_solver_spec, theory_parameters, write_trace)
@@ -88,11 +87,6 @@ def _cmd_bench(args):
     return 0
 
 
-def _cmd_verify(args):
-    ok = verify_mod.run_all()
-    return 0 if ok else 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="specmd",
@@ -137,9 +131,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("bench", help="run a benchmark campaign from a YAML config")
     p.add_argument("--config", required=True)
     p.set_defaults(func=_cmd_bench)
-
-    p = sub.add_parser("verify", help="run the library invariant battery")
-    p.set_defaults(func=_cmd_verify)
 
     args = parser.parse_args(argv)
     try:

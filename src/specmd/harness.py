@@ -3,7 +3,7 @@ report files, and the iterations-to-precision metric."""
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -453,9 +453,21 @@ def _write_report_files(report: BenchReport, outdir: Path) -> None:
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    """Read a YAML benchmark config file; an unknown key raises ValueError."""
+    """Read a YAML benchmark config file.
+
+    A file that is not a mapping, an unknown key or a missing required key
+    raises ValueError naming the first such key.
+    """
     raw = yaml.safe_load(Path(path).read_text())
-    unknown = sorted(set(raw) - {f.name for f in fields(ExperimentConfig)})
+    if not isinstance(raw, dict):
+        raise ValueError(f"campaign config {path} is not a mapping")
+    known = fields(ExperimentConfig)
+    names = {f.name for f in known}
+    unknown = [key for key in raw if key not in names]
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r} in campaign config {path}")
+    missing = [f.name for f in known if f.name not in raw
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"missing key {missing[0]!r} in campaign config {path}")
     return ExperimentConfig(**raw)

@@ -19,7 +19,7 @@ from .problem import (CompositeProblem, eval_F, eval_penalty, project_box,
 
 
 class SolverError(RuntimeError):
-    """An oracle or prox failure inside a solver loop, tagged with the iteration."""
+    """An oracle or step failure inside the solver loop, tagged with the iteration."""
 
 
 @dataclass(frozen=True)
@@ -33,10 +33,10 @@ class StepSchedule:
         scale * t^degree <= gamma_{t+1} - gamma_t <= scale * (t+1)^degree,
 
     so gamma_t tracks the running sum of alpha_s, alpha is nondecreasing, and
-    gamma_t / alpha_t grows like t / (degree+1). transition_time_relative and
-    transition_time_smooth depend on this growth: their transition time is
-    the last t at which gamma_t / alpha_t (or gamma_t A_t / alpha_t^2, with
-    A_t the sum of alpha_s up to t) is still below a problem constant.
+    gamma_t / alpha_t grows like t / (degree+1). The paper's transition time
+    rests on this growth: it is the last t at which gamma_t / alpha_t (or
+    gamma_t A_t / alpha_t^2, with A_t the sum of alpha_s up to t) is still
+    below a problem constant, so every degree has one.
     """
 
     degree: int = 1
@@ -164,14 +164,69 @@ class _TraceBuilder:
                         oracle_seconds=self.oracle_seconds, iterates=self.iterates)
 
 
-def _draw(oracle, x_arr, gen, t, builder):
-    tic = time.perf_counter()
-    try:
-        sample = oracle(SymMatrix(x_arr), gen)
-    except Exception as err:
-        raise SolverError(f"oracle failed at iteration {t}: {err}") from err
-    builder.oracle_seconds += time.perf_counter() - tic
-    return sample
+def _run(name, params, prob, T, rng, step, weight=None, at_md=False,
+         eval_stride=None, keep_iterates=False) -> RunTrace:
+    """The one loop behind every solver.
+
+    Each iteration draws a gradient g, takes X_{t+1} = step(t, X_t, g, ||g||)
+    and adds one point to the running average. With at_md the oracle is
+    queried at the md point (A_{t-1} x_ag + alpha_t X_t) / A_t and X_{t+1}
+    enters the average; otherwise the query point X_t does. With a weight the
+    average is (A_{t-1} x_ag + alpha_t x) / A_t for alpha_t = weight(t);
+    without one it is the uniform mean x_ag += (x - x_ag) / t. An oracle or
+    step failure is raised as a SolverError tagged with its iteration.
+    """
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    oracle = resolve_oracle(prob.oracle)
+    gen = ensure_rng(rng)
+    echo = {"solver": name, **params, "T": T, "mu": prob.mu,
+            "oracle": oracle_echo(prob.oracle)}
+    stride = eval_stride or _default_stride(prob.dim)
+    builder = _TraceBuilder(prob, T, stride, _seed_of(rng), echo, keep_iterates)
+
+    x = prob.x1.data.copy()
+    x_ag = x.copy()
+    a_sum = 0.0
+    for t in range(1, T + 1):
+        if weight is not None:
+            alpha = weight(t)
+            a_new = a_sum + alpha
+        query = (a_sum * x_ag + alpha * x) / a_new if at_md else x
+        tic = time.perf_counter()
+        try:
+            sample = oracle(SymMatrix(query), gen)
+        except Exception as err:
+            raise SolverError(f"oracle failed at iteration {t}: {err}") from err
+        builder.oracle_seconds += time.perf_counter() - tic
+        g = sample.grad.data
+        gnorm = float(np.linalg.norm(g))
+        try:
+            x_next = step(t, x, g, gnorm)
+        except Exception as err:
+            raise SolverError(f"step failed at iteration {t}: {err}") from err
+        point = x_next if at_md else x
+        builder.note_iterate(point)
+        if weight is None:
+            x_ag += (point - x_ag) / t
+        else:
+            x_ag = (a_sum * x_ag + alpha * point) / a_new
+            a_sum = a_new
+        x = x_next
+        builder.record(t, x_ag, gnorm)
+    return builder.build(x_ag)
+
+
+def _oblivious(name, prob, sched, T, rng, at_md, eval_stride, keep_iterates):
+    sched.validate(T)
+
+    def prox(t, x, g, gnorm):
+        alpha, gamma = schedule_at(sched, t)
+        return prox_step(x, g, alpha, gamma, prob)
+
+    return _run(name, {"degree": sched.degree, "scale": sched.scale}, prob, T,
+                rng, prox, lambda t: schedule_at(sched, t)[0], at_md,
+                eval_stride, keep_iterates)
 
 
 def oblivious_smd(prob: CompositeProblem, sched: StepSchedule, T: int, rng,
@@ -182,32 +237,8 @@ def oblivious_smd(prob: CompositeProblem, sched: StepSchedule, T: int, rng,
     and maintains the alpha-weighted running average of the query points; the
     trace evaluates that averaged point.
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    sched.validate(T)
-    oracle = resolve_oracle(prob.oracle)
-    gen = ensure_rng(rng)
-    echo = {"solver": "oblivious_smd", "degree": sched.degree, "scale": sched.scale,
-            "T": T, "mu": prob.mu, "oracle": oracle_echo(prob.oracle)}
-    stride = eval_stride or _default_stride(prob.dim)
-    builder = _TraceBuilder(prob, T, stride, _seed_of(rng), echo, keep_iterates)
-
-    x = prob.x1.data.copy()
-    x_ag = x.copy()
-    a_sum = 0.0
-    for t in range(1, T + 1):
-        alpha, gamma = schedule_at(sched, t)
-        sample = _draw(oracle, x, gen, t, builder)
-        builder.note_iterate(x)
-        a_new = a_sum + alpha
-        x_ag = (a_sum * x_ag + alpha * x) / a_new
-        a_sum = a_new
-        try:
-            x = prox_step(x, sample.grad.data, alpha, gamma, prob)
-        except Exception as err:
-            raise SolverError(f"prox step failed at iteration {t}: {err}") from err
-        builder.record(t, x_ag, float(np.linalg.norm(sample.grad.data)))
-    return builder.build(x_ag)
+    return _oblivious("oblivious_smd", prob, sched, T, rng, False,
+                      eval_stride, keep_iterates)
 
 
 def oblivious_acsmd(prob: CompositeProblem, sched: StepSchedule, T: int, rng,
@@ -218,33 +249,8 @@ def oblivious_acsmd(prob: CompositeProblem, sched: StepSchedule, T: int, rng,
     With A_0 = 0 the first md point is X_1; all three sequences stay feasible
     as convex combinations of feasible points.
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    sched.validate(T)
-    oracle = resolve_oracle(prob.oracle)
-    gen = ensure_rng(rng)
-    echo = {"solver": "oblivious_acsmd", "degree": sched.degree, "scale": sched.scale,
-            "T": T, "mu": prob.mu, "oracle": oracle_echo(prob.oracle)}
-    stride = eval_stride or _default_stride(prob.dim)
-    builder = _TraceBuilder(prob, T, stride, _seed_of(rng), echo, keep_iterates)
-
-    x = prob.x1.data.copy()
-    x_ag = x.copy()
-    a_sum = 0.0
-    for t in range(1, T + 1):
-        alpha, gamma = schedule_at(sched, t)
-        a_new = a_sum + alpha
-        x_md = (a_sum * x_ag + alpha * x) / a_new
-        sample = _draw(oracle, x_md, gen, t, builder)
-        try:
-            x = prox_step(x, sample.grad.data, alpha, gamma, prob)
-        except Exception as err:
-            raise SolverError(f"prox step failed at iteration {t}: {err}") from err
-        builder.note_iterate(x)
-        x_ag = (a_sum * x_ag + alpha * x) / a_new
-        a_sum = a_new
-        builder.record(t, x_ag, float(np.linalg.norm(sample.grad.data)))
-    return builder.build(x_ag)
+    return _oblivious("oblivious_acsmd", prob, sched, T, rng, True,
+                      eval_stride, keep_iterates)
 
 
 def levy_adaptive(prob: CompositeProblem, D: float, M: float, T: int, rng,
@@ -254,32 +260,20 @@ def levy_adaptive(prob: CompositeProblem, D: float, M: float, T: int, rng,
     Needs the set diameter D up front; the trace follows the uniform average
     of the query points.
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
     if D <= 0:
         raise ValueError("D must be positive")
     if M < 0:
         raise ValueError("M must be nonnegative")
-    oracle = resolve_oracle(prob.oracle)
-    gen = ensure_rng(rng)
-    echo = {"solver": "levy_adaptive", "D": D, "M": M, "T": T, "mu": prob.mu,
-            "oracle": oracle_echo(prob.oracle)}
-    stride = eval_stride or _default_stride(prob.dim)
-    builder = _TraceBuilder(prob, T, stride, _seed_of(rng), echo, keep_iterates)
-
-    x = prob.x1.data.copy()
-    x_bar = x.copy()
     acc = M * M
-    for t in range(1, T + 1):
-        sample = _draw(oracle, x, gen, t, builder)
-        builder.note_iterate(x)
-        gnorm = float(np.linalg.norm(sample.grad.data))
+
+    def step(t, x, g, gnorm):
+        nonlocal acc
         acc += gnorm * gnorm
         eta = 2.0 * D / math.sqrt(acc) if acc > 0 else 0.0
-        x_bar += (x - x_bar) / t
-        x = project_box(x - eta * sample.grad.data, prob.feasible)
-        builder.record(t, x_bar, gnorm)
-    return builder.build(x_bar)
+        return project_box(x - eta * g, prob.feasible)
+
+    return _run("levy_adaptive", {"D": D, "M": M}, prob, T, rng, step,
+                eval_stride=eval_stride, keep_iterates=keep_iterates)
 
 
 def lan_acsa(prob: CompositeProblem, L: float, sigma: float, T: int, rng,
@@ -290,77 +284,34 @@ def lan_acsa(prob: CompositeProblem, L: float, sigma: float, T: int, rng,
     update is a projected gradient step of size t/(4L) taken at the md point.
     sigma is echoed for reporting; the step rule uses L only.
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
     if L <= 0:
         raise ValueError("L must be positive")
-    oracle = resolve_oracle(prob.oracle)
-    gen = ensure_rng(rng)
-    echo = {"solver": "lan_acsa", "L": L, "sigma": sigma, "T": T, "mu": prob.mu,
-            "oracle": oracle_echo(prob.oracle)}
-    stride = eval_stride or _default_stride(prob.dim)
-    builder = _TraceBuilder(prob, T, stride, _seed_of(rng), echo, keep_iterates)
 
-    x = prob.x1.data.copy()
-    x_ag = x.copy()
-    a_sum = 0.0
-    for t in range(1, T + 1):
-        alpha = 0.5 * t
-        a_new = a_sum + alpha
-        x_md = (a_sum * x_ag + alpha * x) / a_new
-        sample = _draw(oracle, x_md, gen, t, builder)
+    def step(t, x, g, gnorm):
         eta = t / (4.0 * L)
-        x = project_box(x - eta * sample.grad.data, prob.feasible)
-        builder.note_iterate(x)
-        x_ag = (a_sum * x_ag + alpha * x) / a_new
-        a_sum = a_new
-        builder.record(t, x_ag, float(np.linalg.norm(sample.grad.data)))
-    return builder.build(x_ag)
+        return project_box(x - eta * g, prob.feasible)
+
+    return _run("lan_acsa", {"L": L, "sigma": sigma}, prob, T, rng, step,
+                lambda t: 0.5 * t, True, eval_stride, keep_iterates)
 
 
 def relative_step(Lstar: float, Gamma: float, T: int) -> float:
     """Constant step 1/sqrt(Gamma * Lstar * T) of the relative-scale baseline."""
+    if Lstar <= 0 or Gamma <= 0:
+        raise ValueError("Lstar and Gamma must be positive")
+    if T < 1:
+        raise ValueError("T must be >= 1")
     return 1.0 / math.sqrt(Gamma * Lstar * T)
 
 
 def relative_md(prob: CompositeProblem, Lstar: float, Gamma: float, T: int, rng,
                 eval_stride: int | None = None, keep_iterates: bool = False) -> RunTrace:
     """Projected SGD with the constant relative-scale step and uniform averaging."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    if Lstar <= 0 or Gamma <= 0:
-        raise ValueError("Lstar and Gamma must be positive")
-    oracle = resolve_oracle(prob.oracle)
-    gen = ensure_rng(rng)
     eta = relative_step(Lstar, Gamma, T)
-    echo = {"solver": "relative_md", "Lstar": Lstar, "Gamma": Gamma, "T": T,
-            "mu": prob.mu, "eta": eta, "oracle": oracle_echo(prob.oracle)}
-    stride = eval_stride or _default_stride(prob.dim)
-    builder = _TraceBuilder(prob, T, stride, _seed_of(rng), echo, keep_iterates)
 
-    x = prob.x1.data.copy()
-    x_bar = x.copy()
-    for t in range(1, T + 1):
-        sample = _draw(oracle, x, gen, t, builder)
-        builder.note_iterate(x)
-        x_bar += (x - x_bar) / t
-        x = project_box(x - eta * sample.grad.data, prob.feasible)
-        builder.record(t, x_bar, float(np.linalg.norm(sample.grad.data)))
-    return builder.build(x_bar)
+    def step(t, x, g, gnorm):
+        return project_box(x - eta * g, prob.feasible)
 
-
-def transition_time_relative(sched: StepSchedule, Lstar: float, mu: float,
-                             horizon: int) -> int:
-    """Largest t <= horizon with gamma_t / alpha_t <= 2 Lstar / mu (0 if none)."""
-    alpha, gamma = sched.weights(horizon)
-    hits = np.nonzero(gamma / alpha <= 2.0 * Lstar / mu)[0]
-    return int(hits[-1]) + 1 if hits.size else 0
-
-
-def transition_time_smooth(sched: StepSchedule, L: float, mu: float,
-                           horizon: int) -> int:
-    """Largest t <= horizon with gamma_t A_t / alpha_t^2 < 2 L / mu (0 if none)."""
-    alpha, gamma = sched.weights(horizon)
-    a_t = np.cumsum(alpha)
-    hits = np.nonzero(gamma * a_t / alpha ** 2 < 2.0 * L / mu)[0]
-    return int(hits[-1]) + 1 if hits.size else 0
+    return _run("relative_md", {"Lstar": Lstar, "Gamma": Gamma, "eta": eta},
+                prob, T, rng, step, eval_stride=eval_stride,
+                keep_iterates=keep_iterates)

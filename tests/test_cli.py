@@ -57,18 +57,24 @@ def test_bad_solver_spec_exits_2_with_one_line(tmp_path, instance, solver, messa
 def test_unknown_campaign_key_exits_2_with_one_line(tmp_path):
     outdir = tmp_path / "campaign"
     config = tmp_path / "campaign.yaml"
-    config.write_text(
-        "dims: [6]\n"
-        "oracle: {kind: exact}\n"
-        "solvers: [{kind: acsmd}]\n"
-        "T: 20\n"
-        "seeds: [0]\n"
-        "target_precision: 0.01\n"
-        "noise_sigma: 0.2\n"
-        f"output_dir: {outdir}\n"
-        "bogus_key: 1\n")
-    done = run_cli("bench", "--config", str(config))
-    assert done.returncode == 2
-    assert done.stderr.splitlines() == [
-        f"specmd: error: unknown key 'bogus_key' in campaign config {config}"]
-    assert not outdir.exists()
+    head = "dims: [6]\noracle: {kind: exact}\n"
+    full = (head +
+            "solvers: [{kind: acsmd}]\n"
+            "T: 20\n"
+            "seeds: [0]\n"
+            "target_precision: 0.01\n"
+            "noise_sigma: 0.2\n"
+            f"output_dir: {outdir}\n")
+    # an unknown key, an empty file, a top-level list, a missing required key
+    for text, message in (
+            (full + "bogus_key: 1\n",
+             f"unknown key 'bogus_key' in campaign config {config}"),
+            ("", f"campaign config {config} is not a mapping"),
+            ("- 1\n- 2\n", f"campaign config {config} is not a mapping"),
+            (head + f"output_dir: {outdir}\n",
+             f"missing key 'solvers' in campaign config {config}")):
+        config.write_text(text)
+        done = run_cli("bench", "--config", str(config))
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == [f"specmd: error: {message}"]
+        assert not outdir.exists()

@@ -5,7 +5,11 @@ import pytest
 
 import specmd.harness as harness
 from specmd.harness import (BenchReport, CellResult, ExperimentConfig,
-                            _write_report_files, build_oracle, run_bench)
+                            _write_report_files, build_oracle, read_trace,
+                            run_bench, write_trace)
+from specmd.oracles import SmoothingOracleConfig
+from specmd.problem import gen_instance, make_problem
+from specmd.solvers import StepSchedule, oblivious_smd
 
 
 def tiny_config(outdir, oracle, seeds=(0, 1)):
@@ -75,3 +79,20 @@ def test_bad_solver_spec_fails_before_any_reference_run(tmp_path, monkeypatch,
     with pytest.raises(ValueError, match=message):
         run_bench(cfg)
     assert not (tmp_path / "out").exists()
+
+
+def test_trace_file_round_trip_is_exact(tmp_path):
+    box = gen_instance(5, 0.2, seed=2)
+    prob = make_problem(box, SmoothingOracleConfig(), T=20)
+    trace = oblivious_smd(prob, StepSchedule(degree=1), 20, 1)
+    trace.config_echo["instance"] = {"d": 5, "rho": box.radius, "F_ref": 1 / 3}
+    path = tmp_path / "trace.csv"
+    write_trace(path, trace)
+    back = read_trace(path)
+    for name in ("t", "F_ag", "Psi_ag", "grad_norm", "elapsed_s"):
+        a, b = getattr(trace, name), getattr(back, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert back.final_point.data.tobytes() == trace.final_point.data.tobytes()
+    assert back.config_echo == trace.config_echo
+    assert (back.seed, back.total_seconds, back.oracle_seconds) == (
+        trace.seed, trace.total_seconds, trace.oracle_seconds)

@@ -274,6 +274,7 @@ class TestExactSubgrad:
             sample = exact_subgrad(x)
             rayleigh = float(np.tensordot(sample.grad.data, x.data))
             assert rayleigh == pytest.approx(sample.value, abs=1e-8)
+            assert abs(np.linalg.norm(sample.grad.data) - 1.0) <= 1e-8
 
 
 class TestPlumbing:

@@ -191,6 +191,8 @@ class TestProxStep:
             gamma = float(rng.uniform(0.01, 5.0))
             out = prox_step(xt, g.data, alpha, gamma, prob)
             assert prox_kkt_violations(out, xt, g.data, alpha, gamma, prob) == 0
+            assert box.contains(out)
+            assert np.array_equal(project_box(out, box), out)
             if scale > 1.0:
                 assert np.any(out == box.lower) and np.any(out == box.upper)
 

@@ -8,10 +8,10 @@ from specmd.linalg import SymMatrix, make_rng, sym_from, sym_zeros
 from specmd.oracles import (ExactOracleConfig, GradSample, PowerOracleConfig,
                             SmoothingOracleConfig)
 from specmd.problem import BoxSet, gen_instance, make_problem, project_box
+import specmd.solvers as solvers
 from specmd.solvers import (RunTrace, SolverError, StepSchedule, lan_acsa,
                             levy_adaptive, oblivious_acsmd, oblivious_smd,
-                            relative_md, relative_step, schedule_at,
-                            transition_time_relative, transition_time_smooth)
+                            relative_md, relative_step, schedule_at)
 
 
 class TestStepSchedule:
@@ -44,7 +44,8 @@ class TestStepSchedule:
 
     @pytest.mark.parametrize("degree", [0, 1, 2, 3])
     def test_validate_long_horizon(self, degree):
-        StepSchedule(degree=degree, scale=2.0).validate(100_000)
+        for scale in (0.1, 1.0, 2.0, 10.0):
+            StepSchedule(degree=degree, scale=scale).validate(100_000)
 
     def test_weights_match_schedule_at(self):
         sched = StepSchedule(degree=2, scale=1.3)
@@ -229,6 +230,15 @@ class TestRelativeMd:
             relative_md(prob, 1.0, 0.0, 10, 0)
 
 
+FIVE_SOLVERS = [
+    lambda prob: oblivious_smd(prob, StepSchedule(degree=1), 10, 0),
+    lambda prob: oblivious_acsmd(prob, StepSchedule(degree=1), 10, 0),
+    lambda prob: levy_adaptive(prob, 3.0, 1.0, 10, 0),
+    lambda prob: lan_acsa(prob, 20.0, 1.0, 10, 0),
+    lambda prob: relative_md(prob, 10.0, 0.01, 10, 0),
+]
+
+
 class TestDeterminismAndErrors:
     def test_identical_seeds_identical_traces(self):
         prob = interior_problem(seed=10, d=6, oracle=SmoothingOracleConfig())
@@ -259,62 +269,33 @@ class TestDeterminismAndErrors:
         with pytest.raises(SolverError, match="iteration 3"):
             oblivious_smd(prob, StepSchedule(degree=1), 10, 0)
 
-    @pytest.mark.parametrize("run", [
-        lambda prob: oblivious_smd(prob, StepSchedule(degree=1), 10, 0),
-        lambda prob: oblivious_acsmd(prob, StepSchedule(degree=1), 10, 0),
-        lambda prob: levy_adaptive(prob, 3.0, 1.0, 10, 0),
-        lambda prob: lan_acsa(prob, 20.0, 1.0, 10, 0),
-        lambda prob: relative_md(prob, 10.0, 0.01, 10, 0),
-    ])
+    @pytest.mark.parametrize("run", FIVE_SOLVERS)
     def test_nan_gradient_is_tagged_with_iteration(self, run):
-        calls = {"n": 0}
+        # a NaN entry fails in the oracle, a wrong-shape gradient in the step
+        def nan_entry(d):
+            entries = np.zeros((d, d))
+            entries[0, 1] = np.nan
+            return entries
 
-        def nan_at_three(x, rng):
-            calls["n"] += 1
-            entries = np.zeros((x.dim, x.dim))
-            if calls["n"] == 3:
-                entries[0, 1] = np.nan
-            return GradSample(grad=sym_from(entries), value=0.0)
+        for bad_entries, message in (
+                (nan_entry, "iteration 3: entries are not finite"),
+                (lambda d: np.ones((d + 1, d + 1)), "iteration 3")):
+            calls = {"n": 0}
 
-        prob = interior_problem(seed=11, oracle=nan_at_three)
-        with pytest.raises(SolverError,
-                           match="iteration 3: entries are not finite"):
-            run(prob)
+            def bad_at_three(x, rng):
+                calls["n"] += 1
+                entries = (bad_entries(x.dim) if calls["n"] == 3
+                           else np.zeros((x.dim, x.dim)))
+                return GradSample(grad=sym_from(entries), value=0.0)
+
+            prob = interior_problem(seed=11, oracle=bad_at_three)
+            with pytest.raises(SolverError, match=message):
+                run(prob)
 
     def test_rejects_bad_horizon(self):
         prob = interior_problem()
         with pytest.raises(ValueError):
             oblivious_smd(prob, StepSchedule(), 0, 0)
-
-
-class TestTransitionTimes:
-    def test_relative_transition_matches_bruteforce(self):
-        sched = StepSchedule(degree=1)
-        mu, lstar, horizon = 0.1, 2.0, 500
-        alpha, gamma = sched.weights(horizon)
-        expect = 0
-        for t in range(1, horizon + 1):
-            if gamma[t - 1] / alpha[t - 1] <= 2.0 * lstar / mu:
-                expect = t
-        assert transition_time_relative(sched, lstar, mu, horizon) == expect
-        assert expect > 0
-
-    def test_smooth_transition_matches_bruteforce(self):
-        sched = StepSchedule(degree=2)
-        mu, smooth_l, horizon = 0.05, 30.0, 500
-        alpha, gamma = sched.weights(horizon)
-        a_sum = np.cumsum(alpha)
-        expect = 0
-        for t in range(1, horizon + 1):
-            if gamma[t - 1] * a_sum[t - 1] / alpha[t - 1] ** 2 < 2.0 * smooth_l / mu:
-                expect = t
-        assert transition_time_smooth(sched, smooth_l, mu, horizon) == expect
-
-    def test_transitions_grow_with_constants(self):
-        sched = StepSchedule(degree=1)
-        small = transition_time_relative(sched, 1.0, 0.1, 10_000)
-        large = transition_time_relative(sched, 50.0, 0.1, 10_000)
-        assert large >= small
 
 
 class TestConstantOracleDynamics:
@@ -327,3 +308,24 @@ class TestConstantOracleDynamics:
                               eval_stride=100)
         diag_end = np.diag(trace.final_point.data)
         assert np.all(diag_end <= np.diag(box.lower) + 0.05)
+
+
+class TestLookupNames:
+    """perfbench times prox_step, project_box and eval_F by wrapping them at
+    their specmd.solvers names, so the loop must look them up at call time."""
+
+    @pytest.mark.parametrize(
+        "run, n_prox, n_proj",
+        zip(FIVE_SOLVERS, [10, 10, 0, 0, 0], [0, 0, 10, 10, 10]),
+        ids=["smd", "acsmd", "levy", "lan", "relative"])
+    def test_calls_go_through_solvers_globals(self, monkeypatch, run, n_prox,
+                                              n_proj):
+        counts = dict.fromkeys(("prox_step", "project_box", "eval_F"), 0)
+        for name in counts:
+            def counting(*args, _name=name, _inner=getattr(solvers, name)):
+                counts[_name] += 1
+                return _inner(*args)
+            monkeypatch.setattr(solvers, name, counting)
+        run(interior_problem(seed=12, oracle=SmoothingOracleConfig()))
+        assert counts == {"prox_step": n_prox, "project_box": n_proj,
+                          "eval_F": 10}
