@@ -2,8 +2,7 @@
 minimization: randomized oracles, parameter-free solvers, baselines, and a
 benchmark harness."""
 
-from .linalg import (ConvergenceError, SymMatrix, frob_inner,
-                     full_spectrum, leading_eigpair, make_rng,
+from .linalg import (SymMatrix, full_spectrum, leading_eigpair, make_rng,
                      mat_power_apply, sym_from, sym_identity, sym_zeros)
 from .oracles import (ExactOracleConfig, GradSample, PowerOracleConfig,
                       SmoothingOracleConfig, exact_subgrad, power_grad,
@@ -21,11 +20,11 @@ from .harness import (BenchReport, ExperimentConfig, iterations_to_precision,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchReport", "BoxSet", "CompositeProblem", "ConvergenceError",
+    "BenchReport", "BoxSet", "CompositeProblem",
     "ExactOracleConfig", "ExperimentConfig", "GradSample",
     "PowerOracleConfig", "RunTrace", "SmoothingOracleConfig", "SolverError",
     "StepSchedule", "SymMatrix", "eval_F", "eval_Psi", "exact_subgrad",
-    "frob_inner", "full_spectrum", "gen_instance",
+    "full_spectrum", "gen_instance",
     "iterations_to_precision", "lan_acsa", "leading_eigpair", "levy_adaptive",
     "load_instance", "make_problem", "make_rng", "mat_power_apply",
     "oblivious_acsmd", "oblivious_smd", "power_grad", "power_value_grad",

@@ -3,6 +3,7 @@ report files, and the iterations-to-precision metric."""
 
 import json
 import math
+import numbers
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -188,6 +189,15 @@ class ExperimentConfig:
     eval_stride: int | None = None
 
     def __post_init__(self):
+        for key in ("T", "instance_seed", "reference_budget"):
+            value = getattr(self, key)
+            if not _is_int(value):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+        for key in ("dims", "seeds"):
+            value = getattr(self, key)
+            if not isinstance(value, list) or not all(map(_is_int, value)):
+                raise ValueError(
+                    f"{key} must be a list of integers, got {value!r}")
         if not self.dims:
             raise ValueError("dims must be nonempty")
         if self.T < 1:
@@ -198,6 +208,10 @@ class ExperimentConfig:
             raise ValueError("seeds must be nonempty")
         if not self.solvers:
             raise ValueError("solvers must be nonempty")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -238,15 +252,12 @@ class BenchReport:
             for name in solver_names:
                 group = [c for c in self.cells if c.dim == dim and c.solver == name]
                 iters = sorted(c.iterations_sort_key for c in group)
-                gaps = np.array([c.final_gap for c in group])
                 self.summaries[(dim, name)] = {
                     "median_iterations": _nearest_rank(iters, 50),
                     "p10_iterations": _nearest_rank(iters, 10),
                     "p90_iterations": _nearest_rank(iters, 90),
-                    "median_final_gap": float(np.median(gaps)),
                     "n_reached": sum(1 for c in group if c.status == "ok"),
                     "n_runs": len(group),
-                    "n_errors": sum(1 for c in group if c.status == "error"),
                 }
         # soft monotonicity check: iterations-to-precision should not shrink
         # as the dimension grows on this instance family

@@ -1,24 +1,10 @@
-"""Dense symmetric-matrix kernels: construction, inner products, eigen-solvers."""
+"""Dense symmetric-matrix kernels: RNG handles, the SymMatrix type, and the
+exact eigen-solves behind the oracles (`leading_eigpair`) and the traces
+(`full_spectrum`)."""
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class ConvergenceError(RuntimeError):
-    """Power iteration ran out of iterations before meeting its residual target.
-
-    Carries the best iterate seen so far so callers can decide whether a
-    coarser answer is still usable.
-    """
-
-    def __init__(self, message, best_lambda, best_vector, residual, iterations):
-        super().__init__(message)
-        self.best_lambda = best_lambda
-        self.best_vector = best_vector
-        self.residual = residual
-        self.iterations = iterations
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -85,138 +71,16 @@ def sym_zeros(d: int) -> SymMatrix:
     return SymMatrix(np.zeros((d, d)))
 
 
-def frob_inner(a: SymMatrix, b: SymMatrix) -> float:
-    """Frobenius inner product sum_ij A_ij B_ij."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return float(np.vdot(a.data, b.data))
+def leading_eigpair(a: np.ndarray) -> tuple:
+    """Maximum eigenvalue and a unit eigenvector of a symmetric array.
 
-
-def _dominance_shift(a: np.ndarray) -> float:
-    """Shift c >= -lambda_min(M) from the Gershgorin disc bound.
-
-    With this shift M + c*I is positive semidefinite, so its eigenvalue of
-    largest magnitude is the maximum one and plain power iteration targets
-    the right eigenpair.
+    Takes a d x d array or a (k, d, d) stack and returns (values, vectors)
+    of shapes () and (d,), or (k,) and (k, d): one exact dense LAPACK solve
+    for the whole stack. When the top eigenvalue is degenerate any unit
+    vector of the leading eigenspace may be returned.
     """
-    radii = np.abs(a).sum(axis=1) - np.abs(np.diag(a))
-    lower = float(np.min(np.diag(a) - radii))
-    return max(0.0, -lower)
-
-
-def _ritz_pair(u, wu, v, w):
-    """Top Ritz pair of span{u, v} given the images wu = A u and w = A v.
-
-    Returns (rho, x, residual_norm) for the shifted operator, with rho the
-    Rayleigh quotient of the unit vector x, or None when the two iterates are
-    too parallel for a stable two-dimensional solve. Costs a handful of dot
-    products and no extra matrix-vector product.
-    """
-    c = float(u @ v)
-    det = 1.0 - c * c
-    if det <= 1e-12:
-        return None
-    auu = float(u @ wu)
-    avv = float(v @ w)
-    auv = 0.5 * (float(u @ w) + float(v @ wu))
-    # top eigenpair of the pencil (A_s, G) with G = [[1, c], [c, 1]]
-    b11 = (auu - c * auv) / det
-    b12 = (auv - c * avv) / det
-    b21 = (auv - c * auu) / det
-    b22 = (avv - c * auv) / det
-    half_tr = 0.5 * (b11 + b22)
-    disc = max(half_tr * half_tr - (b11 * b22 - b12 * b21), 0.0)
-    theta = half_tr + math.sqrt(disc)
-    y1, y2 = b12, theta - b11
-    if y1 == 0.0 and y2 == 0.0:
-        y1, y2 = theta - b22, b21
-    if y1 == 0.0 and y2 == 0.0:
-        return None
-    x = y1 * u + y2 * v
-    norm = math.sqrt(float(x @ x))
-    if norm < 1e-150:
-        return None
-    x = x / norm
-    mx = (y1 * wu + y2 * w) / norm
-    rho = float(x @ mx)
-    r = mx - rho * x
-    return rho, x, math.sqrt(float(r @ r))
-
-
-def leading_eigpair(m: SymMatrix, tol: float = 1e-8, max_iter: int | None = None,
-                    rng=None, plateau: float | None = None) -> tuple[float, np.ndarray]:
-    """Maximum eigenvalue and a unit eigenvector via shifted power iteration.
-
-    Iterates on M + c*I with a Gershgorin shift c so the top eigenvalue is
-    dominant for any symmetric input. Stops when the residual satisfies
-    ||M v - lambda v|| <= tol * max(1, |lambda|); raises ConvergenceError
-    (carrying the best iterate) if max_iter is exhausted first. Near
-    convergence, a two-dimensional Rayleigh-Ritz refinement over the last
-    two iterates splits nearly degenerate top pairs that plain power steps
-    cannot separate.
-
-    When three or more top eigenvalues cluster within a width delta, the
-    residual can still plateau near delta: every vector of the cluster is
-    then an equally good answer. Passing `plateau` bounds the time spent in
-    that regime: once the residual reaches plateau * max(1, |lambda|) the
-    iteration keeps polishing toward tol for a fixed extra budget only, then
-    returns its best iterate. When the top eigenvalue is exactly degenerate
-    any vector of the leading eigenspace may be returned.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    d = m.dim
-    if max_iter is None:
-        max_iter = 50 * d
-    gen = ensure_rng(rng)
-    shift = _dominance_shift(m.data)
-    a = m.data if shift == 0.0 else m.data + shift * np.eye(d)
-
-    v = gen.standard_normal(d)
-    norm = math.sqrt(float(v @ v))
-    if norm == 0.0:
-        v = np.full(d, 1.0)
-        norm = math.sqrt(d)
-    v = v / norm
-
-    polish_budget = 75
-    since_plateau = 0
-    best_res = np.inf
-    best_lam = 0.0
-    best_v = v
-    u = None
-    wu = None
-    for _ in range(max_iter):
-        w = a @ v
-        lam_shifted = float(v @ w)
-        r = w - lam_shifted * v
-        residual = math.sqrt(float(r @ r))
-        lam = lam_shifted - shift
-        if residual < best_res:
-            best_res, best_lam, best_v = residual, lam, v
-        if residual <= tol * max(1.0, abs(lam)):
-            return lam, v
-        if u is not None and residual <= 1e-2 * max(1.0, abs(lam)):
-            ritz = _ritz_pair(u, wu, v, w)
-            if ritz is not None:
-                rho_s, x, res_x = ritz
-                rho = rho_s - shift
-                if res_x < best_res:
-                    best_res, best_lam, best_v = res_x, rho, x
-                if res_x <= tol * max(1.0, abs(rho)):
-                    return rho, x
-        if plateau is not None and best_res <= plateau * max(1.0, abs(best_lam)):
-            since_plateau += 1
-            if since_plateau >= polish_budget:
-                return best_lam, best_v
-        u, wu = v, w
-        v = w / math.sqrt(float(w @ w))
-
-    raise ConvergenceError(
-        f"power iteration: residual {best_res:.3e} above target "
-        f"{tol:g} * max(1, |lambda|) after {max_iter} iterations",
-        best_lambda=best_lam, best_vector=best_v,
-        residual=best_res, iterations=max_iter)
+    vals, vecs = np.linalg.eigh(a)
+    return vals[..., -1], vecs[..., -1]
 
 
 def full_spectrum(m: np.ndarray) -> np.ndarray:

@@ -65,14 +65,20 @@ def test_unknown_campaign_key_exits_2_with_one_line(tmp_path):
             "target_precision: 0.01\n"
             "noise_sigma: 0.2\n"
             f"output_dir: {outdir}\n")
-    # an unknown key, an empty file, a top-level list, a missing required key
+    # an unknown key, an empty file, a top-level list, a missing required
+    # key, and values of the wrong type
     for text, message in (
             (full + "bogus_key: 1\n",
              f"unknown key 'bogus_key' in campaign config {config}"),
             ("", f"campaign config {config} is not a mapping"),
             ("- 1\n- 2\n", f"campaign config {config} is not a mapping"),
             (head + f"output_dir: {outdir}\n",
-             f"missing key 'solvers' in campaign config {config}")):
+             f"missing key 'solvers' in campaign config {config}"),
+            (full.replace("T: 20", "T: abc"),
+             "T must be an integer, got 'abc'"),
+            (full.replace("T: 20", "T: 1.5"), "T must be an integer, got 1.5"),
+            (full.replace("dims: [6]", "dims: 6"),
+             "dims must be a list of integers, got 6")):
         config.write_text(text)
         done = run_cli("bench", "--config", str(config))
         assert done.returncode == 2

@@ -102,7 +102,7 @@ class TestSmoothingOracle:
 
     @pytest.mark.parametrize("x", [
         sym_from(make_rng(17).standard_normal((6, 6))),
-        # top pair split below any power-iteration tolerance
+        # top pair split by 1e-12: a near-degenerate leading eigenspace
         sym_from(np.diag([1.0, 1.0 - 1e-12, 0.2])),
     ])
     def test_matches_dense_solve_on_the_same_stream(self, x):
@@ -281,17 +281,6 @@ class TestPlumbing:
     def test_grad_sample_requires_finite_value(self):
         with pytest.raises(ValueError):
             GradSample(grad=sym_zeros(2), value=float("nan"))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_grad_sample_requires_finite_grad(self, bad):
-        entries = np.zeros((2, 2))
-        entries[0, 0] = bad
-        # SymMatrix's constructor already refuses a non-finite entry; build
-        # the matrix past that check to reach GradSample's own
-        grad = object.__new__(SymMatrix)
-        object.__setattr__(grad, "data", entries)
-        with pytest.raises(ValueError, match="gradient"):
-            GradSample(grad=grad, value=0.0)
 
     def test_resolve_oracle_dispatch(self):
         x = sym_from(np.diag([2.0, 1.0]))
