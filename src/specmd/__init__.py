@@ -7,9 +7,9 @@ from .linalg import (SymMatrix, full_spectrum, leading_eigpair, make_rng,
 from .oracles import (ExactOracleConfig, GradSample, PowerOracleConfig,
                       SmoothingOracleConfig, exact_subgrad, power_grad,
                       power_value_grad, resolve_oracle, smoothing_grad)
-from .problem import (BoxSet, CompositeProblem, eval_F, eval_Psi,
-                      gen_instance, load_instance, make_problem, project_box,
-                      prox_step, save_instance)
+from .problem import (BoxSet, CompositeProblem, box_lower_bound, eval_F,
+                      eval_Psi, gen_instance, load_instance, make_problem,
+                      project_box, prox_step, save_instance)
 from .solvers import (RunTrace, SolverError, StepSchedule, lan_acsa,
                       levy_adaptive, oblivious_acsmd, oblivious_smd,
                       relative_md, relative_step, schedule_at)
@@ -23,8 +23,8 @@ __all__ = [
     "BenchReport", "BoxSet", "CompositeProblem",
     "ExactOracleConfig", "ExperimentConfig", "GradSample",
     "PowerOracleConfig", "RunTrace", "SmoothingOracleConfig", "SolverError",
-    "StepSchedule", "SymMatrix", "eval_F", "eval_Psi", "exact_subgrad",
-    "full_spectrum", "gen_instance",
+    "StepSchedule", "SymMatrix", "box_lower_bound", "eval_F", "eval_Psi",
+    "exact_subgrad", "full_spectrum", "gen_instance",
     "iterations_to_precision", "lan_acsa", "leading_eigpair", "levy_adaptive",
     "load_instance", "make_problem", "make_rng", "mat_power_apply",
     "oblivious_acsmd", "oblivious_smd", "power_grad", "power_value_grad",

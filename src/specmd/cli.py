@@ -2,6 +2,7 @@
 reference values, and run benchmark campaigns."""
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -9,6 +10,10 @@ from .harness import (build_oracle, iterations_to_precision,
                       load_experiment_config, reference_run, run_bench,
                       run_solver_spec, theory_parameters, write_trace)
 from .problem import load_instance, make_problem, save_instance, gen_instance
+
+# `reference` anchors `run` at its defaults: mu = 1/sqrt(T) for --T 1000,
+# certified to within --target 1e-2 over 10
+ANCHOR_MU, ANCHOR_GAP = 1.0 / math.sqrt(1000), 1e-3
 
 
 def _parse_kv_spec(text: str) -> dict:
@@ -69,10 +74,13 @@ def _cmd_run(args):
 
 def _cmd_reference(args):
     box, _ = load_instance(args.instance)
-    value, trace = reference_run(box, args.budget, seed=args.seed)
+    value, gap, _, trace = reference_run(box, ANCHOR_MU, args.budget,
+                                         ANCHOR_GAP)
     if args.out:
         write_trace(args.out, trace)
-    print(f"F_ref = {value!r}")
+    note = "" if gap <= ANCHOR_GAP else " (uncertified; raise --budget)"
+    print(f"F_ref = {value!r}, certified gap {gap:.3e} "
+          f"after {int(trace.t[-1])} iterations{note}")
     return 0
 
 
@@ -121,10 +129,11 @@ def main(argv=None) -> int:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("reference", help="compute a reference objective value")
+    p = sub.add_parser("reference",
+                       help="compute a certified reference objective value")
     p.add_argument("--instance", required=True)
-    p.add_argument("--budget", type=int, default=20000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=int, default=20000,
+                   help="cap on the iterations of the anchor run")
     p.add_argument("--out", default=None, help="optional reference trace file")
     p.set_defaults(func=_cmd_reference)
 

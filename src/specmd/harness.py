@@ -4,17 +4,20 @@ report files, and the iterations-to-precision metric."""
 import json
 import math
 import numbers
-from dataclasses import MISSING, dataclass, field, fields
+import os
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .linalg import SymMatrix, sym_from
+from .linalg import sym_from
+# perfbench's tracer wraps exact_subgrad at this name (harness.reference_polish)
 from .oracles import (ExactOracleConfig, PowerOracleConfig,
-                      SmoothingOracleConfig, exact_subgrad, oracle_echo)
-from .problem import (BoxSet, eval_F, gen_instance, make_problem,
-                      project_box, save_instance)
+                      SmoothingOracleConfig, exact_subgrad, oracle_echo,
+                      resolve_oracle)
+from .problem import (BoxSet, box_lower_bound, eval_F, gen_instance,
+                      make_problem, save_instance)
 from .solvers import (RunTrace, StepSchedule, lan_acsa, levy_adaptive,
                       oblivious_acsmd, oblivious_smd, relative_md)
 
@@ -43,43 +46,40 @@ def iterations_to_precision(trace: RunTrace, F_ref: float, target: float):
     return int(trace.t[hits[0]]) if hits.size else EXCEEDED
 
 
-def reference_run(instance: BoxSet, budget: int = 20000, seed: int = 0,
-                  mu: float | None = None, oracle=None):
-    """Best objective value found by a long accelerated mirror-descent run.
+def reference_run(instance: BoxSet, mu: float, budget: int, tol: float):
+    """Certified anchor: exact-oracle accelerated mirror descent at weight mu.
 
-    Stage 1 runs the accelerated solver for budget//2 iterations (exact
-    subgradient oracle by default; the bench passes the campaign's own oracle
-    so the anchor matches what that oracle family can attain). Stage 2 is a
-    deterministic projected-subgradient polish of the composite objective
-    with diminishing steps, sized to the entry scale (radius / d^2) so it
-    refines the endpoint locally instead of re-solving. The best exact
-    objective value seen anywhere is returned, together with the stage-1
-    trace for auditability.
-
-    mu defaults to 1/sqrt(budget//2); benchmark campaigns pass their own
-    1/sqrt(T) so the reference shares the runs' regularization.
+    Runs horizons T = 100, 200, 400, ... capped at budget and stops at the
+    first whose gap Psi(X_ag) - box_lower_bound(W_ag) is <= tol, W_ag being
+    the drawn v v^T averaged with the weights alpha_t of X_ag. The steps do
+    not depend on T and the exact oracle draws nothing, so each run repeats
+    the one before as a prefix. Returns (F_ref, gap, W_ag, trace) of the
+    last run: its least F_ag (every 10th iteration and the last), the
+    certified gap >= Psi(X_ag) - Psi*, W_ag and the run; gap > tol is
+    uncertified.
     """
-    if budget < 10_000:
-        raise ValueError("reference budget must be at least 10^4")
-    t_md = budget // 2
-    t_polish = budget - t_md
-    if oracle is None:
-        oracle = ExactOracleConfig()
-    prob = make_problem(instance, oracle, T=t_md, mu=mu)
-    stride = 10 if t_md > 2000 else None
-    trace = oblivious_acsmd(prob, StepSchedule(degree=1), t_md, seed,
-                            eval_stride=stride)
-    best = trace.best_F_ag
+    if budget < 1:
+        raise ValueError(f"reference budget must be >= 1, got {budget}")
+    exact, sched = ExactOracleConfig(), StepSchedule(degree=1)
+    draw = resolve_oracle(exact)
+    horizon = min(100, budget)
+    while True:
+        alpha = sched.weights(horizon)[0]
+        w_sum, weights = np.zeros_like(instance.lower), iter(alpha)
 
-    x = trace.final_point.data
-    step0 = instance.radius / instance.dim ** 2
-    for t in range(1, t_polish + 1):
-        sample = exact_subgrad(SymMatrix(x))
-        best = min(best, sample.value)
-        composite = sample.grad.data + 2.0 * prob.mu * (x - prob.x1.data)
-        x = project_box(x - (step0 / math.sqrt(t)) * composite, instance)
-    best = min(best, eval_F(x))
-    return best, trace
+        def summing(x, rng):  # acsmd draws once per iteration, in order
+            sample = draw(x, rng)
+            w_sum[...] += next(weights) * sample.grad.data
+            return sample
+
+        prob = make_problem(instance, summing, mu=mu)
+        trace = oblivious_acsmd(prob, sched, horizon, 0, eval_stride=10)
+        trace.config_echo["oracle"] = oracle_echo(exact)
+        w_ag = w_sum / alpha.sum()
+        gap = float(trace.Psi_ag[-1]) - box_lower_bound(w_ag, prob)
+        if gap <= tol or horizon >= budget:
+            return trace.best_F_ag, gap, w_ag, trace
+        horizon = min(2 * horizon, budget)
 
 
 def theory_parameters(instance: BoxSet, oracle, T: int) -> dict:
@@ -173,6 +173,8 @@ class ExperimentConfig:
     D/M/L/sigma/Lstar/Gamma, where baseline constants may be the string
     "theory"), and an optional "tuned" flag dividing L, D, Lstar by the
     standard tuning factors. hyper_tuned sets the default for that flag.
+    reference_budget caps the iterations of each dim's certified anchor
+    (reference_run), which stops at a gap of target_precision / 10.
     """
 
     dims: list
@@ -189,29 +191,49 @@ class ExperimentConfig:
     eval_stride: int | None = None
 
     def __post_init__(self):
-        for key in ("T", "instance_seed", "reference_budget"):
+        for key, type_ok, kind, range_ok, bound in _CONFIG_RULES:
             value = getattr(self, key)
-            if not _is_int(value):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
-        for key in ("dims", "seeds"):
-            value = getattr(self, key)
-            if not isinstance(value, list) or not all(map(_is_int, value)):
-                raise ValueError(
-                    f"{key} must be a list of integers, got {value!r}")
-        if not self.dims:
-            raise ValueError("dims must be nonempty")
-        if self.T < 1:
-            raise ValueError("T must be >= 1")
-        if self.target_precision <= 0:
-            raise ValueError("target_precision must be positive")
-        if not self.seeds:
-            raise ValueError("seeds must be nonempty")
-        if not self.solvers:
-            raise ValueError("solvers must be nonempty")
+            if not type_ok(value):
+                raise ValueError(f"{key} must be {kind}, got {value!r}")
+            if not range_ok(value):
+                raise ValueError(f"{key} must be {bound}, got {value!r}")
 
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _list_of(test):
+    return lambda value: isinstance(value, list) and all(map(test, value))
+
+
+# every field's type and range, checked in this order on construction:
+# field, type test, the type it needs, range test, the range it needs
+_CONFIG_RULES = (
+    ("dims", _list_of(_is_int), "a list of integers",
+     lambda v: v and min(v) >= 1, "a nonempty list of positive integers"),
+    ("oracle", lambda v: isinstance(v, dict), "a mapping", bool, "nonempty"),
+    ("solvers", _list_of(lambda v: isinstance(v, dict)), "a list of mappings",
+     bool, "nonempty"),
+    ("T", _is_int, "an integer", lambda v: v >= 1, ">= 1"),
+    ("seeds", _list_of(_is_int), "a list of integers", bool, "nonempty"),
+    ("target_precision", _is_real, "a number", lambda v: 0 < v < math.inf,
+     "positive and finite"),
+    ("noise_sigma", _is_real, "a number", lambda v: 0 <= v < math.inf,
+     "nonnegative and finite"),
+    ("output_dir", lambda v: isinstance(v, (str, os.PathLike)), "a path",
+     lambda v: bool(os.fspath(v)), "nonempty"),
+    ("instance_seed", _is_int, "an integer", lambda v: v >= 0, ">= 0"),
+    ("reference_budget", _is_int, "an integer", lambda v: v >= 1, ">= 1"),
+    ("hyper_tuned", lambda v: isinstance(v, bool), "true or false",
+     lambda v: True, ""),
+    ("eval_stride", lambda v: v is None or _is_int(v), "an integer or null",
+     lambda v: v is None or v >= 1, ">= 1"),
+)
 
 
 @dataclass
@@ -242,6 +264,7 @@ class BenchReport:
     config: ExperimentConfig
     cells: list
     F_ref: dict                  # dim -> reference value
+    anchors: dict = field(default_factory=dict)  # dim -> (gap, iterations)
     summaries: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
 
@@ -288,7 +311,7 @@ def _solver_label(spec: dict) -> str:
 
 def build_oracle(spec: dict):
     """Oracle config object from a plain dict (CLI / YAML form); unknown keys raise."""
-    kind = spec["kind"]
+    kind = spec.get("kind")
     cls = _ORACLE_CONFIGS.get(kind)
     if cls is None:
         raise ValueError(f"unknown oracle kind: {kind}")
@@ -366,16 +389,19 @@ def run_bench(cfg: ExperimentConfig) -> BenchReport:
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     cells = []
-    f_refs = {}
+    f_refs, anchors, warnings = {}, {}, []
+    tol = cfg.target_precision / 10
     for dim, instance in instances.items():
         theory = theories[dim]
         save_instance(outdir / f"instance_d{dim}.txt", instance,
                       seed=cfg.instance_seed, noise_sigma=cfg.noise_sigma)
-        f_ref, ref_trace = reference_run(instance, cfg.reference_budget,
-                                         seed=cfg.instance_seed,
-                                         mu=1.0 / math.sqrt(cfg.T),
-                                         oracle=oracle_cfg)
+        f_ref, gap, _, ref_trace = reference_run(
+            instance, 1.0 / math.sqrt(cfg.T), cfg.reference_budget, tol)
         f_refs[dim] = f_ref
+        anchors[dim] = (gap, int(ref_trace.t[-1]))
+        if gap > tol:
+            warnings.append(f"anchor d={dim} uncertified (gap {gap:.3e} > "
+                            f"{tol:g} after {anchors[dim][1]} iterations)")
         write_trace(outdir / f"reference_d{dim}.csv", ref_trace)
 
         prob = make_problem(instance, oracle_cfg, T=cfg.T)
@@ -405,7 +431,8 @@ def run_bench(cfg: ExperimentConfig) -> BenchReport:
                     wall_seconds=trace.total_seconds,
                     oracle_seconds=trace.oracle_seconds))
 
-    report = BenchReport(config=cfg, cells=cells, F_ref=f_refs).finalize()
+    report = BenchReport(config=cfg, cells=cells, F_ref=f_refs,
+                         anchors=anchors, warnings=warnings).finalize()
     _write_report_files(report, outdir)
     return report
 
@@ -446,21 +473,18 @@ def _write_report_files(report: BenchReport, outdir: Path) -> None:
             entries[(dim, name)].ljust(width) for name in solver_names))
     text.append("")
     for dim in cfg.dims:
-        text.append(f"F_ref(d={dim}) = {report.F_ref[dim]!r}")
+        line = f"F_ref(d={dim}) = {report.F_ref[dim]!r}"
+        if dim in report.anchors:
+            gap, iters = report.anchors[dim]
+            line += f" (certified gap {gap:.3e} after {iters} iterations)"
+        text.append(line)
     for warning in report.warnings:
         text.append(f"WARNING: {warning}")
     (outdir / "summary.txt").write_text("\n".join(text) + "\n")
 
-    echo = {
-        "dims": list(cfg.dims), "oracle": dict(cfg.oracle),
-        "solvers": [dict(s) for s in cfg.solvers], "T": cfg.T,
-        "seeds": list(cfg.seeds), "target_precision": cfg.target_precision,
-        "noise_sigma": cfg.noise_sigma, "output_dir": str(cfg.output_dir),
-        "instance_seed": cfg.instance_seed,
-        "reference_budget": cfg.reference_budget,
-        "hyper_tuned": cfg.hyper_tuned, "eval_stride": cfg.eval_stride,
-    }
-    (outdir / "config_echo.yaml").write_text(yaml.safe_dump(echo, sort_keys=True))
+    (outdir / "config_echo.yaml").write_text(
+        yaml.safe_dump({**asdict(cfg), "output_dir": str(cfg.output_dir)},
+                       sort_keys=True))
 
 
 def load_experiment_config(path) -> ExperimentConfig:

@@ -38,8 +38,9 @@ class PowerOracleConfig:
     """Matrix-power oracle <X^p u, u>^(1/p) with u uniform on [0,1]^d.
 
     With square_input the form is <X^(2p) u, u>^(1/p) = ||X^p u||^(2/p), the
-    same oracle on X @ X: its value tracks lambda_max(X)^2 and stays well
-    defined off the PSD cone. Either way a draw costs n matrix-vector
+    same oracle on X @ X: its value tracks max(lambda_max(X)^2,
+    lambda_min(X)^2), the top eigenvalue of X @ X, and stays well defined
+    off the PSD cone. Either way a draw costs n matrix-vector
     products (n = 2p with square_input, p without) and one d x n x d GEMM
     for the gradient; no d x d x d product is formed.
     """

@@ -139,6 +139,15 @@ def eval_Psi(x: np.ndarray, prob: CompositeProblem) -> float:
     return eval_F(x) + eval_penalty(x, prob)
 
 
+def box_lower_bound(w: np.ndarray, prob: CompositeProblem) -> float:
+    """Certified bound Psi* >= min over the box of <W, X> + mu ||X - X1||^2
+    for a density matrix W (<W, X> <= lambda_max(X)); the minimizer is the
+    entrywise clamp of X1 - W / (2 mu)."""
+    x = np.clip(prob.x1.data - w / (2.0 * prob.mu), prob.feasible.lower,
+                prob.feasible.upper)
+    return float(np.vdot(w, x)) + eval_penalty(x, prob)
+
+
 def gen_instance(d: int, noise_sigma: float, seed: int) -> BoxSet:
     """Synthetic box instance.
 

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -66,7 +67,7 @@ def test_unknown_campaign_key_exits_2_with_one_line(tmp_path):
             "noise_sigma: 0.2\n"
             f"output_dir: {outdir}\n")
     # an unknown key, an empty file, a top-level list, a missing required
-    # key, and values of the wrong type
+    # key, and values of the wrong type or out of range
     for text, message in (
             (full + "bogus_key: 1\n",
              f"unknown key 'bogus_key' in campaign config {config}"),
@@ -78,9 +79,47 @@ def test_unknown_campaign_key_exits_2_with_one_line(tmp_path):
              "T must be an integer, got 'abc'"),
             (full.replace("T: 20", "T: 1.5"), "T must be an integer, got 1.5"),
             (full.replace("dims: [6]", "dims: 6"),
-             "dims must be a list of integers, got 6")):
+             "dims must be a list of integers, got 6"),
+            (full.replace("0.01", "abc"),
+             "target_precision must be a number, got 'abc'"),
+            (full.replace("noise_sigma: 0.2", "noise_sigma: abc"),
+             "noise_sigma must be a number, got 'abc'"),
+            (full.replace("noise_sigma: 0.2", "noise_sigma: -1"),
+             "noise_sigma must be nonnegative and finite, got -1"),
+            (full + "eval_stride: 1.5\n",
+             "eval_stride must be an integer or null, got 1.5"),
+            (full + "eval_stride: 0\n", "eval_stride must be >= 1, got 0"),
+            (full + 'hyper_tuned: "yes"\n',
+             "hyper_tuned must be true or false, got 'yes'"),
+            (full.replace("{kind: exact}", "exact"),
+             "oracle must be a mapping, got 'exact'"),
+            (full + "reference_budget: 0\n",
+             "reference_budget must be >= 1, got 0")):
         config.write_text(text)
         done = run_cli("bench", "--config", str(config))
         assert done.returncode == 2
         assert done.stderr.splitlines() == [f"specmd: error: {message}"]
         assert not outdir.exists()
+
+
+def test_reference_prints_certified_anchor(tmp_path, instance, capsys):
+    out = tmp_path / "ref.csv"
+    assert main(["reference", "--instance", str(instance), "--out",
+                 str(out)]) == 0
+    line = capsys.readouterr().out.strip()
+    found = re.fullmatch(r"F_ref = (\S+), certified gap (\S+) after "
+                         r"(\d+) iterations", line)
+    assert found, line
+    assert 0.0 <= float(found.group(2)) <= 1e-3
+    trace = read_trace(out)
+    assert float(found.group(1)) == trace.best_F_ag
+    assert int(found.group(3)) == trace.t[-1]
+
+    assert main(["reference", "--instance", str(instance), "--budget",
+                 "40"]) == 0
+    line = capsys.readouterr().out.strip()
+    assert line.endswith("after 40 iterations (uncertified; raise --budget)"), line
+    done = run_cli("reference", "--instance", str(instance), "--budget", "0")
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [
+        "specmd: error: reference budget must be >= 1, got 0"]

@@ -1,22 +1,29 @@
+import dataclasses
 import math
+import re
 import warnings
 
+import numpy as np
 import pytest
+import yaml
 
 import specmd.harness as harness
 from specmd.harness import (BenchReport, CellResult, ExperimentConfig,
                             _write_report_files, build_oracle, read_trace,
-                            run_bench, write_trace)
-from specmd.oracles import SmoothingOracleConfig
-from specmd.problem import gen_instance, make_problem
-from specmd.solvers import StepSchedule, oblivious_smd
+                            reference_run, run_bench, write_trace)
+from specmd.linalg import make_rng
+from specmd.oracles import (ExactOracleConfig, SmoothingOracleConfig,
+                            exact_subgrad)
+from specmd.problem import (box_lower_bound, eval_F, eval_penalty,
+                            gen_instance, make_problem, project_box)
+from specmd.solvers import StepSchedule, oblivious_acsmd, oblivious_smd
 
 
-def tiny_config(outdir, oracle, seeds=(0, 1)):
+def tiny_config(outdir, oracle, seeds=(0, 1), budget=10_000):
     return ExperimentConfig(
         dims=[6], oracle=oracle, solvers=[{"kind": "acsmd"}, {"kind": "smd"}],
         T=50, seeds=list(seeds), target_precision=1e-2, noise_sigma=0.2,
-        output_dir=str(outdir), reference_budget=10_000)
+        output_dir=str(outdir), reference_budget=budget)
 
 
 @pytest.mark.parametrize("oracle", [
@@ -31,6 +38,93 @@ def test_tiny_campaign_writes_reports_without_nan(tmp_path, oracle):
         text = (tmp_path / name).read_text()
         assert text.strip()
         assert "nan" not in text.lower()
+
+
+def test_anchor_is_certified_and_its_bound_holds():
+    box = gen_instance(6, 0.2, 0)
+    mu = 1.0 / math.sqrt(50)
+    f_ref, gap, w_ag, trace = reference_run(box, mu, 10_000, 1e-3)
+    assert 0.0 <= gap <= 1e-3
+    assert f_ref == trace.best_F_ag
+    assert trace.config_echo["oracle"] == {"kind": "exact"}
+    # W_ag averages unit v v^T draws: a density matrix
+    assert abs(np.trace(w_ag) - 1.0) <= 1e-12
+    assert np.linalg.eigvalsh(w_ag)[0] >= -1e-12
+    again, again_gap, again_w, again_trace = reference_run(box, mu, 10_000, 1e-3)
+    assert (again, again_gap, again_trace.t[-1]) == (f_ref, gap, trace.t[-1])
+    assert again_w.tobytes() == w_ag.tobytes()
+    prob = make_problem(box, ExactOracleConfig(), mu=mu)
+    lb = box_lower_bound(w_ag, prob)
+    assert lb == pytest.approx(trace.Psi_ag[-1] - gap, abs=1e-15)
+    rng = make_rng(1)
+    points = [trace.final_point.data, box.center.data, box.lower, box.upper]
+    for _ in range(200):
+        offs = rng.uniform(-box.radius, box.radius, size=(6, 6))
+        points.append(project_box(box.center.data + (offs + offs.T) / 2, box))
+    for x in points:
+        assert lb <= eval_F(x) + eval_penalty(x, prob)
+
+
+def test_anchor_weights_the_draws_like_its_average():
+    # W_ag is the alpha_t-weighted mean of the exact draws at the md points
+    box = gen_instance(5, 0.2, 2)
+    mu = 0.3
+    _, _, w_ag, _ = reference_run(box, mu, 20, 1e-9)
+    grads = []
+
+    def recording(x, rng):
+        sample = exact_subgrad(x)
+        grads.append(sample.grad.data)
+        return sample
+
+    sched = StepSchedule(degree=1)
+    oblivious_acsmd(make_problem(box, recording, mu=mu), sched, 20, 0)
+    alpha = sched.weights(20)[0]
+    expected = np.tensordot(alpha, np.array(grads), axes=1) / alpha.sum()
+    assert np.allclose(w_ag, expected, rtol=1e-13, atol=1e-15)
+
+
+def test_reference_budget_must_be_positive():
+    with pytest.raises(ValueError, match="reference budget must be >= 1"):
+        reference_run(gen_instance(4, 0.2, 0), 0.1, 0, 1e-3)
+
+
+def test_path_output_dir_is_echoed_as_a_string(tmp_path):
+    cfg = tiny_config(tmp_path, {"kind": "exact"}, seeds=(0,))
+    run_bench(dataclasses.replace(cfg, output_dir=tmp_path / "out"))
+    echo = yaml.safe_load((tmp_path / "out" / "config_echo.yaml").read_text())
+    assert echo["output_dir"] == str(tmp_path / "out")
+
+
+def test_anchor_horizons_repeat_as_prefixes():
+    # the doubling in reference_run needs no warm start: a longer exact-oracle
+    # run starts with the shorter one, bit for bit
+    prob = make_problem(gen_instance(6, 0.2, 0), ExactOracleConfig(), mu=0.1)
+    short = oblivious_acsmd(prob, StepSchedule(degree=1), 100, 0)
+    long = oblivious_acsmd(prob, StepSchedule(degree=1), 200, 0)
+    for name in ("t", "F_ag", "Psi_ag", "grad_norm"):
+        assert getattr(long, name)[:100].tobytes() == getattr(short, name).tobytes()
+
+
+def test_summary_prints_each_anchor_deterministically(tmp_path):
+    texts = []
+    for run in ("a", "b"):
+        run_bench(tiny_config(tmp_path / run, {"kind": "exact"}, seeds=(0,)))
+        texts.append((tmp_path / run / "summary.txt").read_text())
+    assert texts[0] == texts[1]
+    line = re.search(r"^F_ref\(d=6\) = (\S+) \(certified gap (\S+) after "
+                     r"(\d+) iterations\)$", texts[0], re.MULTILINE)
+    assert line is not None
+    assert 0.0 <= float(line.group(2)) <= 1e-3
+    assert "uncertified" not in texts[0]
+
+
+def test_tiny_budget_flags_an_uncertified_anchor(tmp_path):
+    run_bench(tiny_config(tmp_path, {"kind": "exact"}, seeds=(0,), budget=50))
+    text = (tmp_path / "summary.txt").read_text()
+    assert re.search(r"^WARNING: anchor d=6 uncertified \(gap \S+ > 0\.001 "
+                     r"after 50 iterations\)$", text, re.MULTILINE)
+    assert "after 50 iterations)" in text.split("WARNING")[0]
 
 
 def test_nearest_rank_percentiles_and_reached_count(tmp_path):

@@ -1,12 +1,13 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from specmd.linalg import SymMatrix, make_rng, sym_from, sym_identity, sym_zeros
 from specmd.oracles import ExactOracleConfig, PowerOracleConfig, power_grad
-from specmd.problem import (BoxSet, CompositeProblem, eval_F,
-                            eval_Psi, gen_instance, load_instance,
+from specmd.problem import (BoxSet, CompositeProblem, box_lower_bound,
+                            eval_F, eval_Psi, gen_instance, load_instance,
                             make_problem, project_box, prox_step,
                             save_instance)
 from specmd.solvers import StepSchedule, oblivious_acsmd, schedule_at
@@ -257,6 +258,35 @@ class TestEvaluation:
         diff = x - prob.x1.data
         expected = eval_F(x) + 0.3 * float(np.tensordot(diff, diff))
         assert eval_Psi(x, prob) == pytest.approx(expected, rel=1e-12)
+
+
+class TestBoxLowerBound:
+    def test_matches_perfbench_bound_of(self, monkeypatch):
+        # perfbench's numpy-only copy is the independent yardstick
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from specbench.certify import bound_of
+        box = gen_instance(9, 0.2, 4)
+        prob = make_problem(box, ExactOracleConfig(), mu=0.07)
+        v = make_rng(5).standard_normal((3, 9))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        w = np.einsum("k,ki,kj->ij", [0.5, 0.3, 0.2], v, v)
+        ours = box_lower_bound(w, prob)
+        theirs = bound_of(w, box.center.data, box.radius, prob.mu,
+                          prob.x1.data)
+        assert abs(ours - theirs) <= 1e-12 * max(1.0, abs(theirs))
+
+    def test_never_exceeds_psi_at_a_feasible_point(self):
+        box = random_box(31, d=5)
+        prob = make_problem(box, ExactOracleConfig(), mu=0.2)
+        rng = make_rng(32)
+        for _ in range(20):
+            v = rng.standard_normal(5)
+            w = np.outer(v, v) / (v @ v)
+            lb = box_lower_bound(w, prob)
+            for _ in range(10):
+                x = random_feasible(box, rng)
+                assert lb <= eval_Psi(x, prob) + 1e-12
 
 
 class TestScalarCompositeBounds:
