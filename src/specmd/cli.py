@@ -144,7 +144,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         print(f"specmd: error: {err}", file=sys.stderr)
         return 2
 

@@ -3,7 +3,6 @@ report files, and the iterations-to-precision metric."""
 
 import json
 import math
-import numbers
 import os
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
@@ -14,8 +13,8 @@ import yaml
 from .linalg import sym_from
 # perfbench's tracer wraps exact_subgrad at this name (harness.reference_polish)
 from .oracles import (ExactOracleConfig, PowerOracleConfig,
-                      SmoothingOracleConfig, exact_subgrad, oracle_echo,
-                      resolve_oracle)
+                      SmoothingOracleConfig, _is_int, _is_real, exact_subgrad,
+                      oracle_echo, resolve_oracle)
 from .problem import (BoxSet, box_lower_bound, eval_F, gen_instance,
                       make_problem, save_instance)
 from .solvers import (RunTrace, StepSchedule, lan_acsa, levy_adaptive,
@@ -40,8 +39,6 @@ def iterations_to_precision(trace: RunTrace, F_ref: float, target: float):
     """Smallest evaluated t with F_ag(t) - F_ref <= target, else "exceeded"."""
     if target <= 0:
         raise ValueError("target must be positive")
-    if len(trace.t) == 0:
-        raise ValueError("empty trace")
     hits = np.nonzero(trace.F_ag - F_ref <= target)[0]
     return int(trace.t[hits[0]]) if hits.size else EXCEEDED
 
@@ -68,9 +65,9 @@ def reference_run(instance: BoxSet, mu: float, budget: int, tol: float):
         w_sum, weights = np.zeros_like(instance.lower), iter(alpha)
 
         def summing(x, rng):  # acsmd draws once per iteration, in order
-            sample = draw(x, rng)
-            w_sum[...] += next(weights) * sample.grad.data
-            return sample
+            value, grad = draw(x, rng)
+            w_sum[...] += next(weights) * grad
+            return value, grad
 
         prob = make_problem(instance, summing, mu=mu)
         trace = oblivious_acsmd(prob, sched, horizon, 0, eval_stride=10)
@@ -197,14 +194,6 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be {kind}, got {value!r}")
             if not range_ok(value):
                 raise ValueError(f"{key} must be {bound}, got {value!r}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _list_of(test):

@@ -27,9 +27,10 @@ class SymMatrix:
 
     Entries are finite and exactly symmetric (checked at construction, in
     that order); use `sym_from` to symmetrize arbitrary square input. Built
-    only where a matrix crosses an API boundary: problem data, each oracle
-    call's input, each oracle gradient, kept iterates and a trace's final
-    point. Solver loops keep their iterates as plain float64 arrays.
+    only where data enters the system (a box center, a start point X1,
+    `load_instance`, `read_trace`) and for a trace's final point. Oracles,
+    steps and the solver loop work on plain float64 arrays; `np.asarray`
+    of a SymMatrix is its read-only `data`, and `np.array` a writable copy.
     """
 
     data: np.ndarray
@@ -46,6 +47,9 @@ class SymMatrix:
             raise ValueError("entries are not exactly symmetric; build via sym_from")
         a.setflags(write=False)
 
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.data, dtype=dtype, copy=copy)
+
     @property
     def dim(self) -> int:
         return self.data.shape[0]
@@ -61,14 +65,6 @@ def sym_from(raw) -> SymMatrix:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square 2-d array, got shape {a.shape}")
     return SymMatrix((a + a.T) / 2.0)
-
-
-def sym_identity(d: int) -> SymMatrix:
-    return SymMatrix(np.eye(d))
-
-
-def sym_zeros(d: int) -> SymMatrix:
-    return SymMatrix(np.zeros((d, d)))
 
 
 def leading_eigpair(a: np.ndarray) -> tuple:
@@ -92,14 +88,14 @@ def full_spectrum(m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(m)[::-1].copy()
 
 
-def mat_power_apply(x: SymMatrix, p: int, u: np.ndarray) -> list[np.ndarray]:
-    """All Krylov vectors [u, Xu, X^2 u, ..., X^p u]."""
+def mat_power_apply(x: np.ndarray, p: int, u: np.ndarray) -> list[np.ndarray]:
+    """All Krylov vectors [u, Xu, X^2 u, ..., X^p u] of a square array X."""
     if p < 1:
         raise ValueError("power p must be >= 1")
     u = np.asarray(u, dtype=float)
-    if u.shape != (x.dim,):
-        raise ValueError(f"vector shape {u.shape} does not match dimension {x.dim}")
+    if u.shape != x.shape[:1]:
+        raise ValueError(f"vector shape {u.shape} does not match dimension {len(x)}")
     vectors = [u]
     for _ in range(p):
-        vectors.append(x.data @ vectors[-1])
+        vectors.append(x @ vectors[-1])
     return vectors

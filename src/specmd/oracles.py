@@ -1,17 +1,33 @@
 """Stochastic first-order oracles for the maximum-eigenvalue objective.
 
-Three oracles share the GradSample output type: Gaussian rank-one smoothing,
-the matrix-power quadratic-form oracle, and a deterministic exact subgradient
-used by tests and reference runs. All stochastic draws come from an explicit
-RNG handle so runs are exactly reproducible.
+An oracle is a plain function (X, rng) -> (value, grad) on arrays: a float
+estimate of lambda_max(X) and an exactly symmetric d x d (sub)gradient
+array. Three are built in: Gaussian rank-one smoothing, the matrix-power
+quadratic-form oracle, and a deterministic exact subgradient used by tests
+and reference runs. All stochastic draws come from an explicit RNG handle
+so runs are exactly reproducible.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (SymMatrix, ensure_rng, leading_eigpair, mat_power_apply,
-                     sym_from)
+from .linalg import ensure_rng, leading_eigpair, mat_power_apply
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_option(name, value, ok, need):
+    if not ok:
+        raise ValueError(f"oracle option {name} must be {need}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -27,10 +43,10 @@ class SmoothingOracleConfig:
     epsilon: float = 1e-2
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        _check_option("k", self.k, _is_int(self.k) and self.k >= 1,
+                      "an integer >= 1")
+        _check_option("epsilon", self.epsilon, _is_real(self.epsilon)
+                      and 0 < self.epsilon < math.inf, "positive and finite")
 
 
 @dataclass(frozen=True)
@@ -49,8 +65,10 @@ class PowerOracleConfig:
     square_input: bool = True
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("power order p must be >= 1")
+        _check_option("p", self.p, _is_int(self.p) and self.p >= 1,
+                      "an integer >= 1")
+        _check_option("square_input", self.square_input,
+                      isinstance(self.square_input, bool), "true or false")
 
 
 @dataclass(frozen=True)
@@ -58,23 +76,7 @@ class ExactOracleConfig:
     """Deterministic subgradient of lambda_max (testing and reference runs)."""
 
 
-@dataclass(frozen=True)
-class GradSample:
-    """One oracle draw: gradient matrix and a scalar objective estimate.
-
-    The gradient's entries are checked finite by its SymMatrix constructor;
-    the value is checked here.
-    """
-
-    grad: SymMatrix
-    value: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.value):
-            raise ValueError(f"oracle value is not finite: {self.value}")
-
-
-def smoothing_grad(x: SymMatrix, cfg: SmoothingOracleConfig, rng) -> GradSample:
+def smoothing_grad(x: np.ndarray, cfg: SmoothingOracleConfig, rng) -> tuple:
     """One draw of the rank-one smoothing oracle.
 
     Draws z_1..z_k i.i.d. standard normal (one (k, d) block, the same stream
@@ -90,9 +92,9 @@ def smoothing_grad(x: SymMatrix, cfg: SmoothingOracleConfig, rng) -> GradSample:
     give bitwise-identical gradients.
     """
     gen = ensure_rng(rng)
-    d = x.dim
-    offset = float(np.mean(np.diag(x.data)))
-    base = x.data.copy()
+    base = np.array(x, dtype=float)
+    d = base.shape[0]
+    offset = float(np.mean(np.diag(base)))
     base[np.diag_indices(d)] -= offset
 
     z = gen.standard_normal((cfg.k, d))
@@ -102,12 +104,18 @@ def smoothing_grad(x: SymMatrix, cfg: SmoothingOracleConfig, rng) -> GradSample:
     best = int(np.argmax(tops))
     v = vecs[best]
     # v_i * v_j == v_j * v_i, so the outer product is exactly symmetric
-    return GradSample(grad=SymMatrix(np.outer(v, v)),
-                      value=float(tops[best]) + offset)
+    return float(tops[best]) + offset, np.outer(v, v)
 
 
-def _krylov_value_grad(x: SymMatrix, u: np.ndarray, n: int, p: int) -> GradSample:
-    """Value and gradient of <X^n u, u>^(1/p); power_value_grad is n = p."""
+def _krylov_value_grad(x: np.ndarray, u: np.ndarray, n: int, p: int) -> tuple:
+    """Exact value and gradient of <X^n u, u>^(1/p) at a fixed u: the true
+    per-sample gradient, hence an unbiased draw once u is random.
+
+    With k_j = X^j u, s = <X^n u, u> = k_(n-h) . k_h for h = n // 2, and the
+    gradient s^(1/p) / (p s) * sym(sum_(j<n) k_j k_(n-1-j)^T) is one GEMM
+    of the stacked k_j against themselves reversed: n matvecs and one
+    d x n x d GEMM, no d x d x d product.
+    """
     k = np.array(mat_power_apply(x, n, u))
     s = float(k[n - n // 2] @ k[n // 2])
     if s <= 0.0:
@@ -115,40 +123,31 @@ def _krylov_value_grad(x: SymMatrix, u: np.ndarray, n: int, p: int) -> GradSampl
             f"<X^n u, u> = {s:g} is not positive for the sampled direction")
     value = s ** (1.0 / p)
     coef = value / (p * s)
-    return GradSample(grad=sym_from((coef * k[:n]).T @ k[n - 1::-1]),
-                      value=value)
+    m = (coef * k[:n]).T @ k[n - 1::-1]
+    return value, (m + m.T) / 2.0
 
 
-def power_value_grad(x: SymMatrix, u: np.ndarray, p: int) -> GradSample:
-    """Exact value and gradient of phi_u(X) = <X^p u, u>^(1/p) at a fixed u.
-
-    With the Krylov vectors k_j = X^j u (j = 0..p), s = <X^p u, u> is
-    k_(p-h) . k_h for h = p // 2, and the gradient is
-    s^(1/p) / (p s) * sym(sum_(j<p) k_j k_(p-1-j)^T): the true gradient of
-    the per-sample function, hence an unbiased draw once u is random. The
-    sum is one GEMM of the stacked k_j against themselves in reverse order,
-    so a call costs p matrix-vector products and one d x p x d GEMM; no
-    d x d x d product is formed.
-    """
-    return _krylov_value_grad(x, u, p, p)
-
-
-def power_grad(x: SymMatrix, cfg: PowerOracleConfig, rng) -> GradSample:
+def power_grad(x: np.ndarray, cfg: PowerOracleConfig, rng) -> tuple:
     """One draw of the matrix-power oracle with u uniform on [0,1]^d."""
-    u = ensure_rng(rng).random(x.dim)
+    x = np.asarray(x)
+    u = ensure_rng(rng).random(x.shape[0])
     n = 2 * cfg.p if cfg.square_input else cfg.p
     return _krylov_value_grad(x, u, n, cfg.p)
 
 
-def exact_subgrad(x: SymMatrix) -> GradSample:
+def exact_subgrad(x: np.ndarray) -> tuple:
     """Deterministic subgradient v v^T at a unit leading eigenvector of X."""
-    top, v = leading_eigpair(x.data)
+    top, v = leading_eigpair(x)
     # v_i * v_j == v_j * v_i, so the outer product is exactly symmetric
-    return GradSample(grad=SymMatrix(np.outer(v, v)), value=float(top))
+    return float(top), np.outer(v, v)
 
 
 def resolve_oracle(spec):
-    """Turn an oracle config (or any (X, rng) -> GradSample callable) into a callable."""
+    """Turn an oracle config, or any (X, rng) -> (value, grad) callable, into
+    one such callable: X is a plain d x d array, the value a finite float
+    and the gradient an exactly symmetric d x d array. The solver loop
+    checks finiteness only; tests pin the built-in gradients' symmetry.
+    """
     if isinstance(spec, SmoothingOracleConfig):
         return lambda x, rng: smoothing_grad(x, spec, rng)
     if isinstance(spec, PowerOracleConfig):

@@ -59,7 +59,9 @@ class CompositeProblem:
     """Objective Psi(X) = lambda_max(X) + mu * ||X - X1||_F^2 over a box.
 
     `oracle` is one of the oracle configs from specmd.oracles, or any
-    (SymMatrix, rng) -> GradSample callable (handy for test stubs).
+    (X, rng) -> (value, grad) callable (handy for test stubs). X is a plain
+    d x d array; the value must be a finite float and the gradient an
+    exactly symmetric d x d array. The solver loop checks finiteness only.
     """
 
     feasible: BoxSet
@@ -132,11 +134,6 @@ def eval_penalty(x: np.ndarray, prob: CompositeProblem) -> float:
     """Regularization term mu ||X - X1||_F^2 of the composite objective."""
     diff = x - prob.x1.data
     return prob.mu * float(np.vdot(diff, diff))
-
-
-def eval_Psi(x: np.ndarray, prob: CompositeProblem) -> float:
-    """Composite objective F(X) + mu ||X - X1||_F^2 of a symmetric array."""
-    return eval_F(x) + eval_penalty(x, prob)
 
 
 def box_lower_bound(w: np.ndarray, prob: CompositeProblem) -> float:

@@ -8,7 +8,7 @@ the draw, and elapsed wall time. Runs are deterministic given an integer seed.
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,8 +89,7 @@ class RunTrace:
 
     Arrays are aligned: entry i describes evaluated iteration t[i]. elapsed_s
     is cumulative wall time; oracle_seconds sub-accounts time spent inside
-    oracle calls. iterates optionally stores the points entering the average
-    (tests only).
+    oracle calls.
     """
 
     t: np.ndarray
@@ -103,7 +102,6 @@ class RunTrace:
     seed: int
     total_seconds: float = 0.0
     oracle_seconds: float = 0.0
-    iterates: list | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if len(self.t) == 0:
@@ -122,31 +120,18 @@ class RunTrace:
         return float(np.min(self.F_ag))
 
 
-def _seed_of(rng) -> int:
-    return int(rng) if isinstance(rng, (int, np.integer)) else -1
-
-
-def _default_stride(dim: int) -> int:
-    return 1 if dim <= 150 else 10
-
-
 class _TraceBuilder:
     """Accumulates evaluated iterations and assembles the RunTrace."""
 
-    def __init__(self, prob, T, stride, seed, config_echo, keep_iterates):
+    def __init__(self, prob, T, eval_stride, rng, config_echo):
         self.prob = prob
         self.T = T
-        self.stride = stride
-        self.seed = seed
+        self.stride = eval_stride or (1 if prob.dim <= 150 else 10)
+        self.seed = int(rng) if isinstance(rng, (int, np.integer)) else -1
         self.config_echo = config_echo
         self.start = time.perf_counter()
         self.oracle_seconds = 0.0
         self.rows = []
-        self.iterates = [] if keep_iterates else None
-
-    def note_iterate(self, x_arr):
-        if self.iterates is not None:
-            self.iterates.append(SymMatrix(x_arr.copy()))
 
     def record(self, t, avg_arr, grad_norm):
         if t % self.stride != 0 and t != self.T:
@@ -161,11 +146,11 @@ class _TraceBuilder:
                         elapsed_s=el, final_point=SymMatrix(final_arr.copy()),
                         config_echo=self.config_echo, seed=self.seed,
                         total_seconds=time.perf_counter() - self.start,
-                        oracle_seconds=self.oracle_seconds, iterates=self.iterates)
+                        oracle_seconds=self.oracle_seconds)
 
 
 def _run(name, params, prob, T, rng, step, weight=None, at_md=False,
-         eval_stride=None, keep_iterates=False) -> RunTrace:
+         eval_stride=None) -> RunTrace:
     """The one loop behind every solver.
 
     Each iteration draws a gradient g, takes X_{t+1} = step(t, X_t, g, ||g||)
@@ -173,8 +158,9 @@ def _run(name, params, prob, T, rng, step, weight=None, at_md=False,
     queried at the md point (A_{t-1} x_ag + alpha_t X_t) / A_t and X_{t+1}
     enters the average; otherwise the query point X_t does. With a weight the
     average is (A_{t-1} x_ag + alpha_t x) / A_t for alpha_t = weight(t);
-    without one it is the uniform mean x_ag += (x - x_ag) / t. An oracle or
-    step failure is raised as a SolverError tagged with its iteration.
+    without one it is the uniform mean x_ag += (x - x_ag) / t. An oracle
+    failure (a non-finite value or gradient too) or a step failure is
+    raised as a SolverError tagged with its iteration.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -182,8 +168,7 @@ def _run(name, params, prob, T, rng, step, weight=None, at_md=False,
     gen = ensure_rng(rng)
     echo = {"solver": name, **params, "T": T, "mu": prob.mu,
             "oracle": oracle_echo(prob.oracle)}
-    stride = eval_stride or _default_stride(prob.dim)
-    builder = _TraceBuilder(prob, T, stride, _seed_of(rng), echo, keep_iterates)
+    builder = _TraceBuilder(prob, T, eval_stride, rng, echo)
 
     x = prob.x1.data.copy()
     x_ag = x.copy()
@@ -195,18 +180,20 @@ def _run(name, params, prob, T, rng, step, weight=None, at_md=False,
         query = (a_sum * x_ag + alpha * x) / a_new if at_md else x
         tic = time.perf_counter()
         try:
-            sample = oracle(SymMatrix(query), gen)
+            value, g = oracle(query, gen)
+            if not np.isfinite(g).all():
+                raise ValueError("entries are not finite")
+            if not math.isfinite(value):
+                raise ValueError(f"oracle value is not finite: {value}")
         except Exception as err:
             raise SolverError(f"oracle failed at iteration {t}: {err}") from err
         builder.oracle_seconds += time.perf_counter() - tic
-        g = sample.grad.data
         gnorm = float(np.linalg.norm(g))
         try:
             x_next = step(t, x, g, gnorm)
         except Exception as err:
             raise SolverError(f"step failed at iteration {t}: {err}") from err
         point = x_next if at_md else x
-        builder.note_iterate(point)
         if weight is None:
             x_ag += (point - x_ag) / t
         else:
@@ -217,7 +204,7 @@ def _run(name, params, prob, T, rng, step, weight=None, at_md=False,
     return builder.build(x_ag)
 
 
-def _oblivious(name, prob, sched, T, rng, at_md, eval_stride, keep_iterates):
+def _oblivious(name, prob, sched, T, rng, at_md, eval_stride):
     sched.validate(T)
 
     def prox(t, x, g, gnorm):
@@ -226,35 +213,33 @@ def _oblivious(name, prob, sched, T, rng, at_md, eval_stride, keep_iterates):
 
     return _run(name, {"degree": sched.degree, "scale": sched.scale}, prob, T,
                 rng, prox, lambda t: schedule_at(sched, t)[0], at_md,
-                eval_stride, keep_iterates)
+                eval_stride)
 
 
 def oblivious_smd(prob: CompositeProblem, sched: StepSchedule, T: int, rng,
-                  eval_stride: int | None = None, keep_iterates: bool = False) -> RunTrace:
+                  eval_stride: int | None = None) -> RunTrace:
     """Mirror descent with oblivious steps on the composite objective.
 
     Draws a stochastic (sub)gradient at X_t, takes the closed-form prox step,
     and maintains the alpha-weighted running average of the query points; the
     trace evaluates that averaged point.
     """
-    return _oblivious("oblivious_smd", prob, sched, T, rng, False,
-                      eval_stride, keep_iterates)
+    return _oblivious("oblivious_smd", prob, sched, T, rng, False, eval_stride)
 
 
 def oblivious_acsmd(prob: CompositeProblem, sched: StepSchedule, T: int, rng,
-                    eval_stride: int | None = None, keep_iterates: bool = False) -> RunTrace:
+                    eval_stride: int | None = None) -> RunTrace:
     """Accelerated mirror descent: gradient at the md point, prox from X_t,
     aggregate updated with the same combination weights.
 
     With A_0 = 0 the first md point is X_1; all three sequences stay feasible
     as convex combinations of feasible points.
     """
-    return _oblivious("oblivious_acsmd", prob, sched, T, rng, True,
-                      eval_stride, keep_iterates)
+    return _oblivious("oblivious_acsmd", prob, sched, T, rng, True, eval_stride)
 
 
 def levy_adaptive(prob: CompositeProblem, D: float, M: float, T: int, rng,
-                  eval_stride: int | None = None, keep_iterates: bool = False) -> RunTrace:
+                  eval_stride: int | None = None) -> RunTrace:
     """Projected SGD with the adaptive step 2D / sqrt(M^2 + sum ||g||^2).
 
     Needs the set diameter D up front; the trace follows the uniform average
@@ -273,11 +258,11 @@ def levy_adaptive(prob: CompositeProblem, D: float, M: float, T: int, rng,
         return project_box(x - eta * g, prob.feasible)
 
     return _run("levy_adaptive", {"D": D, "M": M}, prob, T, rng, step,
-                eval_stride=eval_stride, keep_iterates=keep_iterates)
+                eval_stride=eval_stride)
 
 
 def lan_acsa(prob: CompositeProblem, L: float, sigma: float, T: int, rng,
-             eval_stride: int | None = None, keep_iterates: bool = False) -> RunTrace:
+             eval_stride: int | None = None) -> RunTrace:
     """Accelerated stochastic approximation with a known smoothness constant.
 
     Combination weights come from alpha_t = t/2 (md weight 2/(t+1)); the
@@ -292,7 +277,7 @@ def lan_acsa(prob: CompositeProblem, L: float, sigma: float, T: int, rng,
         return project_box(x - eta * g, prob.feasible)
 
     return _run("lan_acsa", {"L": L, "sigma": sigma}, prob, T, rng, step,
-                lambda t: 0.5 * t, True, eval_stride, keep_iterates)
+                lambda t: 0.5 * t, True, eval_stride)
 
 
 def relative_step(Lstar: float, Gamma: float, T: int) -> float:
@@ -305,7 +290,7 @@ def relative_step(Lstar: float, Gamma: float, T: int) -> float:
 
 
 def relative_md(prob: CompositeProblem, Lstar: float, Gamma: float, T: int, rng,
-                eval_stride: int | None = None, keep_iterates: bool = False) -> RunTrace:
+                eval_stride: int | None = None) -> RunTrace:
     """Projected SGD with the constant relative-scale step and uniform averaging."""
     eta = relative_step(Lstar, Gamma, T)
 
@@ -313,5 +298,4 @@ def relative_md(prob: CompositeProblem, Lstar: float, Gamma: float, T: int, rng,
         return project_box(x - eta * g, prob.feasible)
 
     return _run("relative_md", {"Lstar": Lstar, "Gamma": Gamma, "eta": eta},
-                prob, T, rng, step, eval_stride=eval_stride,
-                keep_iterates=keep_iterates)
+                prob, T, rng, step, eval_stride=eval_stride)

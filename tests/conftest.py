@@ -1,16 +1,13 @@
 import numpy as np
 
-from specmd.linalg import sym_zeros
-from specmd.oracles import GradSample
-
 
 def zero_oracle(x, rng):
-    """Stub oracle: zero gradient, zero value."""
-    return GradSample(grad=sym_zeros(x.dim), value=0.0)
+    """Stub oracle: zero value, zero gradient."""
+    return 0.0, np.zeros_like(x)
 
 
 def constant_oracle(matrix, value=0.0):
-    """Stub oracle returning a fixed gradient matrix every draw."""
+    """Stub oracle returning a fixed gradient array every draw."""
     def oracle(x, rng):
-        return GradSample(grad=matrix, value=value)
+        return value, matrix
     return oracle

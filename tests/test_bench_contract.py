@@ -1,18 +1,24 @@
-"""The lookup names perfbench's tracer wraps must exist in specmd.
+"""What perfbench relies on in specmd.
 
 perfbench wraps each `(module, attr)` of `specbench.tracing.TARGETS` at the
 name its caller looks up; a name that no longer resolves, or a call that no
 longer goes through it, makes that per-layer row read 0 without an error.
-These tests read the tracer from perfbench/ and change nothing there.
+Its oracle sweep passes a SymMatrix (a box center) straight into the three
+oracle functions. These tests read the tracer from perfbench/ and change
+nothing there.
 """
 
 import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from specmd.oracles import ExactOracleConfig, SmoothingOracleConfig
+from specmd.linalg import SymMatrix, make_rng
+from specmd.oracles import (ExactOracleConfig, PowerOracleConfig,
+                            SmoothingOracleConfig, exact_subgrad, power_grad,
+                            smoothing_grad)
 from specmd.problem import gen_instance, make_problem
 from specmd.solvers import StepSchedule, oblivious_acsmd
 
@@ -26,12 +32,44 @@ def test_every_target_resolves_to_a_callable():
             f"{modname}.{attr}"
 
 
-@pytest.mark.parametrize("oracle", [ExactOracleConfig(), SmoothingOracleConfig(k=2)],
-                         ids=["exact", "smoothing_k2"])
-def test_each_oracle_call_is_one_leading_eigpair_span(oracle):
+@pytest.mark.parametrize("oracle, row", [
+    (ExactOracleConfig(), "oracles.exact_subgrad"),
+    (SmoothingOracleConfig(k=2), "oracles.smoothing_grad"),
+    (PowerOracleConfig(p=5), "oracles.power_grad"),
+], ids=["exact", "smoothing_k2", "power"])
+def test_each_oracle_call_is_one_leading_eigpair_span(oracle, row):
     prob = make_problem(gen_instance(8, 0.2, 0), oracle, T=10)
     rec = SpanRecorder()
     with Tracer(rec):
         oblivious_acsmd(prob, StepSchedule(degree=1), 10, 0, eval_stride=1)
-    spans = rec.summary().get("linalg.leading_eigpair", {"n": 0})
-    assert spans["n"] == 10
+    spans = rec.summary()
+    # the power oracle solves no eigenproblem
+    eigpairs = 0 if isinstance(oracle, PowerOracleConfig) else 10
+    assert spans.get("linalg.leading_eigpair", {"n": 0})["n"] == eigpairs
+    assert spans.get(row, {"n": 0})["n"] == 10
+
+
+@pytest.mark.parametrize("call", [
+    lambda x, rng: smoothing_grad(x, SmoothingOracleConfig(), rng),
+    lambda x, rng: power_grad(x, PowerOracleConfig(), rng),
+    lambda x, rng: exact_subgrad(x),
+], ids=["smoothing", "power", "exact"])
+@pytest.mark.parametrize("d", [6, 20])
+def test_oracles_accept_a_symmatrix_as_the_sweep_passes_it(call, d):
+    sym = gen_instance(d, 0.2, 0).center
+    before = sym.data.copy()
+    value, grad = call(sym, make_rng(3))
+    plain_value, plain_grad = call(sym.data, make_rng(3))
+    assert value == plain_value
+    assert grad.tobytes() == plain_grad.tobytes()
+    assert np.array_equal(sym.data, before)
+
+
+def test_symmatrix_converts_to_a_writable_copy_or_its_own_data():
+    sym = SymMatrix(np.eye(3))
+    copy = np.array(sym)
+    assert copy.flags.writeable and not np.shares_memory(copy, sym.data)
+    copy[0, 0] = 5.0
+    assert sym.data[0, 0] == 1.0
+    assert np.asarray(sym) is sym.data
+    assert np.array(sym, dtype=np.float32).dtype == np.float32

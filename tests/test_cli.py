@@ -13,13 +13,14 @@ from specmd.harness import read_trace
 SRC = str(Path(specmd.__file__).resolve().parents[1])
 
 
-def run_cli(*args):
+def run_cli(*args, cwd=None):
     """Run the CLI in a fresh interpreter, as a user would."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC, *filter(None, [env.get("PYTHONPATH")])])
     return subprocess.run([sys.executable, "-m", "specmd.cli", *args],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=env, cwd=cwd,
+                          timeout=120)
 
 
 @pytest.fixture
@@ -53,6 +54,36 @@ def test_bad_solver_spec_exits_2_with_one_line(tmp_path, instance, solver, messa
     assert done.returncode == 2
     assert done.stderr.splitlines() == [f"specmd: error: {message}"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("oracle, message", [
+    ("power:p=1.5", "p must be an integer >= 1, got 1.5"),
+    ("smoothing:k=2.0", "k must be an integer >= 1, got 2.0"),
+    ("smoothing:epsilon=abc", "epsilon must be positive and finite, got 'abc'"),
+    ("power:square_input=1", "square_input must be true or false, got 1"),
+])
+def test_bad_oracle_option_exits_2_with_one_line(tmp_path, instance, oracle,
+                                                 message):
+    out = tmp_path / "o.csv"
+    done = run_cli("run", "--instance", str(instance), "--solver", "acsmd",
+                   "--oracle", oracle, "--T", "20", "--out", str(out))
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [f"specmd: error: oracle option {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ("run", "--instance", "nosuch.txt", "--solver", "acsmd", "--out", "o.csv"),
+    ("reference", "--instance", "nosuch.txt"),
+    ("bench", "--config", "nosuch.yaml"),
+], ids=["run", "reference", "bench"])
+def test_missing_input_file_exits_2_with_one_line(tmp_path, args):
+    done = run_cli(*args, cwd=tmp_path)
+    assert done.returncode == 2
+    name = args[2]
+    assert done.stderr.splitlines() == [
+        f"specmd: error: [Errno 2] No such file or directory: '{name}'"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_campaign_key_exits_2_with_one_line(tmp_path):
@@ -94,7 +125,23 @@ def test_unknown_campaign_key_exits_2_with_one_line(tmp_path):
             (full.replace("{kind: exact}", "exact"),
              "oracle must be a mapping, got 'exact'"),
             (full + "reference_budget: 0\n",
-             "reference_budget must be >= 1, got 0")):
+             "reference_budget must be >= 1, got 0"),
+            # options inside the oracle mapping, checked before any output
+            # directory or anchor run
+            (full.replace("{kind: exact}", "{kind: smoothing, k: abc}"),
+             "oracle option k must be an integer >= 1, got 'abc'"),
+            (full.replace("{kind: exact}", "{kind: smoothing, k: 2.0}"),
+             "oracle option k must be an integer >= 1, got 2.0"),
+            (full.replace("{kind: exact}", "{kind: smoothing, k: true}"),
+             "oracle option k must be an integer >= 1, got True"),
+            (full.replace("{kind: exact}", "{kind: smoothing, epsilon: abc}"),
+             "oracle option epsilon must be positive and finite, got 'abc'"),
+            (full.replace("{kind: exact}", "{kind: smoothing, epsilon: .inf}"),
+             "oracle option epsilon must be positive and finite, got inf"),
+            (full.replace("{kind: exact}", "{kind: power, p: 1.5}"),
+             "oracle option p must be an integer >= 1, got 1.5"),
+            (full.replace("{kind: exact}", "{kind: power, square_input: 1}"),
+             "oracle option square_input must be true or false, got 1")):
         config.write_text(text)
         done = run_cli("bench", "--config", str(config))
         assert done.returncode == 2

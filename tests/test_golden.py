@@ -1,8 +1,8 @@
 """Golden traces: each solver against a test-local copy of its loop body.
 
-The reference loops below keep every iterate as a plain array, wrap it in a
-SymMatrix only to call the oracle, and evaluate the trace with their own
-prox, clamp, eigvalsh and tensordot arithmetic. A solver whose loop drops a
+The reference loops below keep every iterate as a plain array, call the
+oracle on it directly, and evaluate the trace with their own prox, clamp,
+eigvalsh and tensordot arithmetic. A solver whose loop drops a
 symmetrizing step, reorders an update or changes an evaluation kernel shows
 up here as a bitwise difference in F_ag, Psi_ag, grad_norm or the final
 point.
@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from specmd.linalg import SymMatrix, make_rng
+from specmd.linalg import make_rng
 from specmd.oracles import (ExactOracleConfig, PowerOracleConfig,
                             SmoothingOracleConfig, resolve_oracle)
 from specmd.problem import gen_instance, make_problem
@@ -66,7 +66,7 @@ def ref_smd(prob):
     a_sum = 0.0
     for t in range(1, T + 1):
         alpha, gamma = schedule_at(SCHED, t)
-        g = oracle(SymMatrix(x), gen).grad.data
+        _, g = oracle(x, gen)
         a_new = a_sum + alpha
         x_ag = (a_sum * x_ag + alpha * x) / a_new
         a_sum = a_new
@@ -84,7 +84,7 @@ def ref_acsmd(prob):
         alpha, gamma = schedule_at(SCHED, t)
         a_new = a_sum + alpha
         x_md = (a_sum * x_ag + alpha * x) / a_new
-        g = oracle(SymMatrix(x_md), gen).grad.data
+        _, g = oracle(x_md, gen)
         x = _prox(x, g, alpha, gamma, prob)
         x_ag = (a_sum * x_ag + alpha * x) / a_new
         a_sum = a_new
@@ -98,7 +98,7 @@ def ref_levy(prob):
     x_bar = x.copy()
     acc = LEVY_M * LEVY_M
     for t in range(1, T + 1):
-        g = oracle(SymMatrix(x), gen).grad.data
+        _, g = oracle(x, gen)
         gnorm = float(np.linalg.norm(g))
         acc += gnorm * gnorm
         eta = 2.0 * LEVY_D / math.sqrt(acc) if acc > 0 else 0.0
@@ -117,7 +117,7 @@ def ref_lan(prob):
         alpha = 0.5 * t
         a_new = a_sum + alpha
         x_md = (a_sum * x_ag + alpha * x) / a_new
-        g = oracle(SymMatrix(x_md), gen).grad.data
+        _, g = oracle(x_md, gen)
         x = _project(x - t / (4.0 * LAN_L) * g, prob)
         x_ag = (a_sum * x_ag + alpha * x) / a_new
         a_sum = a_new
@@ -131,7 +131,7 @@ def ref_relative(prob):
     x = prob.x1.data.copy()
     x_bar = x.copy()
     for t in range(1, T + 1):
-        g = oracle(SymMatrix(x), gen).grad.data
+        _, g = oracle(x, gen)
         x_bar += (x - x_bar) / t
         x = _project(x - eta * g, prob)
         rows.record(x_bar, float(np.linalg.norm(g)))

@@ -4,12 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specmd.linalg import SymMatrix, make_rng, sym_from, sym_identity, sym_zeros
-from specmd.oracles import ExactOracleConfig, PowerOracleConfig, power_grad
+from specmd.linalg import SymMatrix, make_rng, sym_from
+from specmd.oracles import ExactOracleConfig, PowerOracleConfig
 from specmd.problem import (BoxSet, CompositeProblem, box_lower_bound,
-                            eval_F, eval_Psi, gen_instance, load_instance,
+                            eval_F, eval_penalty, gen_instance, load_instance,
                             make_problem, project_box, prox_step,
                             save_instance)
+import specmd.solvers as solvers
 from specmd.solvers import StepSchedule, oblivious_acsmd, schedule_at
 
 
@@ -48,7 +49,7 @@ def random_feasible(box, rng):
 class TestBoxSet:
     def test_radius_must_be_positive(self):
         with pytest.raises(ValueError):
-            BoxSet(center=sym_identity(2), radius=0.0)
+            BoxSet(center=SymMatrix(np.eye(2)), radius=0.0)
 
     def test_bounds_are_built_once_and_read_only(self):
         box = random_box(24)
@@ -59,10 +60,11 @@ class TestBoxSet:
             box.lower[0, 0] = 0.0
 
     def test_frobenius_diameter(self):
-        assert BoxSet(center=sym_zeros(5), radius=0.3).diameter_frobenius == 3.0
+        box = BoxSet(center=SymMatrix(np.zeros((5, 5))), radius=0.3)
+        assert box.diameter_frobenius == 3.0
 
     def test_contains_with_slack(self):
-        box = BoxSet(center=sym_zeros(2), radius=1.0)
+        box = BoxSet(center=SymMatrix(np.zeros((2, 2))), radius=1.0)
         assert box.contains(SymMatrix(np.full((2, 2), 1.0 + 1e-13)).data)
         assert not box.contains(SymMatrix(np.full((2, 2), 1.0 + 1e-9)).data)
 
@@ -74,7 +76,7 @@ class TestProjectBox:
         assert np.array_equal(project_box(x, box), x)
 
     def test_scaled_identity_clamps(self):
-        box = BoxSet(center=sym_zeros(3), radius=1.0)
+        box = BoxSet(center=SymMatrix(np.zeros((3, 3))), radius=1.0)
         assert np.array_equal(project_box(sym_from(3.0 * np.eye(3)).data, box),
                               np.eye(3))
 
@@ -103,7 +105,7 @@ class TestProjectBox:
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            project_box(sym_identity(2).data, random_box(7, d=3))
+            project_box(np.eye(2), random_box(7, d=3))
 
 
 class TestCompositeProblem:
@@ -135,7 +137,7 @@ class TestProxStep:
         prob = make_problem(box, ExactOracleConfig(), mu=0.4)
         xt = random_feasible(box, make_rng(12))
         alpha, gamma = 0.7, 1.9
-        out = prox_step(xt, sym_zeros(box.dim).data, alpha, gamma, prob)
+        out = prox_step(xt, np.zeros_like(xt), alpha, gamma, prob)
         blend = (alpha * prob.x1.data + gamma * xt) / (alpha + gamma)
         expected = np.clip(blend, box.lower, box.upper)
         assert np.allclose(out, expected, atol=1e-14)
@@ -152,9 +154,9 @@ class TestProxStep:
         box = random_box(16)
         prob = make_problem(box, ExactOracleConfig(), mu=1.0)
         with pytest.raises(ValueError):
-            prox_step(box.center.data, sym_zeros(box.dim).data, 0.0, 1.0, prob)
+            prox_step(box.center.data, np.zeros_like(box.lower), 0.0, 1.0, prob)
         with pytest.raises(ValueError):
-            prox_step(box.center.data, sym_zeros(box.dim).data, 1.0, -1.0, prob)
+            prox_step(box.center.data, np.zeros_like(box.lower), 1.0, -1.0, prob)
 
     def test_beats_random_feasible_points(self):
         box = random_box(17)
@@ -197,26 +199,27 @@ class TestProxStep:
             if scale > 1.0:
                 assert np.any(out == box.lower) and np.any(out == box.upper)
 
-    def test_acsmd_power_iterates_satisfy_kkt(self):
-        # replay each prox step of a short run from its recorded gradient
+    def test_acsmd_power_iterates_satisfy_kkt(self, monkeypatch):
+        # record each prox step of a short run as the loop calls it
         box = gen_instance(8, 0.2, seed=26)
-        cfg = PowerOracleConfig(p=5)
-        grads = []
-
-        def recording_oracle(x, rng):
-            sample = power_grad(x, cfg, rng)
-            grads.append(sample.grad)
-            return sample
-
-        prob = make_problem(box, recording_oracle, T=40)
+        prob = make_problem(box, PowerOracleConfig(p=5), T=40)
         sched = StepSchedule(degree=1)
-        trace = oblivious_acsmd(prob, sched, 40, 27, keep_iterates=True)
-        points = [prob.x1, *trace.iterates]
-        assert len(grads) == len(trace.iterates) == 40
-        for t, g in enumerate(grads, start=1):
-            alpha, gamma = schedule_at(sched, t)
-            xt, x = points[t - 1].data, points[t].data
-            assert prox_kkt_violations(x, xt, g.data, alpha, gamma, prob) == 0
+        calls = []
+
+        def recording(xt, g, alpha, gamma, problem):
+            out = prox_step(xt, g, alpha, gamma, problem)
+            calls.append((xt, g, alpha, gamma, out))
+            return out
+
+        monkeypatch.setattr(solvers, "prox_step", recording)
+        oblivious_acsmd(prob, sched, 40, 27)
+        assert len(calls) == 40
+        previous = prob.x1.data
+        for t, (xt, g, alpha, gamma, x) in enumerate(calls, start=1):
+            assert (alpha, gamma) == schedule_at(sched, t)
+            assert np.array_equal(xt, previous)
+            assert prox_kkt_violations(x, xt, g, alpha, gamma, prob) == 0
+            previous = x
 
     def test_matches_per_entry_golden_section(self):
         scipy_opt = pytest.importorskip("scipy.optimize")
@@ -246,18 +249,20 @@ class TestEvaluation:
     def test_eval_f_diagonal(self):
         assert eval_F(sym_from(np.diag([5.0, 1.0])).data) == 5.0
 
+    # Psi = eval_F + eval_penalty, as the solver traces compute it
+
     def test_eval_psi_at_start_equals_f(self):
         box = random_box(21)
         prob = make_problem(box, ExactOracleConfig(), mu=2.0)
-        assert eval_Psi(prob.x1.data, prob) == eval_F(prob.x1.data)
+        assert eval_penalty(prob.x1.data, prob) == 0.0
 
     def test_eval_psi_adds_quadratic(self):
         box = random_box(22)
         prob = make_problem(box, ExactOracleConfig(), mu=0.3)
         x = random_feasible(box, make_rng(23))
         diff = x - prob.x1.data
-        expected = eval_F(x) + 0.3 * float(np.tensordot(diff, diff))
-        assert eval_Psi(x, prob) == pytest.approx(expected, rel=1e-12)
+        expected = 0.3 * float(np.tensordot(diff, diff))
+        assert eval_penalty(x, prob) == pytest.approx(expected, rel=1e-12)
 
 
 class TestBoxLowerBound:
@@ -286,7 +291,7 @@ class TestBoxLowerBound:
             lb = box_lower_bound(w, prob)
             for _ in range(10):
                 x = random_feasible(box, rng)
-                assert lb <= eval_Psi(x, prob) + 1e-12
+                assert lb <= eval_F(x) + eval_penalty(x, prob) + 1e-12
 
 
 class TestScalarCompositeBounds:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import constant_oracle, zero_oracle
-from specmd.linalg import SymMatrix, make_rng, sym_from, sym_zeros
-from specmd.oracles import (ExactOracleConfig, GradSample, PowerOracleConfig,
-                            SmoothingOracleConfig)
+from specmd.linalg import SymMatrix, sym_from
+from specmd.oracles import (ExactOracleConfig, PowerOracleConfig,
+                            SmoothingOracleConfig, resolve_oracle)
 from specmd.problem import BoxSet, gen_instance, make_problem, project_box
 import specmd.solvers as solvers
 from specmd.solvers import (RunTrace, SolverError, StepSchedule, lan_acsa,
@@ -61,7 +61,8 @@ class TestRunTrace:
         n = len(t)
         return RunTrace(t=np.array(t), F_ag=np.zeros(n), Psi_ag=np.zeros(n),
                         grad_norm=np.ones(n), elapsed_s=np.array(elapsed),
-                        final_point=sym_zeros(2), config_echo={}, seed=0)
+                        final_point=SymMatrix(np.zeros((2, 2))),
+                        config_echo={}, seed=0)
 
     def test_validation(self):
         self._mk([1, 2, 3], [0.1, 0.2, 0.3])
@@ -119,55 +120,92 @@ class TestScalarEndpointConvergence:
         assert trace.final_point.data[0, 0] - 0.9 <= 1e-3
 
 
+class Recorder:
+    """Keeps every oracle query point and every step output of a run.
+
+    Wraps the loop's `prox_step` and `project_box` at their specmd.solvers
+    names; `oracle(spec)` is an oracle that keeps its query points.
+    """
+
+    def __init__(self, monkeypatch):
+        self.queries, self.steps = [], []
+        for name in ("prox_step", "project_box"):
+            monkeypatch.setattr(solvers, name, self._keeping(getattr(solvers, name)))
+
+    def _keeping(self, step):
+        def wrapped(*args):
+            out = step(*args)
+            self.steps.append(out)
+            return out
+        return wrapped
+
+    def oracle(self, spec):
+        draw = resolve_oracle(spec)
+
+        def keeping(x, rng):
+            self.queries.append(x)
+            return draw(x, rng)
+        return keeping
+
+
+@pytest.fixture
+def recorder(monkeypatch):
+    return Recorder(monkeypatch)
+
+
 class TestFeasibilityAndAveraging:
     @pytest.mark.parametrize("runner", [
-        lambda prob, T, rng: oblivious_smd(prob, StepSchedule(degree=1), T, rng,
-                                           keep_iterates=True),
-        lambda prob, T, rng: oblivious_acsmd(prob, StepSchedule(degree=2), T, rng,
-                                             keep_iterates=True),
-        lambda prob, T, rng: levy_adaptive(prob, 3.0, 1.0, T, rng,
-                                           keep_iterates=True),
-        lambda prob, T, rng: lan_acsa(prob, 20.0, 1.0, T, rng,
-                                      keep_iterates=True),
-        lambda prob, T, rng: relative_md(prob, 10.0, 0.01, T, rng,
-                                         keep_iterates=True),
+        lambda prob, T, rng: oblivious_smd(prob, StepSchedule(degree=1), T, rng),
+        lambda prob, T, rng: oblivious_acsmd(prob, StepSchedule(degree=2), T, rng),
+        lambda prob, T, rng: levy_adaptive(prob, 3.0, 1.0, T, rng),
+        lambda prob, T, rng: lan_acsa(prob, 20.0, 1.0, T, rng),
+        lambda prob, T, rng: relative_md(prob, 10.0, 0.01, T, rng),
     ])
-    def test_iterates_stay_feasible(self, runner):
+    def test_iterates_stay_feasible(self, runner, recorder):
         for oracle in (SmoothingOracleConfig(), PowerOracleConfig(p=5)):
-            prob = interior_problem(seed=3, d=6, oracle=oracle)
+            recorder.queries.clear()
+            recorder.steps.clear()
+            prob = interior_problem(seed=3, d=6, oracle=recorder.oracle(oracle))
             trace = runner(prob, 40, 5)
+            assert len(recorder.queries) == len(recorder.steps) == 40
             box = prob.feasible
-            for point in trace.iterates + [trace.final_point]:
-                assert np.all(np.abs(point.data - box.center.data)
+            for point in [*recorder.queries, *recorder.steps,
+                          trace.final_point.data]:
+                assert np.all(np.abs(point - box.center.data)
                               <= box.radius + 1e-9)
-                # the loops never re-symmetrize, so their updates must keep
+                # the loop never re-symmetrizes, so its updates must keep
                 # exact symmetry on their own
-                assert np.array_equal(point.data, point.data.T)
+                assert np.array_equal(point, point.T)
 
-    def test_smd_weighted_average_identity(self):
-        prob = interior_problem(seed=4, d=4, oracle=SmoothingOracleConfig())
+    def test_smd_weighted_average_identity(self, recorder):
+        # smd averages its query points X_t
+        prob = interior_problem(seed=4, d=4,
+                                oracle=recorder.oracle(SmoothingOracleConfig()))
         sched = StepSchedule(degree=1)
-        trace = oblivious_smd(prob, sched, 30, 7, keep_iterates=True)
+        trace = oblivious_smd(prob, sched, 30, 7)
         alpha, _ = sched.weights(30)
-        stack = np.array([p.data for p in trace.iterates])
+        stack = np.array(recorder.queries)
         recomputed = np.tensordot(alpha, stack, axes=1) / alpha.sum()
         assert np.allclose(recomputed, trace.final_point.data, rtol=1e-10,
                            atol=1e-14)
 
-    def test_acsmd_weighted_average_identity(self):
+    def test_acsmd_weighted_average_identity(self, recorder):
+        # acsmd averages its prox outputs X_{t+1}
         prob = interior_problem(seed=5, d=4, oracle=SmoothingOracleConfig())
         sched = StepSchedule(degree=2)
-        trace = oblivious_acsmd(prob, sched, 30, 7, keep_iterates=True)
+        trace = oblivious_acsmd(prob, sched, 30, 7)
         alpha, _ = sched.weights(30)
-        stack = np.array([p.data for p in trace.iterates])
+        stack = np.array(recorder.steps)
         recomputed = np.tensordot(alpha, stack, axes=1) / alpha.sum()
         assert np.allclose(recomputed, trace.final_point.data, rtol=1e-10,
                            atol=1e-14)
 
-    def test_uniform_average_identity(self):
-        prob = interior_problem(seed=6, d=4, oracle=SmoothingOracleConfig())
-        trace = levy_adaptive(prob, 3.0, 1.0, 25, 9, keep_iterates=True)
-        stack = np.array([p.data for p in trace.iterates])
+    def test_uniform_average_identity(self, recorder):
+        # levy averages its query points uniformly
+        prob = interior_problem(seed=6, d=4,
+                                oracle=recorder.oracle(SmoothingOracleConfig()))
+        trace = levy_adaptive(prob, 3.0, 1.0, 25, 9)
+        stack = np.array(recorder.queries)
         assert np.allclose(stack.mean(axis=0), trace.final_point.data,
                            rtol=1e-10, atol=1e-14)
 
@@ -201,9 +239,7 @@ class TestLanAcsa:
         box = BoxSet(center=sym_from([[1.0]]), radius=0.5)
 
         def grad_oracle(x, rng):
-            val = 0.5 * L * (x.data[0, 0] - b) ** 2
-            return GradSample(grad=sym_from([[L * (x.data[0, 0] - b)]]),
-                              value=val)
+            return 0.5 * L * (x[0, 0] - b) ** 2, np.array([[L * (x[0, 0] - b)]])
 
         prob = make_problem(box, grad_oracle, mu=1e-9)
         gaps = {}
@@ -271,22 +307,27 @@ class TestDeterminismAndErrors:
 
     @pytest.mark.parametrize("run", FIVE_SOLVERS)
     def test_nan_gradient_is_tagged_with_iteration(self, run):
-        # a NaN entry fails in the oracle, a wrong-shape gradient in the step
+        # a non-finite gradient entry or value fails in the oracle check, a
+        # wrong-shape gradient in the step
         def nan_entry(d):
             entries = np.zeros((d, d))
             entries[0, 1] = np.nan
             return entries
 
-        for bad_entries, message in (
-                (nan_entry, "iteration 3: entries are not finite"),
-                (lambda d: np.ones((d + 1, d + 1)), "iteration 3")):
+        for bad_draw, message in (
+                (lambda d: (0.0, nan_entry(d)),
+                 "iteration 3: entries are not finite"),
+                (lambda d: (np.nan, np.zeros((d, d))),
+                 "iteration 3: oracle value is not finite: nan"),
+                (lambda d: (-np.inf, np.zeros((d, d))),
+                 "iteration 3: oracle value is not finite: -inf"),
+                (lambda d: (0.0, np.ones((d + 1, d + 1))), "iteration 3")):
             calls = {"n": 0}
 
             def bad_at_three(x, rng):
                 calls["n"] += 1
-                entries = (bad_entries(x.dim) if calls["n"] == 3
-                           else np.zeros((x.dim, x.dim)))
-                return GradSample(grad=sym_from(entries), value=0.0)
+                return (bad_draw(len(x)) if calls["n"] == 3
+                        else zero_oracle(x, rng))
 
             prob = interior_problem(seed=11, oracle=bad_at_three)
             with pytest.raises(SolverError, match=message):
@@ -302,7 +343,7 @@ class TestConstantOracleDynamics:
     def test_smd_with_constant_push_hits_box_wall(self):
         # constant gradient direction drives iterates to the facing wall
         box = gen_instance(3, 0.0, seed=0)
-        push = sym_from(np.eye(3) / math.sqrt(3.0))
+        push = np.eye(3) / math.sqrt(3.0)
         prob = make_problem(box, constant_oracle(push), mu=0.01)
         trace = oblivious_smd(prob, StepSchedule(degree=1), 400, 0,
                               eval_stride=100)
