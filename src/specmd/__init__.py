@@ -6,13 +6,13 @@ from .linalg import (SymMatrix, full_spectrum, leading_eigpair, make_rng,
                      mat_power_apply, sym_from)
 from .oracles import (ExactOracleConfig, PowerOracleConfig,
                       SmoothingOracleConfig, exact_subgrad, power_grad,
-                      resolve_oracle, smoothing_grad)
+                      smoothing_grad)
 from .problem import (BoxSet, CompositeProblem, box_lower_bound, eval_F,
                       gen_instance, load_instance, make_problem, project_box,
                       prox_step, save_instance)
 from .solvers import (RunTrace, SolverError, StepSchedule, lan_acsa,
                       levy_adaptive, oblivious_acsmd, oblivious_smd,
-                      relative_md, relative_step, schedule_at)
+                      relative_md, relative_step)
 from .harness import (BenchReport, ExperimentConfig, iterations_to_precision,
                       read_trace, reference_run, run_bench,
                       theory_parameters, write_trace)
@@ -28,7 +28,6 @@ __all__ = [
     "levy_adaptive", "load_instance", "make_problem", "make_rng",
     "mat_power_apply", "oblivious_acsmd", "oblivious_smd", "power_grad",
     "project_box", "prox_step", "read_trace", "reference_run", "relative_md",
-    "relative_step", "resolve_oracle", "run_bench", "save_instance",
-    "schedule_at", "smoothing_grad", "sym_from", "theory_parameters",
-    "write_trace",
+    "relative_step", "run_bench", "save_instance", "smoothing_grad",
+    "sym_from", "theory_parameters", "write_trace",
 ]

@@ -14,7 +14,7 @@ from .linalg import sym_from
 # perfbench's tracer wraps exact_subgrad at this name (harness.reference_polish)
 from .oracles import (ExactOracleConfig, PowerOracleConfig,
                       SmoothingOracleConfig, _is_int, _is_real, exact_subgrad,
-                      oracle_echo, resolve_oracle)
+                      oracle_echo)
 from .problem import (BoxSet, box_lower_bound, eval_F, gen_instance,
                       make_problem, save_instance)
 from .solvers import (RunTrace, StepSchedule, lan_acsa, levy_adaptive,
@@ -22,10 +22,10 @@ from .solvers import (RunTrace, StepSchedule, lan_acsa, levy_adaptive,
 
 EXCEEDED = "exceeded"
 
-_ORACLE_CONFIGS = {"smoothing": SmoothingOracleConfig,
-                   "power": PowerOracleConfig, "exact": ExactOracleConfig}
+_ORACLE_CONFIGS = {cls.kind: cls for cls in (
+    SmoothingOracleConfig, PowerOracleConfig, ExactOracleConfig)}
 
-# Appendix-style tuning factors applied by the hyper-tuned variants.
+# Appendix-style tuning factors applied by a solver spec's "tuned" flag.
 TUNE_L = 50.0
 TUNE_D = 10.0
 TUNE_LSTAR = 50.0
@@ -58,14 +58,13 @@ def reference_run(instance: BoxSet, mu: float, budget: int, tol: float):
     if budget < 1:
         raise ValueError(f"reference budget must be >= 1, got {budget}")
     exact, sched = ExactOracleConfig(), StepSchedule(degree=1)
-    draw = resolve_oracle(exact)
     horizon = min(100, budget)
     while True:
         alpha = sched.weights(horizon)[0]
         w_sum, weights = np.zeros_like(instance.lower), iter(alpha)
 
         def summing(x, rng):  # acsmd draws once per iteration, in order
-            value, grad = draw(x, rng)
+            value, grad = exact(x, rng)
             w_sum[...] += next(weights) * grad
             return value, grad
 
@@ -116,14 +115,9 @@ def write_trace(path, trace: RunTrace) -> None:
             [[float(v) for v in row] for row in trace.final_point.data]),
         _TRACE_COLUMNS,
     ]
-    for i in range(len(trace.t)):
-        lines.append(",".join([
-            str(int(trace.t[i])),
-            repr(float(trace.F_ag[i])),
-            repr(float(trace.Psi_ag[i])),
-            repr(float(trace.grad_norm[i])),
-            repr(float(trace.elapsed_s[i])),
-        ]))
+    cols = (trace.F_ag, trace.Psi_ag, trace.grad_norm, trace.elapsed_s)
+    for i, t in enumerate(trace.t):
+        lines.append(",".join([str(int(t))] + [repr(float(c[i])) for c in cols]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -165,11 +159,13 @@ class ExperimentConfig:
 
     `oracle` is a dict like {"kind": "smoothing", "k": 1, "epsilon": 1e-2},
     {"kind": "power", "p": 21, "square_input": true} or {"kind": "exact"}.
-    Each solver spec is a dict with a "kind" in {smd, acsmd, levy, lan,
-    relative}, an optional "name" label, solver parameters (degree/scale or
-    D/M/L/sigma/Lstar/Gamma, where baseline constants may be the string
-    "theory"), and an optional "tuned" flag dividing L, D, Lstar by the
-    standard tuning factors. hyper_tuned sets the default for that flag.
+    Each solver spec is a dict with a "kind", an optional "name" label and
+    that kind's options: smd and acsmd take degree (an integer >= 0,
+    default 1) and scale (positive, default 1.0); levy takes D and M, lan
+    L and sigma, relative Lstar and Gamma, each a number or "theory" (the
+    default, from theory_parameters), plus a "tuned" flag that divides D,
+    L and Lstar by TUNE_D, TUNE_L and TUNE_LSTAR; M, sigma and Gamma take
+    "theory" untuned. Any other key or a wrong type raises ValueError.
     reference_budget caps the iterations of each dim's certified anchor
     (reference_run), which stops at a gap of target_precision / 10.
     """
@@ -184,7 +180,6 @@ class ExperimentConfig:
     output_dir: str
     instance_seed: int = 0
     reference_budget: int = 20000
-    hyper_tuned: bool = False
     eval_stride: int | None = None
 
     def __post_init__(self):
@@ -218,8 +213,6 @@ _CONFIG_RULES = (
      lambda v: bool(os.fspath(v)), "nonempty"),
     ("instance_seed", _is_int, "an integer", lambda v: v >= 0, ">= 0"),
     ("reference_budget", _is_int, "an integer", lambda v: v >= 1, ">= 1"),
-    ("hyper_tuned", lambda v: isinstance(v, bool), "true or false",
-     lambda v: True, ""),
     ("eval_stride", lambda v: v is None or _is_int(v), "an integer or null",
      lambda v: v is None or v >= 1, ">= 1"),
 )
@@ -239,12 +232,6 @@ class CellResult:
     oracle_seconds: float
     message: str = ""
 
-    @property
-    def iterations_sort_key(self) -> float:
-        if self.status == "ok":
-            return float(self.iterations)
-        return math.inf
-
 
 @dataclass
 class BenchReport:
@@ -263,7 +250,8 @@ class BenchReport:
         for dim in self.config.dims:
             for name in solver_names:
                 group = [c for c in self.cells if c.dim == dim and c.solver == name]
-                iters = sorted(c.iterations_sort_key for c in group)
+                iters = sorted(float(c.iterations) if c.status == "ok"
+                               else math.inf for c in group)
                 self.summaries[(dim, name)] = {
                     "median_iterations": _nearest_rank(iters, 50),
                     "p10_iterations": _nearest_rank(iters, 10),
@@ -311,49 +299,59 @@ def build_oracle(spec: dict):
     return cls(**options)
 
 
-def _resolve_param(spec, key, theory, tuned, tune_factor):
-    value = spec.get(key, "theory")
-    if value == "theory":
-        if key not in theory:
-            raise ValueError(
-                f"no theory value for {key!r} with this oracle; give a number")
-        value = theory[key]
-    value = float(value)
-    return value / tune_factor if tuned else value
+_CONSTANT = (lambda v: v == "theory" or _is_real(v) and math.isfinite(v),
+             "a finite number or 'theory'")
+_STEP_OPTIONS = {
+    "degree": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    "scale": (lambda v: _is_real(v) and 0 < v < math.inf, "positive and finite")}
+# each baseline's constants, with the factor its "tuned" flag divides by
+_BASELINES = {"levy": {"D": TUNE_D, "M": 1.0}, "lan": {"L": TUNE_L, "sigma": 1.0},
+              "relative": {"Lstar": TUNE_LSTAR, "Gamma": 1.0}}
 
 
-def resolve_solver_spec(spec: dict, theory: dict,
-                        hyper_tuned_default: bool = False) -> tuple:
+def resolve_solver_spec(spec: dict, theory: dict) -> tuple:
     """(solver, parameters) for solver(prob, *parameters, T, seed, ...).
 
-    An unknown kind or a "theory" constant this oracle has no value for
-    raises ValueError here, before any solver runs.
+    An unknown kind or option, an option of the wrong type or range, or a
+    "theory" constant this oracle has no value for raises ValueError here,
+    before any solver runs.
     """
     kind = spec.get("kind")
-    tuned = bool(spec.get("tuned", hyper_tuned_default))
+    # looked up per call: perfbench's tracer wraps the names in this module
+    solver = {"smd": oblivious_smd, "acsmd": oblivious_acsmd,
+              "levy": levy_adaptive, "lan": lan_acsa,
+              "relative": relative_md}.get(kind)
+    if solver is None:
+        raise ValueError(f"unknown solver kind: {kind}")
+    factors = _BASELINES.get(kind, {})
+    rules = _STEP_OPTIONS if kind in ("smd", "acsmd") else {
+        "tuned": (lambda v: isinstance(v, bool), "true or false"),
+        **dict.fromkeys(factors, _CONSTANT)}
+    for key in [key for key in spec if key not in ("kind", "name")]:
+        if key not in rules:
+            raise ValueError(f"solver option {key!r} is unknown for {kind}")
+        test, need = rules[key]
+        if not test(spec[key]):
+            raise ValueError(
+                f"solver option {key} must be {need}, got {spec[key]!r}")
     if kind in ("smd", "acsmd"):
-        sched = StepSchedule(degree=int(spec.get("degree", 1)),
-                             scale=float(spec.get("scale", 1.0)))
-        return (oblivious_smd if kind == "smd" else oblivious_acsmd), (sched,)
-    if kind == "levy":
-        d_val = _resolve_param(spec, "D", theory, tuned, TUNE_D)
-        return levy_adaptive, (d_val, float(spec.get("M", theory.get("M", 1.0))))
-    if kind == "lan":
-        l_val = _resolve_param(spec, "L", theory, tuned, TUNE_L)
-        return lan_acsa, (l_val, float(spec.get("sigma", theory.get("sigma", 1.0))))
-    if kind == "relative":
-        lstar = _resolve_param(spec, "Lstar", theory, tuned, TUNE_LSTAR)
-        gamma_raw = spec.get("Gamma", "theory")
-        gamma = theory["Gamma"] if gamma_raw == "theory" else float(gamma_raw)
-        return relative_md, (lstar, gamma)
-    raise ValueError(f"unknown solver kind: {kind}")
+        return solver, (StepSchedule(degree=int(spec.get("degree", 1)),
+                                     scale=float(spec.get("scale", 1.0))),)
+    params = []
+    for key, factor in factors.items():
+        value = spec.get(key, "theory")
+        if value == "theory" and key not in theory:
+            raise ValueError(
+                f"no theory value for {key!r} with this oracle; give a number")
+        value = theory[key] if value == "theory" else value
+        params.append(float(value) / (factor if spec.get("tuned") else 1.0))
+    return solver, tuple(params)
 
 
 def run_solver_spec(spec: dict, prob, T: int, seed: int, theory: dict,
-                    hyper_tuned_default: bool = False,
                     eval_stride: int | None = None) -> RunTrace:
     """Dispatch one solver spec dict to the matching solver function."""
-    solver, params = resolve_solver_spec(spec, theory, hyper_tuned_default)
+    solver, params = resolve_solver_spec(spec, theory)
     return solver(prob, *params, T, seed, eval_stride=eval_stride)
 
 
@@ -373,7 +371,7 @@ def run_bench(cfg: ExperimentConfig) -> BenchReport:
     # a bad solver spec fails here, before any reference run is paid for
     for spec in cfg.solvers:
         for theory in theories.values():
-            resolve_solver_spec(spec, theory, cfg.hyper_tuned)
+            resolve_solver_spec(spec, theory)
 
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -399,7 +397,7 @@ def run_bench(cfg: ExperimentConfig) -> BenchReport:
             for seed in cfg.seeds:
                 try:
                     trace = run_solver_spec(spec, prob, cfg.T, seed, theory,
-                                            cfg.hyper_tuned, cfg.eval_stride)
+                                            eval_stride=cfg.eval_stride)
                 except Exception as err:
                     cells.append(CellResult(
                         dim=dim, solver=label, seed=seed, status="error",
@@ -435,16 +433,14 @@ def _fmt_iters(value: float, summary: dict) -> str:
 def _write_report_files(report: BenchReport, outdir: Path) -> None:
     cfg = report.config
     lines = ["dim,solver,seed,status,iterations,final_gap"]
+    timing = ["dim,solver,seed,wall_seconds,oracle_seconds"]
     for c in sorted(report.cells, key=lambda c: (c.dim, c.solver, c.seed)):
         iters = "" if c.iterations is None else str(c.iterations)
         gap = repr(float(c.final_gap)) if math.isfinite(c.final_gap) else "nan"
         lines.append(f"{c.dim},{c.solver},{c.seed},{c.status},{iters},{gap}")
-    (outdir / "report.csv").write_text("\n".join(lines) + "\n")
-
-    timing = ["dim,solver,seed,wall_seconds,oracle_seconds"]
-    for c in sorted(report.cells, key=lambda c: (c.dim, c.solver, c.seed)):
         timing.append(f"{c.dim},{c.solver},{c.seed},"
                       f"{c.wall_seconds!r},{c.oracle_seconds!r}")
+    (outdir / "report.csv").write_text("\n".join(lines) + "\n")
     (outdir / "timing.csv").write_text("\n".join(timing) + "\n")
 
     solver_names = [_solver_label(s) for s in cfg.solvers]

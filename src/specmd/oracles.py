@@ -4,13 +4,14 @@ An oracle is a plain function (X, rng) -> (value, grad) on arrays: a float
 estimate of lambda_max(X) and an exactly symmetric d x d (sub)gradient
 array. Three are built in: Gaussian rank-one smoothing, the matrix-power
 quadratic-form oracle, and a deterministic exact subgradient used by tests
-and reference runs. All stochastic draws come from an explicit RNG handle
-so runs are exactly reproducible.
+and reference runs. Their config classes are the callables themselves:
+SmoothingOracleConfig(k=2)(x, rng) is one draw. All stochastic draws come
+from an explicit RNG handle so runs are exactly reproducible.
 """
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,8 +40,12 @@ class SmoothingOracleConfig:
     and the oracle consumes only the k normal vectors from the stream.
     """
 
+    kind = "smoothing"
     k: int = 1
     epsilon: float = 1e-2
+
+    def __call__(self, x, rng):
+        return smoothing_grad(x, self, rng)
 
     def __post_init__(self):
         _check_option("k", self.k, _is_int(self.k) and self.k >= 1,
@@ -61,8 +66,12 @@ class PowerOracleConfig:
     for the gradient; no d x d x d product is formed.
     """
 
+    kind = "power"
     p: int = 21
     square_input: bool = True
+
+    def __call__(self, x, rng):
+        return power_grad(x, self, rng)
 
     def __post_init__(self):
         _check_option("p", self.p, _is_int(self.p) and self.p >= 1,
@@ -74,6 +83,11 @@ class PowerOracleConfig:
 @dataclass(frozen=True)
 class ExactOracleConfig:
     """Deterministic subgradient of lambda_max (testing and reference runs)."""
+
+    kind = "exact"
+
+    def __call__(self, x, rng):
+        return exact_subgrad(x)
 
 
 def smoothing_grad(x: np.ndarray, cfg: SmoothingOracleConfig, rng) -> tuple:
@@ -142,29 +156,10 @@ def exact_subgrad(x: np.ndarray) -> tuple:
     return float(top), np.outer(v, v)
 
 
-def resolve_oracle(spec):
-    """Turn an oracle config, or any (X, rng) -> (value, grad) callable, into
-    one such callable: X is a plain d x d array, the value a finite float
-    and the gradient an exactly symmetric d x d array. The solver loop
-    checks finiteness only; tests pin the built-in gradients' symmetry.
-    """
-    if isinstance(spec, SmoothingOracleConfig):
-        return lambda x, rng: smoothing_grad(x, spec, rng)
-    if isinstance(spec, PowerOracleConfig):
-        return lambda x, rng: power_grad(x, spec, rng)
-    if isinstance(spec, ExactOracleConfig):
-        return lambda x, rng: exact_subgrad(x)
-    if callable(spec):
-        return spec
-    raise TypeError(f"unrecognized oracle spec: {spec!r}")
-
-
 def oracle_echo(spec) -> dict:
-    """JSON-friendly description of an oracle spec for trace headers."""
-    if isinstance(spec, SmoothingOracleConfig):
-        return {"kind": "smoothing", "k": spec.k, "epsilon": spec.epsilon}
-    if isinstance(spec, PowerOracleConfig):
-        return {"kind": "power", "p": spec.p, "square_input": spec.square_input}
-    if isinstance(spec, ExactOracleConfig):
-        return {"kind": "exact"}
-    return {"kind": "custom", "repr": repr(spec)}
+    """JSON-friendly description of an oracle for trace headers: a config's
+    kind and options, or the repr of any other callable."""
+    try:
+        return {"kind": spec.kind, **asdict(spec)}
+    except (AttributeError, TypeError):
+        return {"kind": "custom", "repr": repr(spec)}

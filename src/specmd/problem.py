@@ -58,10 +58,11 @@ class BoxSet:
 class CompositeProblem:
     """Objective Psi(X) = lambda_max(X) + mu * ||X - X1||_F^2 over a box.
 
-    `oracle` is one of the oracle configs from specmd.oracles, or any
-    (X, rng) -> (value, grad) callable (handy for test stubs). X is a plain
-    d x d array; the value must be a finite float and the gradient an
-    exactly symmetric d x d array. The solver loop checks finiteness only.
+    `oracle` is an (X, rng) -> (value, grad) callable: one of the oracle
+    configs from specmd.oracles, which are callable themselves, or any other
+    function (handy for test stubs). X is a plain d x d array; the value
+    must be a finite float and the gradient an exactly symmetric d x d
+    array. The solver loop checks finiteness only.
     """
 
     feasible: BoxSet
@@ -72,6 +73,8 @@ class CompositeProblem:
     def __post_init__(self):
         if self.mu <= 0:
             raise ValueError("mu must be positive")
+        if not callable(self.oracle):
+            raise ValueError(f"oracle is not callable: {self.oracle!r}")
         if self.x1.dim != self.feasible.dim:
             raise ValueError("start point dimension does not match the box")
         if not self.feasible.contains(self.x1.data):

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import specmd.harness as harness
 from specmd.linalg import SymMatrix, make_rng
 from specmd.oracles import (ExactOracleConfig, PowerOracleConfig,
                             SmoothingOracleConfig, exact_subgrad, power_grad,
@@ -47,6 +48,23 @@ def test_each_oracle_call_is_one_leading_eigpair_span(oracle, row):
     eigpairs = 0 if isinstance(oracle, PowerOracleConfig) else 10
     assert spans.get("linalg.leading_eigpair", {"n": 0})["n"] == eigpairs
     assert spans.get(row, {"n": 0})["n"] == 10
+
+
+@pytest.mark.parametrize("spec, row", [
+    ({"kind": "smd"}, "oblivious_smd"), ({"kind": "acsmd"}, "oblivious_acsmd"),
+    ({"kind": "levy"}, "levy_adaptive"), ({"kind": "lan", "L": 40.0}, "lan_acsa"),
+    ({"kind": "relative", "Lstar": 10}, "relative_md"),
+], ids=lambda v: v if isinstance(v, str) else v["kind"])
+def test_each_solver_spec_runs_through_its_traced_name(spec, row):
+    # run_solver_spec must look each solver up in specmd.harness per call,
+    # or the tracer's solvers.<name> row reads 0
+    box = gen_instance(6, 0.2, 0)
+    prob = make_problem(box, ExactOracleConfig(), T=5)
+    theory = harness.theory_parameters(box, prob.oracle, 5)
+    rec = SpanRecorder()
+    with Tracer(rec):
+        harness.run_solver_spec(spec, prob, 5, 0, theory)
+    assert rec.summary().get(f"solvers.{row}", {"n": 0})["n"] == 1
 
 
 @pytest.mark.parametrize("call", [

@@ -8,7 +8,9 @@ import pytest
 
 import specmd
 from specmd.cli import main
-from specmd.harness import read_trace
+from specmd.harness import read_trace, theory_parameters
+from specmd.oracles import ExactOracleConfig
+from specmd.problem import load_instance
 
 SRC = str(Path(specmd.__file__).resolve().parents[1])
 
@@ -46,6 +48,15 @@ def test_generate_and_run_round_trip(tmp_path, instance, capsys):
 @pytest.mark.parametrize("solver, message", [
     ("lan:L=theory", "no theory value for 'L' with this oracle; give a number"),
     ("bogus", "unknown solver kind: bogus"),
+    ("acsmd:degre=2", "solver option 'degre' is unknown for acsmd"),
+    ("acsmd:degree=1.7", "solver option degree must be an integer >= 0, got 1.7"),
+    ("smd:scale=0", "solver option scale must be positive and finite, got 0"),
+    ("smd:tuned=true", "solver option 'tuned' is unknown for smd"),
+    ("levy:tuned=no", "solver option tuned must be true or false, got 'no'"),
+    ("levy:D=abc",
+     "solver option D must be a finite number or 'theory', got 'abc'"),
+    ("lan:L=40,sigma=inf",
+     "solver option sigma must be a finite number or 'theory', got inf"),
 ])
 def test_bad_solver_spec_exits_2_with_one_line(tmp_path, instance, solver, message):
     out = tmp_path / "o.csv"
@@ -54,6 +65,21 @@ def test_bad_solver_spec_exits_2_with_one_line(tmp_path, instance, solver, messa
     assert done.returncode == 2
     assert done.stderr.splitlines() == [f"specmd: error: {message}"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("solver, key", [
+    ("levy:M=theory", "M"), ("lan:L=40,sigma=theory", "sigma"),
+    ("relative:Lstar=10,Gamma=theory,tuned=true", "Gamma"),
+])
+def test_theory_is_accepted_for_every_baseline_constant(tmp_path, instance,
+                                                        solver, key):
+    out = tmp_path / "o.csv"
+    assert main(["run", "--instance", str(instance), "--solver", solver,
+                 "--oracle", "exact", "--T", "20", "--out", str(out)]) == 0
+    box, _ = load_instance(instance)
+    # untuned, even with tuned=true
+    theory = theory_parameters(box, ExactOracleConfig(), 20)
+    assert read_trace(out).config_echo[key] == theory[key]
 
 
 @pytest.mark.parametrize("oracle, message", [
@@ -120,8 +146,8 @@ def test_unknown_campaign_key_exits_2_with_one_line(tmp_path):
             (full + "eval_stride: 1.5\n",
              "eval_stride must be an integer or null, got 1.5"),
             (full + "eval_stride: 0\n", "eval_stride must be >= 1, got 0"),
-            (full + 'hyper_tuned: "yes"\n',
-             "hyper_tuned must be true or false, got 'yes'"),
+            (full + "hyper_tuned: true\n",
+             f"unknown key 'hyper_tuned' in campaign config {config}"),
             (full.replace("{kind: exact}", "exact"),
              "oracle must be a mapping, got 'exact'"),
             (full + "reference_budget: 0\n",
@@ -141,7 +167,23 @@ def test_unknown_campaign_key_exits_2_with_one_line(tmp_path):
             (full.replace("{kind: exact}", "{kind: power, p: 1.5}"),
              "oracle option p must be an integer >= 1, got 1.5"),
             (full.replace("{kind: exact}", "{kind: power, square_input: 1}"),
-             "oracle option square_input must be true or false, got 1")):
+             "oracle option square_input must be true or false, got 1"),
+            # solver options, checked before any output directory or anchor
+            # run as well
+            (full.replace("{kind: acsmd}", "{kind: acsmd, degre: 2}"),
+             "solver option 'degre' is unknown for acsmd"),
+            (full.replace("{kind: acsmd}", "{kind: acsmd, degree: 1.7}"),
+             "solver option degree must be an integer >= 0, got 1.7"),
+            (full.replace("{kind: acsmd}", "{kind: acsmd, degree: true}"),
+             "solver option degree must be an integer >= 0, got True"),
+            (full.replace("{kind: acsmd}", "{kind: smd, scale: .nan}"),
+             "solver option scale must be positive and finite, got nan"),
+            (full.replace("{kind: acsmd}", '{kind: levy, tuned: "false"}'),
+             "solver option tuned must be true or false, got 'false'"),
+            (full.replace("{kind: acsmd}", "{kind: levy, D: abc}"),
+             "solver option D must be a finite number or 'theory', got 'abc'"),
+            (full.replace("{kind: acsmd}", "{kind: levy, M: [1]}"),
+             "solver option M must be a finite number or 'theory', got [1]")):
         config.write_text(text)
         done = run_cli("bench", "--config", str(config))
         assert done.returncode == 2

@@ -1,8 +1,9 @@
 """Golden traces: each solver against a test-local copy of its loop body.
 
 The reference loops below keep every iterate as a plain array, call the
-oracle on it directly, and evaluate the trace with their own prox, clamp,
-eigvalsh and tensordot arithmetic. A solver whose loop drops a
+oracle on it directly, take their steps from a scalar step law of their
+own, and evaluate the trace with their own prox, clamp, eigvalsh and
+tensordot arithmetic. A solver whose loop drops a
 symmetrizing step, reorders an update or changes an evaluation kernel shows
 up here as a bitwise difference in F_ag, Psi_ag, grad_norm or the final
 point.
@@ -15,17 +16,23 @@ import pytest
 
 from specmd.linalg import make_rng
 from specmd.oracles import (ExactOracleConfig, PowerOracleConfig,
-                            SmoothingOracleConfig, resolve_oracle)
+                            SmoothingOracleConfig)
 from specmd.problem import gen_instance, make_problem
 from specmd.solvers import (StepSchedule, lan_acsa, levy_adaptive,
                             oblivious_acsmd, oblivious_smd, relative_md,
-                            relative_step, schedule_at)
+                            relative_step)
 
 D, T, SEED = 12, 60, 7
 SCHED = StepSchedule(degree=1)
 LEVY_D, LEVY_M = 3.0, 1.0
 LAN_L, LAN_SIGMA = 40.0, 1.0
 REL_LSTAR, REL_GAMMA = 10.0, 0.01
+
+
+def _steps(t):
+    """(alpha_t, gamma_t) of SCHED: scale (t+1)^n and scale t^(n+1) / (n+1)."""
+    n, c = SCHED.degree, SCHED.scale
+    return c * (t + 1.0) ** n, c * float(t) ** (n + 1) / (n + 1)
 
 
 def _bounds(prob):
@@ -60,12 +67,12 @@ class _Rows:
 
 
 def ref_smd(prob):
-    oracle, gen, rows = resolve_oracle(prob.oracle), make_rng(SEED), _Rows(prob)
+    oracle, gen, rows = prob.oracle, make_rng(SEED), _Rows(prob)
     x = prob.x1.data.copy()
     x_ag = x.copy()
     a_sum = 0.0
     for t in range(1, T + 1):
-        alpha, gamma = schedule_at(SCHED, t)
+        alpha, gamma = _steps(t)
         _, g = oracle(x, gen)
         a_new = a_sum + alpha
         x_ag = (a_sum * x_ag + alpha * x) / a_new
@@ -76,12 +83,12 @@ def ref_smd(prob):
 
 
 def ref_acsmd(prob):
-    oracle, gen, rows = resolve_oracle(prob.oracle), make_rng(SEED), _Rows(prob)
+    oracle, gen, rows = prob.oracle, make_rng(SEED), _Rows(prob)
     x = prob.x1.data.copy()
     x_ag = x.copy()
     a_sum = 0.0
     for t in range(1, T + 1):
-        alpha, gamma = schedule_at(SCHED, t)
+        alpha, gamma = _steps(t)
         a_new = a_sum + alpha
         x_md = (a_sum * x_ag + alpha * x) / a_new
         _, g = oracle(x_md, gen)
@@ -93,7 +100,7 @@ def ref_acsmd(prob):
 
 
 def ref_levy(prob):
-    oracle, gen, rows = resolve_oracle(prob.oracle), make_rng(SEED), _Rows(prob)
+    oracle, gen, rows = prob.oracle, make_rng(SEED), _Rows(prob)
     x = prob.x1.data.copy()
     x_bar = x.copy()
     acc = LEVY_M * LEVY_M
@@ -109,7 +116,7 @@ def ref_levy(prob):
 
 
 def ref_lan(prob):
-    oracle, gen, rows = resolve_oracle(prob.oracle), make_rng(SEED), _Rows(prob)
+    oracle, gen, rows = prob.oracle, make_rng(SEED), _Rows(prob)
     x = prob.x1.data.copy()
     x_ag = x.copy()
     a_sum = 0.0
@@ -126,7 +133,7 @@ def ref_lan(prob):
 
 
 def ref_relative(prob):
-    oracle, gen, rows = resolve_oracle(prob.oracle), make_rng(SEED), _Rows(prob)
+    oracle, gen, rows = prob.oracle, make_rng(SEED), _Rows(prob)
     eta = relative_step(REL_LSTAR, REL_GAMMA, T)
     x = prob.x1.data.copy()
     x_bar = x.copy()

@@ -161,6 +161,15 @@ def test_build_oracle_rejects_unknown_keys():
 @pytest.mark.parametrize("solver, message", [
     ({"kind": "lan"}, "no theory value for 'L'"),
     ({"kind": "bogus"}, "unknown solver kind"),
+    ({"kind": "acsmd", "degre": 2}, "solver option 'degre' is unknown for acsmd"),
+    ({"kind": "acsmd", "degree": 1.7},
+     "solver option degree must be an integer >= 0, got 1.7"),
+    ({"kind": "smd", "scale": float("inf")},
+     "solver option scale must be positive and finite, got inf"),
+    ({"kind": "levy", "tuned": "false"},
+     "solver option tuned must be true or false, got 'false'"),
+    ({"kind": "levy", "D": "abc"},
+     "solver option D must be a finite number or 'theory', got 'abc'"),
 ])
 def test_bad_solver_spec_fails_before_any_reference_run(tmp_path, monkeypatch,
                                                         solver, message):
@@ -170,9 +179,30 @@ def test_bad_solver_spec_fails_before_any_reference_run(tmp_path, monkeypatch,
     monkeypatch.setattr(harness, "reference_run", no_reference_run)
     cfg = tiny_config(tmp_path / "out", {"kind": "exact"})
     cfg.solvers = [{"kind": "acsmd"}, solver]
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         run_bench(cfg)
     assert not (tmp_path / "out").exists()
+
+
+def test_solver_constants_resolve_from_theory():
+    theory = {"D": 12.0, "M": 1.0, "sigma": 1.0, "Gamma": 0.01, "L": 600.0}
+    resolve = harness.resolve_solver_spec
+    # M, sigma and Gamma take "theory" untuned; D, L and Lstar are tuned
+    assert resolve({"kind": "levy", "M": "theory", "tuned": True}, theory) == (
+        harness.levy_adaptive, (12.0 / harness.TUNE_D, 1.0))
+    assert resolve({"kind": "lan", "sigma": "theory"}, theory) == (
+        harness.lan_acsa, (600.0, 1.0))
+    assert resolve({"kind": "relative", "Lstar": 10, "Gamma": "theory",
+                    "tuned": True}, theory) == (
+        harness.relative_md, (10.0 / harness.TUNE_LSTAR, 0.01))
+    # the specs the benchmark runs stay valid
+    assert resolve({"kind": "lan", "tuned": True}, theory)[1] == (
+        600.0 / harness.TUNE_L, 1.0)
+    assert resolve({"kind": "lan", "L": 40.0}, theory)[1] == (40.0, 1.0)
+    solver, (sched,) = resolve({"kind": "acsmd", "name": "a", "degree": 0,
+                                "scale": 2}, theory)
+    assert solver is harness.oblivious_acsmd
+    assert (sched.degree, sched.scale) == (0, 2.0)
 
 
 def test_trace_file_round_trip_is_exact(tmp_path):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from specmd.harness import build_oracle
 from specmd.linalg import full_spectrum, make_rng, sym_from
 from specmd.oracles import (ExactOracleConfig, PowerOracleConfig,
                             SmoothingOracleConfig, _krylov_value_grad,
                             exact_subgrad, oracle_echo, power_grad,
-                            resolve_oracle, smoothing_grad)
+                            smoothing_grad)
+from specmd.problem import gen_instance, make_problem
 
 
 def sym(raw):
@@ -289,7 +291,6 @@ class TestGradientSymmetry:
     ], ids=["exact", "smoothing", "smoothing_k3", "power_p4_sq", "power_p5_sq",
             "power_p4", "power_p5"])
     def test_gradient_is_exactly_symmetric(self, oracle, d):
-        draw = resolve_oracle(oracle)
         rng = make_rng(50 + d)
         for seed in range(3):
             # the unsquared power form needs a PSD argument to stay positive
@@ -297,7 +298,7 @@ class TestGradientSymmetry:
                 x = random_psd(d, 60 + seed) / d
             else:
                 x = sym(rng.standard_normal((d, d)) / np.sqrt(d))
-            value, grad = draw(x, rng)
+            value, grad = oracle(x, rng)
             assert isinstance(value, float) and np.isfinite(value)
             assert grad.shape == (d, d)
             assert np.array_equal(grad, grad.T)
@@ -324,21 +325,40 @@ class TestPlumbing:
             make()
         assert str(err.value) == f"oracle option {message}"
 
-    def test_resolve_oracle_dispatch(self):
-        x = np.diag([2.0, 1.0])
-        rng = make_rng(32)
-        assert resolve_oracle(ExactOracleConfig())(x, rng)[0] == 2.0
-        assert resolve_oracle(SmoothingOracleConfig())(x, rng)[1].shape == (2, 2)
-        assert resolve_oracle(PowerOracleConfig(p=3))(x, rng)[0] > 0
+    @pytest.mark.parametrize("oracle, function", [
+        (ExactOracleConfig(), lambda x, cfg, rng: exact_subgrad(x)),
+        (SmoothingOracleConfig(k=3, epsilon=0.2), smoothing_grad),
+        (PowerOracleConfig(p=4), power_grad),
+        (PowerOracleConfig(p=3, square_input=False), power_grad),
+    ], ids=["exact", "smoothing", "power_sq", "power"])
+    def test_configs_are_the_oracles(self, oracle, function):
+        # a config called on (x, rng) is one draw of its module function,
+        # bit for bit and from the same stream
+        x = random_psd(6, 31) / 6
+        value, grad = oracle(x, make_rng(32))
+        expected_value, expected_grad = function(x, oracle, make_rng(32))
+        assert value == expected_value
+        assert grad.tobytes() == expected_grad.tobytes()
 
-    def test_resolve_oracle_passes_callables_through(self):
+    def test_make_problem_rejects_a_non_callable_oracle(self):
+        box = gen_instance(3, 0.2, 0)
+        with pytest.raises(ValueError, match="oracle is not callable: 'nonsense'"):
+            make_problem(box, "nonsense", T=10)
         stub = lambda x, rng: (0.0, np.zeros_like(x))
-        assert resolve_oracle(stub) is stub
-        with pytest.raises(TypeError):
-            resolve_oracle("nonsense")
+        assert make_problem(box, stub, T=10).oracle is stub
 
     def test_oracle_echo_is_json_friendly(self):
         import json
         for spec in (SmoothingOracleConfig(), PowerOracleConfig(),
                      ExactOracleConfig(), lambda x, r: None):
             json.dumps(oracle_echo(spec))
+        assert oracle_echo(ExactOracleConfig()) == {"kind": "exact"}
+        assert oracle_echo(len) == {"kind": "custom", "repr": repr(len)}
+
+    @pytest.mark.parametrize("oracle", [
+        ExactOracleConfig(), SmoothingOracleConfig(k=3, epsilon=0.25),
+        PowerOracleConfig(p=7, square_input=False)], ids=lambda o: o.kind)
+    def test_echo_builds_the_same_oracle(self, oracle):
+        echo = oracle_echo(oracle)
+        assert echo["kind"] == oracle.kind
+        assert build_oracle(echo) == oracle

@@ -11,7 +11,7 @@ from specmd.problem import (BoxSet, CompositeProblem, box_lower_bound,
                             make_problem, project_box, prox_step,
                             save_instance)
 import specmd.solvers as solvers
-from specmd.solvers import StepSchedule, oblivious_acsmd, schedule_at
+from specmd.solvers import StepSchedule, oblivious_acsmd
 
 
 def random_box(seed, d=3, radius=0.8):
@@ -216,7 +216,8 @@ class TestProxStep:
         assert len(calls) == 40
         previous = prob.x1.data
         for t, (xt, g, alpha, gamma, x) in enumerate(calls, start=1):
-            assert (alpha, gamma) == schedule_at(sched, t)
+            # degree 1, scale 1: alpha_t = t + 1 and gamma_t = t^2 / 2
+            assert (alpha, gamma) == ((t + 1.0) ** 1, float(t) ** 2 / 2)
             assert np.array_equal(xt, previous)
             assert prox_kkt_violations(x, xt, g, alpha, gamma, prob) == 0
             previous = x

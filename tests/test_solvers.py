@@ -6,12 +6,19 @@ import pytest
 from conftest import constant_oracle, zero_oracle
 from specmd.linalg import SymMatrix, sym_from
 from specmd.oracles import (ExactOracleConfig, PowerOracleConfig,
-                            SmoothingOracleConfig, resolve_oracle)
+                            SmoothingOracleConfig)
 from specmd.problem import BoxSet, gen_instance, make_problem, project_box
 import specmd.solvers as solvers
 from specmd.solvers import (RunTrace, SolverError, StepSchedule, lan_acsa,
                             levy_adaptive, oblivious_acsmd, oblivious_smd,
-                            relative_md, relative_step, schedule_at)
+                            relative_md, relative_step)
+
+
+def schedule_at(sched, t):
+    """The step law one scalar at a time, kept here so StepSchedule.weights
+    is checked against an independent formula."""
+    n, c = sched.degree, sched.scale
+    return c * (t + 1.0) ** n, c * float(t) ** (n + 1) / (n + 1)
 
 
 class TestStepSchedule:
@@ -23,37 +30,51 @@ class TestStepSchedule:
 
     def test_degree_zero_increment_equality(self):
         sched = StepSchedule(degree=0, scale=1.0)
+        alpha, gamma = sched.weights(1000)
         for t in (1, 2, 10, 999):
-            alpha_t, gamma_t = schedule_at(sched, t)
-            _, gamma_next = schedule_at(sched, t + 1)
-            assert alpha_t == 1.0
-            assert gamma_next - gamma_t == alpha_t
+            assert alpha[t - 1] == 1.0
+            assert gamma[t] - gamma[t - 1] == alpha[t - 1]
+            assert (alpha[t - 1], gamma[t - 1]) == schedule_at(sched, t)
 
     def test_formula_values(self):
         # alpha = scale * (t+1)^degree, gamma = scale * t^(degree+1) / (degree+1)
-        alpha, gamma = schedule_at(StepSchedule(degree=1, scale=1.0), 3)
-        assert alpha == 4.0  # 1 * (3+1)^1
-        assert gamma == 4.5  # 1 * 3^2 / 2
-        alpha, gamma = schedule_at(StepSchedule(degree=2, scale=0.5), 2)
-        assert alpha == 0.5 * 9.0  # 0.5 * (2+1)^2
-        assert gamma == 0.5 * 8.0 / 3.0  # 0.5 * 2^3 / 3
+        alpha, gamma = StepSchedule(degree=1, scale=1.0).weights(3)
+        assert alpha[2] == 4.0  # 1 * (3+1)^1
+        assert gamma[2] == 4.5  # 1 * 3^2 / 2
+        alpha, gamma = StepSchedule(degree=2, scale=0.5).weights(2)
+        assert alpha[1] == 0.5 * 9.0  # 0.5 * (2+1)^2
+        assert gamma[1] == 0.5 * 8.0 / 3.0  # 0.5 * 2^3 / 3
 
     def test_rejects_bad_iteration_index(self):
-        with pytest.raises(ValueError):
-            schedule_at(StepSchedule(), 0)
+        # no step exists before t = 1: the schedule is empty and the
+        # solvers refuse a horizon below 1
+        alpha, gamma = StepSchedule().weights(0)
+        assert alpha.size == gamma.size == 0
+        prob = make_problem(gen_instance(3, 0.2, 0), ExactOracleConfig(), T=10)
+        for solver in (oblivious_smd, oblivious_acsmd):
+            with pytest.raises(ValueError, match="T must be >= 1"):
+                solver(prob, StepSchedule(), 0, 0)
 
     @pytest.mark.parametrize("degree", [0, 1, 2, 3])
-    def test_validate_long_horizon(self, degree):
+    def test_bracket_holds_over_a_long_horizon(self, degree):
+        # the bracket scale t^n <= gamma_{t+1} - gamma_t <= scale (t+1)^n
+        # that the mean value theorem gives, and a nondecreasing alpha
+        t = np.arange(1, 100_000, dtype=float)
         for scale in (0.1, 1.0, 2.0, 10.0):
-            StepSchedule(degree=degree, scale=scale).validate(100_000)
+            alpha, gamma = StepSchedule(degree=degree, scale=scale).weights(100_000)
+            assert np.all(np.diff(alpha) >= 0.0)
+            increments = np.diff(gamma)
+            low, high = scale * t ** degree, scale * (t + 1.0) ** degree
+            slack = 1e-12 * np.maximum(1.0, np.maximum(high, gamma[1:]))
+            assert np.all(increments >= low - slack)
+            assert np.all(increments <= high + slack)
 
     def test_weights_match_schedule_at(self):
-        sched = StepSchedule(degree=2, scale=1.3)
-        alpha, gamma = sched.weights(50)
-        for t in (1, 7, 50):
-            a_t, g_t = schedule_at(sched, t)
-            assert alpha[t - 1] == a_t
-            assert gamma[t - 1] == g_t
+        for sched in (StepSchedule(degree=2, scale=1.3), StepSchedule(),
+                      StepSchedule(degree=0, scale=0.7)):
+            alpha, gamma = sched.weights(50)
+            for t in range(1, 51):
+                assert (alpha[t - 1], gamma[t - 1]) == schedule_at(sched, t)
 
 
 class TestRunTrace:
@@ -139,9 +160,7 @@ class Recorder:
             return out
         return wrapped
 
-    def oracle(self, spec):
-        draw = resolve_oracle(spec)
-
+    def oracle(self, draw):
         def keeping(x, rng):
             self.queries.append(x)
             return draw(x, rng)
