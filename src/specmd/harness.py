@@ -15,10 +15,11 @@ from .linalg import sym_from
 from .oracles import (ExactOracleConfig, PowerOracleConfig,
                       SmoothingOracleConfig, _is_int, _is_real, exact_subgrad,
                       oracle_echo)
-from .problem import (BoxSet, box_lower_bound, eval_F, gen_instance,
-                      make_problem, save_instance)
-from .solvers import (RunTrace, StepSchedule, lan_acsa, levy_adaptive,
-                      oblivious_acsmd, oblivious_smd, relative_md)
+from .problem import (BoxSet, box_lower_bound, eval_F, eval_penalty,
+                      gen_instance, make_problem, save_instance)
+from .solvers import (RunTrace, StepSchedule, _oblivious, lan_acsa,
+                      levy_adaptive, oblivious_acsmd, oblivious_smd,
+                      relative_md)
 
 EXCEEDED = "exceeded"
 
@@ -46,36 +47,42 @@ def iterations_to_precision(trace: RunTrace, F_ref: float, target: float):
 def reference_run(instance: BoxSet, mu: float, budget: int, tol: float):
     """Certified anchor: exact-oracle accelerated mirror descent at weight mu.
 
-    Runs horizons T = 100, 200, 400, ... capped at budget and stops at the
-    first whose gap Psi(X_ag) - box_lower_bound(W_ag) is <= tol, W_ag being
-    the drawn v v^T averaged with the weights alpha_t of X_ag. The steps do
-    not depend on T and the exact oracle draws nothing, so each run repeats
-    the one before as a prefix. Returns (F_ref, gap, W_ag, trace) of the
-    last run: its least F_ag (every 10th iteration and the last), the
-    certified gap >= Psi(X_ag) - Psi*, W_ag and the run; gap > tol is
-    uncertified.
+    One run of at most budget iterations checks the gap
+    Psi(X_ag) - box_lower_bound(W_ag) at t = 100, 200, 400, ... and stops at
+    the first that is <= tol, W_ag being the drawn v v^T averaged with the
+    weights alpha_t of X_ag. The steps do not depend on the horizon and the
+    exact oracle draws nothing, so the run up to t is the run of horizon t.
+    Returns (F_ref, gap, W_ag, trace): the trace's least F_ag (every 10th
+    iteration and the last), the certified gap >= Psi(X_ag) - Psi* at its
+    last iteration, W_ag there and the run; gap > tol is uncertified.
     """
     if budget < 1:
         raise ValueError(f"reference budget must be >= 1, got {budget}")
     exact, sched = ExactOracleConfig(), StepSchedule(degree=1)
-    horizon = min(100, budget)
-    while True:
-        alpha = sched.weights(horizon)[0]
-        w_sum, weights = np.zeros_like(instance.lower), iter(alpha)
+    alpha = sched.weights(budget)[0]
+    w_sum, weights = np.zeros_like(instance.lower), iter(alpha)
 
-        def summing(x, rng):  # acsmd draws once per iteration, in order
-            value, grad = exact(x, rng)
-            w_sum[...] += next(weights) * grad
-            return value, grad
+    def summing(x, rng):  # acsmd draws once per iteration, in order
+        value, grad = exact(x, rng)
+        w_sum[...] += next(weights) * grad
+        return value, grad
 
-        prob = make_problem(instance, summing, mu=mu)
-        trace = oblivious_acsmd(prob, sched, horizon, 0, eval_stride=10)
-        trace.config_echo["oracle"] = oracle_echo(exact)
-        w_ag = w_sum / alpha.sum()
-        gap = float(trace.Psi_ag[-1]) - box_lower_bound(w_ag, prob)
-        if gap <= tol or horizon >= budget:
-            return trace.best_F_ag, gap, w_ag, trace
-        horizon = min(2 * horizon, budget)
+    prob = make_problem(instance, summing, mu=mu)
+    checks = {100 * 2 ** k for k in range(budget.bit_length())}
+
+    def gap_at(t, psi):
+        w_ag = w_sum / alpha[:t].sum()
+        return psi - box_lower_bound(w_ag, prob), w_ag
+
+    def certified(t, x_ag):
+        return t in checks and gap_at(
+            t, eval_F(x_ag) + eval_penalty(x_ag, prob))[0] <= tol
+
+    trace = _oblivious("oblivious_acsmd", prob, sched, budget, 0, True, 10,
+                       certified)
+    trace.config_echo["oracle"] = oracle_echo(exact)
+    gap, w_ag = gap_at(int(trace.t[-1]), float(trace.Psi_ag[-1]))
+    return trace.best_F_ag, gap, w_ag, trace
 
 
 def theory_parameters(instance: BoxSet, oracle, T: int) -> dict:

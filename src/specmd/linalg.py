@@ -82,10 +82,12 @@ def leading_eigpair(a: np.ndarray) -> tuple:
 def full_spectrum(m: np.ndarray) -> np.ndarray:
     """All eigenvalues of a symmetric array in nonincreasing order.
 
-    Takes a plain square array (a SymMatrix passes its `.data`) and returns
-    a new 1-d array; exact dense solve, for traces and tests.
+    Takes a plain square array (a SymMatrix passes its `.data`) or a
+    (n, d, d) stack and returns a new array of shape (d,) or (n, d); exact
+    dense solve, for traces and tests. Each matrix of a stack gets the same
+    bits as a call on that matrix alone.
     """
-    return np.linalg.eigvalsh(m)[::-1].copy()
+    return np.linalg.eigvalsh(m)[..., ::-1].copy()
 
 
 def mat_power_apply(x: np.ndarray, p: int, u: np.ndarray) -> list[np.ndarray]:

@@ -108,8 +108,8 @@ def smoothing_grad(x: np.ndarray, cfg: SmoothingOracleConfig, rng) -> tuple:
     gen = ensure_rng(rng)
     base = np.array(x, dtype=float)
     d = base.shape[0]
-    offset = float(np.mean(np.diag(base)))
-    base[np.diag_indices(d)] -= offset
+    offset = float(base.trace() / d)
+    base.flat[::d + 1] -= offset
 
     z = gen.standard_normal((cfg.k, d))
     stack = (cfg.epsilon / d) * (z[:, :, None] * z[:, None, :])
@@ -118,7 +118,7 @@ def smoothing_grad(x: np.ndarray, cfg: SmoothingOracleConfig, rng) -> tuple:
     best = int(np.argmax(tops))
     v = vecs[best]
     # v_i * v_j == v_j * v_i, so the outer product is exactly symmetric
-    return float(tops[best]) + offset, np.outer(v, v)
+    return float(tops[best]) + offset, v[:, None] * v
 
 
 def _krylov_value_grad(x: np.ndarray, u: np.ndarray, n: int, p: int) -> tuple:
@@ -153,7 +153,7 @@ def exact_subgrad(x: np.ndarray) -> tuple:
     """Deterministic subgradient v v^T at a unit leading eigenvector of X."""
     top, v = leading_eigpair(x)
     # v_i * v_j == v_j * v_i, so the outer product is exactly symmetric
-    return float(top), np.outer(v, v)
+    return float(top), v[:, None] * v
 
 
 def oracle_echo(spec) -> dict:

@@ -102,7 +102,8 @@ def project_box(x: np.ndarray, box: BoxSet) -> np.ndarray:
     (the Frobenius-nearest feasible point)."""
     if x.shape != box.lower.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {box.lower.shape}")
-    return np.clip(x, box.lower, box.upper)
+    out = np.maximum(x, box.lower)
+    return np.minimum(out, box.upper, out=out)
 
 
 def prox_step(xt: np.ndarray, g: np.ndarray, alpha: float, gamma: float,
@@ -115,6 +116,11 @@ def prox_step(xt: np.ndarray, g: np.ndarray, alpha: float, gamma: float,
     quadratic, so clamping its stationary point is exact. Takes the arrays
     Xt and g and returns the minimizer as a new array; every operation is
     entrywise, so symmetric inputs give an exactly symmetric output.
+
+    The stationary point (2 mu (alpha X1 + gamma Xt) - alpha g) /
+    (2 mu (alpha + gamma)) is built in one buffer, in that operation order,
+    and clamped in place: the same bits as the expression followed by
+    np.clip.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -122,15 +128,21 @@ def prox_step(xt: np.ndarray, g: np.ndarray, alpha: float, gamma: float,
         raise ValueError("gamma must be positive")
     mu = prob.mu
     box = prob.feasible
-    stationary = (2.0 * mu * (alpha * prob.x1.data + gamma * xt)
-                  - alpha * g) / (2.0 * mu * (alpha + gamma))
-    return np.clip(stationary, box.lower, box.upper)
+    s = alpha * prob.x1.data
+    s += gamma * xt
+    s *= 2.0 * mu
+    s -= alpha * g
+    s /= 2.0 * mu * (alpha + gamma)
+    np.maximum(s, box.lower, out=s)
+    return np.minimum(s, box.upper, out=s)
 
 
-def eval_F(x: np.ndarray) -> float:
-    """Exact objective lambda_max(X) of a symmetric array; for traces and
-    tests, not solver steps."""
-    return float(full_spectrum(x)[0])
+def eval_F(x: np.ndarray):
+    """Exact objective lambda_max(X) of a symmetric array, as a float; of a
+    (n, d, d) stack, as an (n,) array with the same bits per matrix. For
+    traces and tests, not solver steps."""
+    top = full_spectrum(x)[..., 0]
+    return float(top) if top.ndim == 0 else top
 
 
 def eval_penalty(x: np.ndarray, prob: CompositeProblem) -> float:

@@ -64,8 +64,10 @@ class RunTrace:
     """Per-iteration record of one solver run plus a final summary.
 
     Arrays are aligned: entry i describes evaluated iteration t[i]. elapsed_s
-    is cumulative wall time; oracle_seconds sub-accounts time spent inside
-    oracle calls.
+    is cumulative wall time, stamped when the row's averaged point is
+    formed: the eigen-solve that gives the row its F_ag runs later, with a
+    block of rows, and falls in later rows' elapsed_s and in total_seconds.
+    oracle_seconds sub-accounts time spent inside oracle calls.
     """
 
     t: np.ndarray
@@ -96,37 +98,66 @@ class RunTrace:
         return float(np.min(self.F_ag))
 
 
+# bytes of averaged points a trace holds before evaluating them: 256 KiB
+# keeps peak memory flat in T, and one d x d point per block once d > 181
+BLOCK_BYTES = 256 * 1024
+
+
 class _TraceBuilder:
-    """Accumulates evaluated iterations and assembles the RunTrace."""
+    """Accumulates evaluated iterations and assembles the RunTrace.
+
+    `record` stamps a row's t, penalty, gradient norm and elapsed time and
+    copies the averaged point into a preallocated block of at most
+    BLOCK_BYTES (at least one point, and no more than the run can record).
+    A full block, and the last partial one at `build`, is evaluated by one
+    eval_F call on the (n, d, d) stack: one stacked eigvalsh, with the same
+    bits per matrix as n single calls.
+    """
 
     def __init__(self, prob, T, eval_stride, rng, config_echo):
         self.prob = prob
-        self.T = T
         self.stride = eval_stride or (1 if prob.dim <= 150 else 10)
         self.seed = int(rng) if isinstance(rng, (int, np.integer)) else -1
         self.config_echo = config_echo
         self.start = time.perf_counter()
         self.oracle_seconds = 0.0
+        d = prob.dim
+        rows = min(max(1, BLOCK_BYTES // (8 * d * d)),
+                   (T + self.stride - 1) // self.stride)
+        self.block = np.empty((rows, d, d))
+        self.filled = 0
         self.rows = []
+        self.tops = []
 
-    def record(self, t, avg_arr, grad_norm):
-        if t % self.stride != 0 and t != self.T:
+    def record(self, t, avg_arr, grad_norm, last=False):
+        if t % self.stride != 0 and not last:
             return
-        f = eval_F(avg_arr)
-        self.rows.append((t, f, f + eval_penalty(avg_arr, self.prob),
-                          grad_norm, time.perf_counter() - self.start))
+        self.block[self.filled] = avg_arr
+        self.filled += 1
+        self.rows.append((t, eval_penalty(avg_arr, self.prob), grad_norm,
+                          time.perf_counter() - self.start))
+        if self.filled == len(self.block):
+            self._evaluate()
+
+    def _evaluate(self):
+        self.tops.extend(eval_F(self.block[:self.filled]).tolist())
+        self.filled = 0
 
     def build(self, final_arr) -> RunTrace:
-        t, f, psi, gn, el = (np.array(col) for col in zip(*self.rows))
-        return RunTrace(t=t.astype(int), F_ag=f, Psi_ag=psi, grad_norm=gn,
-                        elapsed_s=el, final_point=SymMatrix(final_arr.copy()),
+        if self.filled:
+            self._evaluate()
+        t, penalty, gn, el = (np.array(col) for col in zip(*self.rows))
+        f = np.array(self.tops)
+        return RunTrace(t=t.astype(int), F_ag=f, Psi_ag=f + penalty,
+                        grad_norm=gn, elapsed_s=el,
+                        final_point=SymMatrix(final_arr.copy()),
                         config_echo=self.config_echo, seed=self.seed,
                         total_seconds=time.perf_counter() - self.start,
                         oracle_seconds=self.oracle_seconds)
 
 
 def _run(name, params, prob, T, rng, step, weight=None, at_md=False,
-         eval_stride=None) -> RunTrace:
+         eval_stride=None, stop=None) -> RunTrace:
     """The one loop behind every solver.
 
     Each iteration draws a gradient g, takes X_{t+1} = step(t, X_t, g, ||g||)
@@ -136,7 +167,9 @@ def _run(name, params, prob, T, rng, step, weight=None, at_md=False,
     average is (A_{t-1} x_ag + alpha_t x) / A_t for alpha_t = weight(t);
     without one it is the uniform mean x_ag += (x - x_ag) / t. An oracle
     failure (a non-finite value or gradient too) or a step failure is
-    raised as a SolverError tagged with its iteration.
+    raised as a SolverError tagged with its iteration. A `stop(t, x_ag)`
+    that returns true ends the run after iteration t as if T were t: that
+    row is recorded and the echoed T is t.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -152,18 +185,26 @@ def _run(name, params, prob, T, rng, step, weight=None, at_md=False,
         if weight is not None:
             alpha = weight(t)
             a_new = a_sum + alpha
-        query = (a_sum * x_ag + alpha * x) / a_new if at_md else x
+        if at_md:
+            query = a_sum * x_ag
+            query += alpha * x
+            query /= a_new
+        else:
+            query = x
         tic = time.perf_counter()
         try:
             value, g = prob.oracle(query, gen)
-            if not np.isfinite(g).all():
+            builder.oracle_seconds += time.perf_counter() - tic
+            # sqrt(ddot), as np.linalg.norm; a non-finite entry makes it
+            # non-finite, so the full scan runs only then
+            flat = g.ravel(order="K")
+            gnorm = math.sqrt(flat.dot(flat))
+            if not math.isfinite(gnorm) and not np.isfinite(flat).all():
                 raise ValueError("entries are not finite")
             if not math.isfinite(value):
                 raise ValueError(f"oracle value is not finite: {value}")
         except Exception as err:
             raise SolverError(f"oracle failed at iteration {t}: {err}") from err
-        builder.oracle_seconds += time.perf_counter() - tic
-        gnorm = float(np.linalg.norm(g))
         try:
             x_next = step(t, x, g, gnorm)
         except Exception as err:
@@ -172,21 +213,26 @@ def _run(name, params, prob, T, rng, step, weight=None, at_md=False,
         if weight is None:
             x_ag += (point - x_ag) / t
         else:
-            x_ag = (a_sum * x_ag + alpha * point) / a_new
+            x_ag *= a_sum
+            x_ag += alpha * point
+            x_ag /= a_new
             a_sum = a_new
         x = x_next
-        builder.record(t, x_ag, gnorm)
-    return builder.build(x_ag)
+        last = t == T or stop is not None and stop(t, x_ag)
+        builder.record(t, x_ag, gnorm, last)
+        if last:
+            echo["T"] = t
+            return builder.build(x_ag)
 
 
-def _oblivious(name, prob, sched, T, rng, at_md, eval_stride):
+def _oblivious(name, prob, sched, T, rng, at_md, eval_stride, stop=None):
     alphas, gammas = sched.weights(T)
 
     def prox(t, x, g, gnorm):
         return prox_step(x, g, alphas[t - 1], gammas[t - 1], prob)
 
     return _run(name, {"degree": sched.degree, "scale": sched.scale}, prob, T,
-                rng, prox, lambda t: alphas[t - 1], at_md, eval_stride)
+                rng, prox, lambda t: alphas[t - 1], at_md, eval_stride, stop)
 
 
 def oblivious_smd(prob: CompositeProblem, sched: StepSchedule, T: int, rng,

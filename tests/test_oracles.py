@@ -278,6 +278,49 @@ class TestExactSubgrad:
             assert abs(np.linalg.norm(grad) - 1.0) <= 1e-8
 
 
+def smoothing_reference(x, cfg, rng):
+    """The smoothing draw in its first arithmetic: np.mean of np.diag,
+    np.diag_indices and np.outer, around the same stacked eigen-solve."""
+    base = np.array(x, dtype=float)
+    d = base.shape[0]
+    offset = float(np.mean(np.diag(base)))
+    base[np.diag_indices(d)] -= offset
+    z = rng.standard_normal((cfg.k, d))
+    stack = (cfg.epsilon / d) * (z[:, :, None] * z[:, None, :])
+    stack += base
+    vals, vecs = np.linalg.eigh(stack)
+    best = int(np.argmax(vals[:, -1]))
+    v = vecs[best][:, -1]
+    return float(vals[best, -1]) + offset, np.outer(v, v)
+
+
+class TestOracleArithmetic:
+    """The golden traces call the same oracle on both sides, so the
+    oracles' own rounding is pinned here, bit for bit."""
+
+    @pytest.mark.parametrize("d", [6, 20, 50])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_smoothing_matches_its_first_arithmetic(self, d, k):
+        cfg = SmoothingOracleConfig(k=k)
+        rng = make_rng(70 + d)
+        for seed in range(5):
+            x = sym(rng.standard_normal((d, d)) + 3.0 * rng.random() * np.eye(d))
+            value, grad = smoothing_grad(x, cfg, make_rng(seed))
+            ref_value, ref_grad = smoothing_reference(x, cfg, make_rng(seed))
+            assert value == ref_value
+            assert grad.tobytes() == ref_grad.tobytes()
+
+    @pytest.mark.parametrize("d", [6, 20, 50])
+    def test_exact_matches_np_outer(self, d):
+        rng = make_rng(80 + d)
+        for _ in range(5):
+            x = sym(rng.standard_normal((d, d)))
+            vals, vecs = np.linalg.eigh(x)
+            value, grad = exact_subgrad(x)
+            assert value == float(vals[-1])
+            assert grad.tobytes() == np.outer(vecs[:, -1], vecs[:, -1]).tobytes()
+
+
 class TestGradientSymmetry:
     """The solver loop checks only finiteness, so exact symmetry of every
     built-in gradient is pinned here."""

@@ -131,6 +131,47 @@ class TestCompositeProblem:
             make_problem(box, ExactOracleConfig())
 
 
+def with_nan(x, i=0, j=1):
+    """A copy of x with one NaN entry, to pin how the clamps pass NaN on."""
+    out = np.array(x, dtype=float)
+    out[i, j] = np.nan
+    return out
+
+
+class TestClampArithmetic:
+    """prox_step and project_box clamp in place; pinned bit for bit against
+    their np.clip forms, NaN entries included."""
+
+    @pytest.mark.parametrize("d", [3, 20])
+    def test_project_box_matches_np_clip(self, d):
+        box = random_box(31, d=d)
+        rng = make_rng(32)
+        for trial in range(10):
+            x = 3.0 * rng.standard_normal((d, d))
+            x = with_nan(x) if trial % 2 else x
+            expected = np.clip(x, box.lower, box.upper)
+            before = x.copy()
+            assert project_box(x, box).tobytes() == expected.tobytes()
+            assert x.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("d", [3, 20])
+    def test_prox_step_matches_np_clip(self, d):
+        box = random_box(33, d=d)
+        prob = make_problem(box, ExactOracleConfig(), mu=0.05)
+        rng = make_rng(34)
+        for trial in range(10):
+            xt = random_feasible(box, rng)
+            g = 5.0 * rng.standard_normal((d, d))
+            g = with_nan(g) if trial % 2 else g
+            alpha, gamma = 1.0 + trial, 0.5 * trial * trial + 1.0
+            mu = prob.mu
+            stationary = (2.0 * mu * (alpha * prob.x1.data + gamma * xt)
+                          - alpha * g) / (2.0 * mu * (alpha + gamma))
+            expected = np.clip(stationary, box.lower, box.upper)
+            assert (prox_step(xt, g, alpha, gamma, prob).tobytes()
+                    == expected.tobytes())
+
+
 class TestProxStep:
     def test_zero_gradient_is_clamped_blend(self):
         box = random_box(11)

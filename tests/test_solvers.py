@@ -328,13 +328,17 @@ class TestDeterminismAndErrors:
     def test_nan_gradient_is_tagged_with_iteration(self, run):
         # a non-finite gradient entry or value fails in the oracle check, a
         # wrong-shape gradient in the step
-        def nan_entry(d):
+        def bad_entry(d, value):
             entries = np.zeros((d, d))
-            entries[0, 1] = np.nan
+            entries[0, 1] = value
             return entries
 
         for bad_draw, message in (
-                (lambda d: (0.0, nan_entry(d)),
+                (lambda d: (0.0, bad_entry(d, np.nan)),
+                 "iteration 3: entries are not finite"),
+                (lambda d: (0.0, bad_entry(d, np.inf)),
+                 "iteration 3: entries are not finite"),
+                (lambda d: (0.0, bad_entry(d, -np.inf)),
                  "iteration 3: entries are not finite"),
                 (lambda d: (np.nan, np.zeros((d, d))),
                  "iteration 3: oracle value is not finite: nan"),
@@ -351,6 +355,26 @@ class TestDeterminismAndErrors:
             prob = interior_problem(seed=11, oracle=bad_at_three)
             with pytest.raises(SolverError, match=message):
                 run(prob)
+
+    @pytest.mark.parametrize("run", FIVE_SOLVERS)
+    def test_overflowing_norm_of_a_finite_gradient_runs(self, run):
+        # the norm of 1e200 entries overflows to inf, but every entry is
+        # finite: the run goes on and records grad_norm = inf there
+        calls = {"n": 0}
+
+        def huge_at_three(x, rng):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                return 0.0, np.full_like(x, 1e200)
+            return zero_oracle(x, rng)
+
+        prob = interior_problem(seed=11, oracle=huge_at_three)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            trace = run(prob)
+        assert list(trace.t) == list(range(1, 11))
+        assert trace.grad_norm[2] == math.inf
+        assert np.isfinite(np.delete(trace.grad_norm, 2)).all()
+        assert np.isfinite(trace.F_ag).all() and np.isfinite(trace.Psi_ag).all()
 
     def test_rejects_bad_horizon(self):
         prob = interior_problem()
@@ -372,7 +396,9 @@ class TestConstantOracleDynamics:
 
 class TestLookupNames:
     """perfbench times prox_step, project_box and eval_F by wrapping them at
-    their specmd.solvers names, so the loop must look them up at call time."""
+    their specmd.solvers names, so the loop must look them up at call time.
+    eval_F takes the trace's points in stacked blocks, so its count is of
+    matrices, not calls."""
 
     @pytest.mark.parametrize(
         "run, n_prox, n_proj",
@@ -383,7 +409,7 @@ class TestLookupNames:
         counts = dict.fromkeys(("prox_step", "project_box", "eval_F"), 0)
         for name in counts:
             def counting(*args, _name=name, _inner=getattr(solvers, name)):
-                counts[_name] += 1
+                counts[_name] += len(args[0]) if _name == "eval_F" else 1
                 return _inner(*args)
             monkeypatch.setattr(solvers, name, counting)
         run(interior_problem(seed=12, oracle=SmoothingOracleConfig()))
