@@ -3,7 +3,7 @@ minimization: randomized oracles, parameter-free solvers, baselines, and a
 benchmark harness."""
 
 from .linalg import (SymMatrix, full_spectrum, leading_eigpair, make_rng,
-                     mat_power_apply, sym_from)
+                     sym_from)
 from .oracles import (ExactOracleConfig, PowerOracleConfig,
                       SmoothingOracleConfig, exact_subgrad, power_grad,
                       smoothing_grad)
@@ -26,7 +26,7 @@ __all__ = [
     "box_lower_bound", "eval_F", "exact_subgrad", "full_spectrum",
     "gen_instance", "iterations_to_precision", "lan_acsa", "leading_eigpair",
     "levy_adaptive", "load_instance", "make_problem", "make_rng",
-    "mat_power_apply", "oblivious_acsmd", "oblivious_smd", "power_grad",
+    "oblivious_acsmd", "oblivious_smd", "power_grad",
     "project_box", "prox_step", "read_trace", "reference_run", "relative_md",
     "relative_step", "run_bench", "save_instance", "smoothing_grad",
     "sym_from", "theory_parameters", "write_trace",

@@ -53,6 +53,8 @@ def _cmd_generate(args):
 
 
 def _cmd_run(args):
+    if not 0 < args.target < math.inf:
+        raise ValueError(f"target must be positive and finite, got {args.target!r}")
     box, meta = load_instance(args.instance)
     oracle_cfg = build_oracle(_parse_kv_spec(args.oracle))
     solver_spec = _parse_kv_spec(args.solver)

@@ -4,6 +4,7 @@ report files, and the iterations-to-precision metric."""
 import json
 import math
 import os
+import re
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -108,47 +109,52 @@ def theory_parameters(instance: BoxSet, oracle, T: int) -> dict:
 # ---------------------------------------------------------------------------
 
 _TRACE_COLUMNS = "t,F_ag,Psi_ag,grad_norm,elapsed_s"
+_POINT_KEY = "# final_point: "
 
 
 def write_trace(path, trace: RunTrace) -> None:
-    """CSV with commented JSON header; floats at full repr precision."""
-    lines = [
-        "# specmd-trace v1",
-        "# config: " + json.dumps(trace.config_echo, sort_keys=True),
-        f"# seed: {trace.seed}",
-        f"# total_seconds: {trace.total_seconds!r}",
-        f"# oracle_seconds: {trace.oracle_seconds!r}",
-        "# final_point: " + json.dumps(
-            [[float(v) for v in row] for row in trace.final_point.data]),
-        _TRACE_COLUMNS,
-    ]
+    """CSV with commented JSON header, floats at full repr precision; the
+    final point is streamed row by row, with json.dumps's bytes."""
     cols = (trace.F_ag, trace.Psi_ag, trace.grad_norm, trace.elapsed_s)
-    for i, t in enumerate(trace.t):
-        lines.append(",".join([str(int(t))] + [repr(float(c[i])) for c in cols]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = [",".join([str(int(t))] + [repr(float(c[i])) for c in cols])
+            for i, t in enumerate(trace.t)]
+    with open(path, "w") as out:
+        out.write("# specmd-trace v1\n"
+                  f"# config: {json.dumps(trace.config_echo, sort_keys=True)}\n"
+                  f"# seed: {trace.seed}\n"
+                  f"# total_seconds: {trace.total_seconds!r}\n"
+                  f"# oracle_seconds: {trace.oracle_seconds!r}\n"
+                  f"{_POINT_KEY}[")
+        for i, row in enumerate(trace.final_point.data):
+            out.write((", " if i else "") + json.dumps(row.tolist()))
+        out.write("]\n" + "\n".join([_TRACE_COLUMNS] + rows) + "\n")
 
 
 def read_trace(path) -> RunTrace:
-    """Parse a trace file written by write_trace (exact float round trip)."""
-    header = {}
-    rows = []
-    saw_columns = False
-    for line in Path(path).read_text().splitlines():
-        if line.startswith("# ") and ":" in line:
-            key, _, value = line[2:].partition(":")
-            header[key.strip()] = value.strip()
-        elif line == _TRACE_COLUMNS:
-            saw_columns = True
-        elif line and saw_columns:
-            rows.append([float(v) for v in line.split(",")])
-    if not saw_columns or not rows:
+    """Parse a trace file written by write_trace (exact float round trip),
+    line by line and the final point row by row, with float() as in
+    json.loads."""
+    header, rows, point, saw_columns = {}, [], None, False
+    with open(path) as lines:
+        for line in lines:
+            if line.startswith(_POINT_KEY):
+                point = np.array([
+                    np.fromiter(map(float, row[1].split(",")), dtype=float)
+                    for row in re.finditer(r"\[([^][]+)\]", line)])
+            elif line.startswith("# ") and ":" in line:
+                key, _, value = line[2:].partition(":")
+                header[key.strip()] = value.strip()
+            elif line.rstrip("\n") == _TRACE_COLUMNS:
+                saw_columns = True
+            elif saw_columns and line != "\n":
+                rows.append([float(v) for v in line.split(",")])
+    if not saw_columns or not rows or point is None:
         raise ValueError(f"malformed trace file: {path}")
     data = np.array(rows)
     return RunTrace(
-        t=data[:, 0].astype(int),
-        F_ag=data[:, 1], Psi_ag=data[:, 2],
+        t=data[:, 0].astype(int), F_ag=data[:, 1], Psi_ag=data[:, 2],
         grad_norm=data[:, 3], elapsed_s=data[:, 4],
-        final_point=sym_from(np.array(json.loads(header["final_point"]))),
+        final_point=sym_from(point),
         config_echo=json.loads(header["config"]),
         seed=int(header["seed"]),
         total_seconds=float(header["total_seconds"]),

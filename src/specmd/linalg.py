@@ -89,15 +89,3 @@ def full_spectrum(m: np.ndarray) -> np.ndarray:
     """
     return np.linalg.eigvalsh(m)[..., ::-1].copy()
 
-
-def mat_power_apply(x: np.ndarray, p: int, u: np.ndarray) -> list[np.ndarray]:
-    """All Krylov vectors [u, Xu, X^2 u, ..., X^p u] of a square array X."""
-    if p < 1:
-        raise ValueError("power p must be >= 1")
-    u = np.asarray(u, dtype=float)
-    if u.shape != x.shape[:1]:
-        raise ValueError(f"vector shape {u.shape} does not match dimension {len(x)}")
-    vectors = [u]
-    for _ in range(p):
-        vectors.append(x @ vectors[-1])
-    return vectors

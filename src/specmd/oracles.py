@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .linalg import ensure_rng, leading_eigpair, mat_power_apply
+from .linalg import ensure_rng, leading_eigpair
 
 
 def _is_int(value) -> bool:
@@ -61,9 +61,9 @@ class PowerOracleConfig:
     With square_input the form is <X^(2p) u, u>^(1/p) = ||X^p u||^(2/p), the
     same oracle on X @ X: its value tracks max(lambda_max(X)^2,
     lambda_min(X)^2), the top eigenvalue of X @ X, and stays well defined
-    off the PSD cone. Either way a draw costs n matrix-vector
-    products (n = 2p with square_input, p without) and one d x n x d GEMM
-    for the gradient; no d x d x d product is formed.
+    off the PSD cone. Either way a draw costs n - 1 matvecs (n = 2p with
+    square_input, p without) and one d x (n // 2) x d GEMM for an exactly
+    symmetric gradient; no d x d x d product is formed.
     """
 
     kind = "power"
@@ -125,20 +125,28 @@ def _krylov_value_grad(x: np.ndarray, u: np.ndarray, n: int, p: int) -> tuple:
     """Exact value and gradient of <X^n u, u>^(1/p) at a fixed u: the true
     per-sample gradient, hence an unbiased draw once u is random.
 
-    With k_j = X^j u, s = <X^n u, u> = k_(n-h) . k_h for h = n // 2, and the
-    gradient s^(1/p) / (p s) * sym(sum_(j<n) k_j k_(n-1-j)^T) is one GEMM
-    of the stacked k_j against themselves reversed: n matvecs and one
-    d x n x d GEMM, no d x d x d product.
+    With k_j = X^j u and h = n // 2, s = <X^n u, u> = k_(n-h) . k_h and the
+    gradient is s^(1/p) / (p s) * sum_(j<n) k_j k_(n-1-j)^T, whose terms j
+    and n-1-j are transposes: it is P + P^T for P the GEMM of k_0..k_(h-1)
+    against k_(n-1)..k_(n-h), plus k_h k_h^T / 2 if n is odd. That is n - 1
+    matvecs (one if n = 1), one d x (n // 2) x d GEMM and no d x d x d
+    product, and P[i, j] + P[j, i] makes the result exactly symmetric.
     """
-    k = np.array(mat_power_apply(x, n, u))
-    s = float(k[n - n // 2] @ k[n // 2])
+    h = n // 2
+    k = np.empty((max(n, 2), len(u)))
+    k[0] = u
+    for j in range(len(k) - 1):
+        np.dot(x, k[j], out=k[j + 1])
+    s = float(k[n - h] @ k[h])
     if s <= 0.0:
         raise ValueError(
             f"<X^n u, u> = {s:g} is not positive for the sampled direction")
     value = s ** (1.0 / p)
     coef = value / (p * s)
-    m = (coef * k[:n]).T @ k[n - 1::-1]
-    return value, (m + m.T) / 2.0
+    m = (coef * k[:h]).T @ k[n - 1:n - 1 - h:-1]
+    if n % 2:
+        m += coef / 2.0 * (k[h][:, None] * k[h])
+    return value, m + m.T
 
 
 def power_grad(x: np.ndarray, cfg: PowerOracleConfig, rng) -> tuple:

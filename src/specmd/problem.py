@@ -71,8 +71,8 @@ class CompositeProblem:
     oracle: object
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"mu must be positive and finite, got {self.mu!r}")
         if not callable(self.oracle):
             raise ValueError(f"oracle is not callable: {self.oracle!r}")
         if self.x1.dim != self.feasible.dim:
@@ -88,13 +88,14 @@ class CompositeProblem:
 def make_problem(box: BoxSet, oracle, T: int | None = None,
                  mu: float | None = None, x1: SymMatrix | None = None) -> CompositeProblem:
     """Assemble a problem; mu defaults to 1/sqrt(T), the start point to the box center."""
+    if T is not None and T < 1:
+        raise ValueError("T must be >= 1")
     if mu is None:
         if T is None:
             raise ValueError("either mu or a horizon T is required")
         mu = 1.0 / math.sqrt(T)
-    if x1 is None:
-        x1 = box.center
-    return CompositeProblem(feasible=box, mu=mu, x1=x1, oracle=oracle)
+    return CompositeProblem(feasible=box, mu=mu, oracle=oracle,
+                            x1=box.center if x1 is None else x1)
 
 
 def project_box(x: np.ndarray, box: BoxSet) -> np.ndarray:
@@ -198,26 +199,21 @@ def save_instance(path, box: BoxSet, seed: int, noise_sigma: float) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+_META_TYPES = {"d": int, "rho": float, "seed": int, "noise_sigma": float}
+
+
 def load_instance(path) -> tuple[BoxSet, dict]:
     """Read an instance file back; returns the box and its header metadata."""
     text = Path(path).read_text().strip().splitlines()
-    body_start = None
-    meta = {}
+    body_start, meta = None, {}
     for idx, line in enumerate(text):
         if line.startswith("#"):
             continue
         key, _, value = line.partition(" ")
-        if key == "d":
-            meta["d"] = int(value)
-        elif key == "rho":
-            meta["rho"] = float(value)
-        elif key == "seed":
-            meta["seed"] = int(value)
-        elif key == "noise_sigma":
-            meta["noise_sigma"] = float(value)
-        else:
+        if key not in _META_TYPES:
             body_start = idx
             break
+        meta[key] = _META_TYPES[key](value)
     if body_start is None or "d" not in meta or "rho" not in meta:
         raise ValueError(f"malformed instance file: {path}")
     d = meta["d"]

@@ -98,6 +98,32 @@ def test_bad_oracle_option_exits_2_with_one_line(tmp_path, instance, oracle,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (("--T", "0"), "T must be >= 1"),
+    (("--T", "-3"), "T must be >= 1"),
+    (("--T", "0", "--mu", "0.1"), "T must be >= 1"),
+    (("--target", "0", "--f-ref", "0.1"),
+     "target must be positive and finite, got 0.0"),
+    (("--target", "-0.01"), "target must be positive and finite, got -0.01"),
+    (("--target", "nan", "--f-ref", "0.1"),
+     "target must be positive and finite, got nan"),
+    (("--target", "inf", "--f-ref", "0.1"),
+     "target must be positive and finite, got inf"),
+    (("--mu", "nan"), "mu must be positive and finite, got nan"),
+    (("--mu", "inf"), "mu must be positive and finite, got inf"),
+    (("--mu", "0"), "mu must be positive and finite, got 0.0"),
+])
+def test_bad_number_exits_2_with_one_line_before_the_run(tmp_path, instance,
+                                                         args, message):
+    out = tmp_path / "o.csv"
+    done = run_cli("run", "--instance", str(instance), "--solver", "acsmd",
+                   "--oracle", "exact", "--out", str(out), *args)
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [f"specmd: error: {message}"]
+    assert done.stdout == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [
     ("run", "--instance", "nosuch.txt", "--solver", "acsmd", "--out", "o.csv"),
     ("reference", "--instance", "nosuch.txt"),

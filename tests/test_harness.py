@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,12 +13,13 @@ import specmd.harness as harness
 from specmd.harness import (BenchReport, CellResult, ExperimentConfig,
                             _write_report_files, build_oracle, read_trace,
                             reference_run, run_bench, write_trace)
-from specmd.linalg import make_rng
+from specmd.linalg import make_rng, sym_from
 from specmd.oracles import (ExactOracleConfig, SmoothingOracleConfig,
                             exact_subgrad)
 from specmd.problem import (box_lower_bound, eval_F, eval_penalty,
                             gen_instance, make_problem, project_box)
-from specmd.solvers import StepSchedule, oblivious_acsmd, oblivious_smd
+from specmd.solvers import (RunTrace, StepSchedule, oblivious_acsmd,
+                            oblivious_smd)
 
 
 def tiny_config(outdir, oracle, seeds=(0, 1), budget=10_000):
@@ -203,6 +206,80 @@ def test_solver_constants_resolve_from_theory():
                                 "scale": 2}, theory)
     assert solver is harness.oblivious_acsmd
     assert (sched.degree, sched.scale) == (0, 2.0)
+
+
+def json_trace_text(trace) -> str:
+    """Trace v1 as one string, the final point by json.dumps of the nested
+    list of Python floats: the format that write_trace streams."""
+    lines = [
+        "# specmd-trace v1",
+        "# config: " + json.dumps(trace.config_echo, sort_keys=True),
+        f"# seed: {trace.seed}",
+        f"# total_seconds: {trace.total_seconds!r}",
+        f"# oracle_seconds: {trace.oracle_seconds!r}",
+        "# final_point: " + json.dumps(
+            [[float(v) for v in row] for row in trace.final_point.data]),
+        "t,F_ag,Psi_ag,grad_norm,elapsed_s",
+    ]
+    cols = (trace.F_ag, trace.Psi_ag, trace.grad_norm, trace.elapsed_s)
+    for i, t in enumerate(trace.t):
+        lines.append(",".join([str(int(t))] + [repr(float(c[i])) for c in cols]))
+    return "\n".join(lines) + "\n"
+
+
+def synthetic_trace(d, rows=11):
+    """A trace with full-precision random entries, signed zeros included."""
+    gen = make_rng(d)
+    point = gen.standard_normal((d, d)) * 10.0 ** gen.integers(-9, 9, (d, d))
+    point[0, 0] = -0.0
+    return RunTrace(
+        t=np.arange(1, rows + 1) * 10, F_ag=gen.standard_normal(rows),
+        Psi_ag=gen.standard_normal(rows), grad_norm=gen.random(rows),
+        elapsed_s=np.cumsum(gen.random(rows)),
+        final_point=sym_from(point),
+        config_echo={"oracle": {"kind": "power", "p": 21}, "mu": 0.1},
+        seed=7, total_seconds=1.25, oracle_seconds=0.5)
+
+
+@pytest.mark.parametrize("d", [1, 6, 200])
+def test_trace_file_bytes_match_json_dumps(tmp_path, d):
+    trace = synthetic_trace(d)
+    path = tmp_path / "trace.csv"
+    write_trace(path, trace)
+    assert path.read_bytes() == json_trace_text(trace).encode()
+    back = read_trace(path)
+    assert back.final_point.data.tobytes() == trace.final_point.data.tobytes()
+    for name in ("t", "F_ag", "Psi_ag", "grad_norm", "elapsed_s"):
+        assert getattr(back, name).tobytes() == getattr(trace, name).tobytes()
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trace_io_builds_no_d_squared_python_floats(tmp_path):
+    # at d = 200 the file is 0.83 MB and a nested list of Python floats
+    # alone takes over 1 MB; the point array is 0.32 MB
+    trace = synthetic_trace(200)
+    path = tmp_path / "trace.csv"
+    assert _peak_bytes(write_trace, path, trace) <= 0.5e6
+    assert path.stat().st_size > 0.8e6
+    assert _peak_bytes(read_trace, path) <= 2e6
+
+
+def test_trace_without_a_final_point_is_malformed(tmp_path):
+    path = tmp_path / "trace.csv"
+    write_trace(path, synthetic_trace(3))
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line for line in lines
+                            if not line.startswith("# final_point")))
+    with pytest.raises(ValueError, match="malformed trace file"):
+        read_trace(path)
 
 
 def test_trace_file_round_trip_is_exact(tmp_path):

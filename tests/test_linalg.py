@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from specmd.linalg import (SymMatrix, full_spectrum, leading_eigpair, make_rng,
-                           mat_power_apply, sym_from)
+                           sym_from)
 
 
 class TestSymFrom:
@@ -106,38 +106,3 @@ class TestFullSpectrum:
         fro2 = float(np.tensordot(m.data, m.data))
         assert np.sum(spec ** 2) == pytest.approx(fro2, rel=1e-9)
 
-
-class TestMatPowerApply:
-    def test_identity_keeps_vector(self):
-        u = make_rng(7).standard_normal(4)
-        out = mat_power_apply(np.eye(4), 4, u)
-        assert len(out) == 5
-        for w in out:
-            assert np.array_equal(w, u)
-
-    def test_scalar_doubling(self):
-        out = mat_power_apply(np.array([[2.0]]), 3, np.array([1.0]))
-        assert [w[0] for w in out] == [1.0, 2.0, 4.0, 8.0]
-
-    def test_matches_explicit_matrix_power(self):
-        rng = make_rng(8)
-        m = sym_from(rng.standard_normal((6, 6))).data
-        u = rng.standard_normal(6)
-        out = mat_power_apply(m, 5, u)
-        explicit = np.linalg.matrix_power(m, 5) @ u
-        assert np.allclose(out[5], explicit, rtol=1e-10, atol=1e-13)
-
-    def test_splitting_is_exact(self):
-        rng = make_rng(9)
-        m = sym_from(rng.standard_normal((5, 5))).data
-        u = rng.standard_normal(5)
-        full = mat_power_apply(m, 7, u)
-        first = mat_power_apply(m, 3, u)
-        rest = mat_power_apply(m, 4, first[3])
-        assert np.array_equal(full[7], rest[4])
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            mat_power_apply(np.eye(3), 0, np.zeros(3))
-        with pytest.raises(ValueError):
-            mat_power_apply(np.eye(3), 2, np.zeros(4))

@@ -20,26 +20,30 @@ def random_psd(d, seed, floor=0.1):
     return sym(b @ b.T + floor * np.eye(d))
 
 
+def outer_sum_reference(x, u, n, p):
+    """<X^n u, u>^(1/p) and its gradient from a list of matvecs and an n-term
+    np.outer loop, symmetrized at the end: no shared arithmetic with the
+    kernel's single Krylov block and half-size GEMM."""
+    w = [u]
+    for _ in range(n):
+        w.append(x @ w[-1])
+    s = float(w[n] @ w[0])
+    value = s ** (1.0 / p)
+    acc = np.zeros_like(x)
+    for j in range(n):
+        acc += np.outer(w[j], w[n - 1 - j])
+    return value, sym(value / (p * s) * acc)
+
+
 def chain_rule_power(x, u, p, square_input):
     """Reference power oracle: X @ X, a p-term outer-product loop, chain rule.
 
     Shares no arithmetic with the oracle's single Krylov block, so the two
     agree only if the Krylov gradient formula is right.
     """
-    def on(m):
-        w = [u]
-        for _ in range(p):
-            w.append(m @ w[-1])
-        s = float(w[p] @ w[0])
-        value = s ** (1.0 / p)
-        acc = np.zeros_like(m)
-        for j in range(p):
-            acc += np.outer(w[j], w[p - 1 - j])
-        return value, sym(value / (p * s) * acc)
-
     if not square_input:
-        return on(x)
-    value, g = on(sym(x @ x))
+        return outer_sum_reference(x, u, p, p)
+    value, g = outer_sum_reference(sym(x @ x), u, p, p)
     return value, sym(x @ g + g @ x)
 
 
@@ -254,6 +258,63 @@ class TestPowerOracle:
         values = [power_grad(x, cfg, make_rng(s))[0] for s in range(40)]
         assert max(values) <= top2 * 6 ** (1.0 / 21) * (1 + 1e-10)
         assert np.mean(values) >= 0.3 * top2
+
+
+class TestKrylovKernel:
+    """_krylov_value_grad(x, u, n, p) for even and odd n, n = 1 included."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 21, 42])
+    def test_matches_outer_sum_reference(self, n):
+        d = 30
+        x = random_psd(d, 70 + n) / d
+        for seed in range(3):
+            u = make_rng(seed).random(d)
+            value, grad = outer_sum_reference(x, u, n, 21)
+            got_value, got_grad = _krylov_value_grad(x, u, n, 21)
+            assert got_value == pytest.approx(value, rel=1e-12)
+            err = np.max(np.abs(got_grad - grad))
+            assert err <= 1e-12 * np.max(np.abs(grad))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 21, 42])
+    def test_value_matches_explicit_matrix_power(self, n):
+        d = 8
+        x = random_psd(d, 80 + n) / d
+        u = make_rng(81).random(d)
+        s = float(u @ np.linalg.matrix_power(x, n) @ u)
+        value, _ = _krylov_value_grad(x, u, n, 5)
+        assert value == pytest.approx(s ** (1.0 / 5), rel=1e-12)
+
+    def test_identity_gives_the_scaled_rank_one_gradient(self):
+        # X = I: every k_j is u, s = u.u and the gradient is n coef u u^T
+        u = make_rng(82).random(4)
+        for n in (1, 2, 3, 6):
+            value, grad = _krylov_value_grad(np.eye(4), u, n, 3)
+            s = float(u @ u)
+            assert value == pytest.approx(s ** (1.0 / 3), rel=1e-15)
+            coef = n * value / (3 * s)
+            np.testing.assert_allclose(grad, coef * np.outer(u, u),
+                                       rtol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 21, 42])
+    def test_gradient_is_bitwise_symmetric(self, n):
+        d = 40
+        x = sym(make_rng(90 + n).standard_normal((d, d)) / np.sqrt(d))
+        x = sym(x @ x)  # PSD, so odd n stays positive too
+        for seed in range(3):
+            _, grad = _krylov_value_grad(x, make_rng(seed).random(d), n, 3)
+            assert np.array_equal(grad, grad.T)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_nonpositive_form_raises(self, n):
+        # <X^n u, u> = (-1)^n |u|^2 at X = -I, and 0 at X = 0
+        u = np.array([0.5, 0.5, 0.5])
+        for x in ((-np.eye(3),) if n % 2 else ()) + (np.zeros((3, 3)),):
+            with pytest.raises(ValueError, match="is not positive"):
+                _krylov_value_grad(x, u, n, 3)
+
+    def test_rejects_a_direction_of_the_wrong_length(self):
+        with pytest.raises(ValueError):
+            _krylov_value_grad(np.eye(3), np.ones(4), 4, 2)
 
 
 class TestExactSubgrad:
