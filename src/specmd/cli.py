@@ -91,10 +91,11 @@ def _cmd_bench(args):
     report = run_bench(cfg)
     summary = Path(cfg.output_dir) / "summary.txt"
     sys.stdout.write(summary.read_text())
-    errors = sum(1 for c in report.cells if c.status == "error")
-    if errors:
-        print(f"{errors} cell(s) failed; see report.csv")
-    return 0
+    failed = [c for c in report.cells if c.status == "error"]
+    for c in failed:
+        print(f"d={c.dim} {c.solver} seed {c.seed}: {c.message}",
+              file=sys.stderr)
+    return 1 if failed else 0
 
 
 def main(argv=None) -> int:
@@ -141,7 +142,8 @@ def main(argv=None) -> int:
     p.add_argument("--out", default=None, help="optional reference trace file")
     p.set_defaults(func=_cmd_reference)
 
-    p = sub.add_parser("bench", help="run a benchmark campaign from a YAML config")
+    p = sub.add_parser("bench", help="run a benchmark campaign from a YAML "
+                       "config; exits 1 naming each failed cell")
     p.add_argument("--config", required=True)
     p.set_defaults(func=_cmd_bench)
 

@@ -50,39 +50,37 @@ def reference_run(instance: BoxSet, mu: float, budget: int, tol: float):
 
     One run of at most budget iterations checks the gap
     Psi(X_ag) - box_lower_bound(W_ag) at t = 100, 200, 400, ... and stops at
-    the first that is <= tol, W_ag being the drawn v v^T averaged with the
-    weights alpha_t of X_ag. The steps do not depend on the horizon and the
-    exact oracle draws nothing, so the run up to t is the run of horizon t.
-    Returns (F_ref, gap, W_ag, trace): the trace's least F_ag (every 10th
-    iteration and the last), the certified gap >= Psi(X_ag) - Psi* at its
-    last iteration, W_ag there and the run; gap > tol is uncertified.
+    the first that is <= tol. W_ag is the drawn v v^T averaged by the
+    solver loop's rule, W_ag += (v v^T - W_ag) * alpha_t / A_t. The steps
+    do not depend on the horizon and the exact oracle draws nothing, so the
+    run up to t is the run of horizon t. Returns (F_ref, gap, W_ag, trace):
+    the trace's least F_ag (every 10th iteration and the last), the
+    certified gap >= Psi(X_ag) - Psi* at its last iteration, W_ag there and
+    the run; gap > tol is uncertified.
     """
     if budget < 1:
         raise ValueError(f"reference budget must be >= 1, got {budget}")
     exact, sched = ExactOracleConfig(), StepSchedule(degree=1)
     alpha = sched.weights(budget)[0]
-    w_sum, weights = np.zeros_like(instance.lower), iter(alpha)
+    w_ag, steps = np.zeros_like(instance.lower), zip(alpha, np.cumsum(alpha))
 
-    def summing(x, rng):  # acsmd draws once per iteration, in order
+    def averaging(x, rng):  # acsmd draws once per iteration, in order
         value, grad = exact(x, rng)
-        w_sum[...] += next(weights) * grad
+        a, a_sum = next(steps)
+        w_ag[...] += (grad - w_ag) * a / a_sum
         return value, grad
 
-    prob = make_problem(instance, summing, mu=mu)
+    prob = make_problem(instance, averaging, mu=mu)
     checks = {100 * 2 ** k for k in range(budget.bit_length())}
 
-    def gap_at(t, psi):
-        w_ag = w_sum / alpha[:t].sum()
-        return psi - box_lower_bound(w_ag, prob), w_ag
-
     def certified(t, x_ag):
-        return t in checks and gap_at(
-            t, eval_F(x_ag) + eval_penalty(x_ag, prob))[0] <= tol
+        return t in checks and (eval_F(x_ag) + eval_penalty(x_ag, prob)
+                                - box_lower_bound(w_ag, prob)) <= tol
 
     trace = _oblivious("oblivious_acsmd", prob, sched, budget, 0, True, 10,
                        certified)
     trace.config_echo["oracle"] = oracle_echo(exact)
-    gap, w_ag = gap_at(int(trace.t[-1]), float(trace.Psi_ag[-1]))
+    gap = float(trace.Psi_ag[-1]) - box_lower_bound(w_ag, prob)
     return trace.best_F_ag, gap, w_ag, trace
 
 

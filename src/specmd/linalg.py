@@ -12,15 +12,6 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(int(seed)))
 
 
-def ensure_rng(rng) -> np.random.Generator:
-    """Accept a Generator or an integer seed (None means seed 0)."""
-    if rng is None:
-        return make_rng(0)
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return make_rng(int(rng))
-
-
 @dataclass(frozen=True, eq=False)
 class SymMatrix:
     """Immutable dense real symmetric d x d matrix.

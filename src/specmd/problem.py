@@ -21,8 +21,9 @@ class BoxSet:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(
+                f"radius must be positive and finite, got {self.radius!r}")
 
     @property
     def dim(self) -> int:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SymMatrix, ensure_rng
+from .linalg import SymMatrix, make_rng
 from .oracles import oracle_echo
 from .problem import (CompositeProblem, eval_F, eval_penalty, project_box,
                       prox_step)
@@ -114,10 +114,10 @@ class _TraceBuilder:
     bits per matrix as n single calls.
     """
 
-    def __init__(self, prob, T, eval_stride, rng, config_echo):
+    def __init__(self, prob, T, eval_stride, seed, config_echo):
         self.prob = prob
         self.stride = eval_stride or (1 if prob.dim <= 150 else 10)
-        self.seed = int(rng) if isinstance(rng, (int, np.integer)) else -1
+        self.seed = int(seed)
         self.config_echo = config_echo
         self.start = time.perf_counter()
         self.oracle_seconds = 0.0
@@ -156,24 +156,24 @@ class _TraceBuilder:
                         oracle_seconds=self.oracle_seconds)
 
 
-def _run(name, params, prob, T, rng, step, weight=None, at_md=False,
+def _run(name, params, prob, T, rng, step, alphas, at_md=False,
          eval_stride=None, stop=None) -> RunTrace:
-    """The one loop behind every solver.
+    """The one loop behind every solver, with one averaging rule.
 
     Each iteration draws a gradient g, takes X_{t+1} = step(t, X_t, g, ||g||)
-    and adds one point to the running average. With at_md the oracle is
-    queried at the md point (A_{t-1} x_ag + alpha_t X_t) / A_t and X_{t+1}
-    enters the average; otherwise the query point X_t does. With a weight the
-    average is (A_{t-1} x_ag + alpha_t x) / A_t for alpha_t = weight(t);
-    without one it is the uniform mean x_ag += (x - x_ag) / t. An oracle
-    failure (a non-finite value or gradient too) or a step failure is
-    raised as a SolverError tagged with its iteration. A `stop(t, x_ag)`
-    that returns true ends the run after iteration t as if T were t: that
-    row is recorded and the echoed T is t.
+    and, with A_t = A_{t-1} + alphas[t - 1], folds a point p into the
+    average as x_ag += (p - x_ag) * alpha_t / A_t, left to right, so alpha
+    = 1 is the uniform mean (p - x_ag) / t bit for bit. With at_md the
+    oracle is queried at the md point x_ag + (X_t - x_ag) * alpha_t / A_t
+    and p = X_{t+1}; otherwise both are X_t. rng is the run's integer seed.
+    An oracle failure (a non-finite value or gradient too) or a step
+    failure is raised as a SolverError tagged with its iteration. A
+    `stop(t, x_ag)` that returns true ends the run after iteration t as if
+    T were t: that row is recorded and the echoed T is t.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
-    gen = ensure_rng(rng)
+    gen = make_rng(rng)
     echo = {"solver": name, **params, "T": T, "mu": prob.mu,
             "oracle": oracle_echo(prob.oracle)}
     builder = _TraceBuilder(prob, T, eval_stride, rng, echo)
@@ -182,15 +182,9 @@ def _run(name, params, prob, T, rng, step, weight=None, at_md=False,
     x_ag = x.copy()
     a_sum = 0.0
     for t in range(1, T + 1):
-        if weight is not None:
-            alpha = weight(t)
-            a_new = a_sum + alpha
-        if at_md:
-            query = a_sum * x_ag
-            query += alpha * x
-            query /= a_new
-        else:
-            query = x
+        alpha = alphas[t - 1]
+        a_sum += alpha
+        query = x_ag + (x - x_ag) * alpha / a_sum if at_md else x
         tic = time.perf_counter()
         try:
             value, g = prob.oracle(query, gen)
@@ -209,14 +203,7 @@ def _run(name, params, prob, T, rng, step, weight=None, at_md=False,
             x_next = step(t, x, g, gnorm)
         except Exception as err:
             raise SolverError(f"step failed at iteration {t}: {err}") from err
-        point = x_next if at_md else x
-        if weight is None:
-            x_ag += (point - x_ag) / t
-        else:
-            x_ag *= a_sum
-            x_ag += alpha * point
-            x_ag /= a_new
-            a_sum = a_new
+        x_ag += ((x_next if at_md else x) - x_ag) * alpha / a_sum
         x = x_next
         last = t == T or stop is not None and stop(t, x_ag)
         builder.record(t, x_ag, gnorm, last)
@@ -232,7 +219,7 @@ def _oblivious(name, prob, sched, T, rng, at_md, eval_stride, stop=None):
         return prox_step(x, g, alphas[t - 1], gammas[t - 1], prob)
 
     return _run(name, {"degree": sched.degree, "scale": sched.scale}, prob, T,
-                rng, prox, lambda t: alphas[t - 1], at_md, eval_stride, stop)
+                rng, prox, alphas, at_md, eval_stride, stop)
 
 
 def oblivious_smd(prob: CompositeProblem, sched: StepSchedule, T: int, rng,
@@ -277,7 +264,7 @@ def levy_adaptive(prob: CompositeProblem, D: float, M: float, T: int, rng,
         return project_box(x - eta * g, prob.feasible)
 
     return _run("levy_adaptive", {"D": D, "M": M}, prob, T, rng, step,
-                eval_stride=eval_stride)
+                np.ones(T), eval_stride=eval_stride)
 
 
 def lan_acsa(prob: CompositeProblem, L: float, sigma: float, T: int, rng,
@@ -296,7 +283,7 @@ def lan_acsa(prob: CompositeProblem, L: float, sigma: float, T: int, rng,
         return project_box(x - eta * g, prob.feasible)
 
     return _run("lan_acsa", {"L": L, "sigma": sigma}, prob, T, rng, step,
-                lambda t: 0.5 * t, True, eval_stride)
+                0.5 * np.arange(1, T + 1), True, eval_stride)
 
 
 def relative_step(Lstar: float, Gamma: float, T: int) -> float:
@@ -317,4 +304,4 @@ def relative_md(prob: CompositeProblem, Lstar: float, Gamma: float, T: int, rng,
         return project_box(x - eta * g, prob.feasible)
 
     return _run("relative_md", {"Lstar": Lstar, "Gamma": Gamma, "eta": eta},
-                prob, T, rng, step, eval_stride=eval_stride)
+                prob, T, rng, step, np.ones(T), eval_stride=eval_stride)

@@ -217,6 +217,50 @@ def test_unknown_campaign_key_exits_2_with_one_line(tmp_path):
         assert not outdir.exists()
 
 
+def test_failed_cells_are_named_on_stderr_and_exit_1(tmp_path):
+    # the unsquared power oracle needs <X^3 u, u> > 0, and at this instance's
+    # center the draws of seeds 0 and 1 miss it: every cell fails at t = 1
+    outdir = tmp_path / "campaign"
+    config = tmp_path / "campaign.yaml"
+    config.write_text("dims: [12]\n"
+                      "oracle: {kind: power, p: 3, square_input: false}\n"
+                      "solvers: [{kind: acsmd}, {kind: levy}]\n"
+                      "T: 20\n"
+                      "seeds: [0, 1]\n"
+                      "target_precision: 0.01\n"
+                      "noise_sigma: 0.2\n"
+                      f"output_dir: {outdir}\n")
+    done = run_cli("bench", "--config", str(config))
+    assert done.returncode == 1
+    cells = [(solver, seed) for solver in ("acsmd_n1", "levy") for seed in (0, 1)]
+    lines = done.stderr.splitlines()
+    assert len(lines) == len(cells)
+    for line, (solver, seed) in zip(lines, cells):
+        assert re.fullmatch(
+            rf"d=12 {solver} seed {seed}: oracle failed at iteration 1: "
+            r"<X\^n u, u> = \S+ is not positive for the sampled direction",
+            line), line
+    assert done.stdout == (outdir / "summary.txt").read_text()
+    assert "0/2 reached" in done.stdout
+
+
+@pytest.mark.parametrize("rho", ["nan", "inf", "-1"])
+def test_bad_box_radius_exits_2_with_one_line(tmp_path, instance, rho):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(re.sub(r"^rho \S+$", f"rho {rho}", instance.read_text(),
+                          flags=re.MULTILINE))
+    out = tmp_path / "o.csv"
+    message = f"radius must be positive and finite, got {float(rho)!r}"
+    for args in (("run", "--instance", str(bad), "--solver", "acsmd",
+                  "--oracle", "exact", "--out", str(out)),
+                 ("reference", "--instance", str(bad))):
+        done = run_cli(*args)
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == [f"specmd: error: {message}"]
+        assert done.stdout == ""
+    assert not out.exists()
+
+
 def test_reference_prints_certified_anchor(tmp_path, instance, capsys):
     out = tmp_path / "ref.csv"
     assert main(["reference", "--instance", str(instance), "--out",

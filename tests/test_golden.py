@@ -74,9 +74,8 @@ def ref_smd(prob):
     for t in range(1, T + 1):
         alpha, gamma = _steps(t)
         _, g = oracle(x, gen)
-        a_new = a_sum + alpha
-        x_ag = (a_sum * x_ag + alpha * x) / a_new
-        a_sum = a_new
+        a_sum += alpha
+        x_ag = x_ag + (x - x_ag) * alpha / a_sum
         x = _prox(x, g, alpha, gamma, prob)
         rows.record(x_ag, float(np.linalg.norm(g)))
     return rows, x_ag
@@ -89,12 +88,11 @@ def ref_acsmd(prob):
     a_sum = 0.0
     for t in range(1, T + 1):
         alpha, gamma = _steps(t)
-        a_new = a_sum + alpha
-        x_md = (a_sum * x_ag + alpha * x) / a_new
+        a_sum += alpha
+        x_md = x_ag + (x - x_ag) * alpha / a_sum
         _, g = oracle(x_md, gen)
         x = _prox(x, g, alpha, gamma, prob)
-        x_ag = (a_sum * x_ag + alpha * x) / a_new
-        a_sum = a_new
+        x_ag = x_ag + (x - x_ag) * alpha / a_sum
         rows.record(x_ag, float(np.linalg.norm(g)))
     return rows, x_ag
 
@@ -122,12 +120,11 @@ def ref_lan(prob):
     a_sum = 0.0
     for t in range(1, T + 1):
         alpha = 0.5 * t
-        a_new = a_sum + alpha
-        x_md = (a_sum * x_ag + alpha * x) / a_new
+        a_sum += alpha
+        x_md = x_ag + (x - x_ag) * alpha / a_sum
         _, g = oracle(x_md, gen)
         x = _project(x - t / (4.0 * LAN_L) * g, prob)
-        x_ag = (a_sum * x_ag + alpha * x) / a_new
-        a_sum = a_new
+        x_ag = x_ag + (x - x_ag) * alpha / a_sum
         rows.record(x_ag, float(np.linalg.norm(g)))
     return rows, x_ag
 

@@ -10,8 +10,9 @@ import pytest
 import yaml
 
 import specmd.harness as harness
-from specmd.harness import (BenchReport, CellResult, ExperimentConfig,
-                            _write_report_files, build_oracle, read_trace,
+from specmd.harness import (EXCEEDED, BenchReport, CellResult,
+                            ExperimentConfig, _write_report_files,
+                            build_oracle, iterations_to_precision, read_trace,
                             reference_run, run_bench, write_trace)
 from specmd.linalg import make_rng, sym_from
 from specmd.oracles import (ExactOracleConfig, SmoothingOracleConfig,
@@ -41,6 +42,54 @@ def test_tiny_campaign_writes_reports_without_nan(tmp_path, oracle):
         text = (tmp_path / name).read_text()
         assert text.strip()
         assert "nan" not in text.lower()
+
+
+def _rows(t, f_ag):
+    """A trace with the given evaluated iterations and F_ag values."""
+    zeros = np.zeros(len(t))
+    return RunTrace(t=np.array(t), F_ag=np.array(f_ag, dtype=float),
+                    Psi_ag=np.array(f_ag, dtype=float), grad_norm=zeros,
+                    elapsed_s=zeros, final_point=sym_from(np.eye(2)),
+                    config_echo={}, seed=0)
+
+
+class TestIterationsToPrecision:
+    def test_first_hit_is_reported_even_if_later_rows_miss(self):
+        trace = _rows([1, 2, 3, 4, 5], [1.0, 0.5, 0.2, 0.4, 0.1])
+        assert iterations_to_precision(trace, 0.0, 0.3) == 3
+        assert iterations_to_precision(trace, 0.0, 1.0) == 1
+        assert iterations_to_precision(trace, 0.1, 0.05) == 5
+
+    def test_no_hit_is_exceeded(self):
+        trace = _rows([1, 2, 3], [1.0, 0.5, 0.2])
+        assert iterations_to_precision(trace, 0.0, 0.1) == EXCEEDED
+
+    def test_a_gap_equal_to_the_target_is_a_hit(self):
+        # 0.75 - 0.5 == 0.25 exactly; the next float up is a miss
+        assert iterations_to_precision(_rows([4], [0.75]), 0.5, 0.25) == 4
+        above = float(np.nextafter(0.75, 1.0))
+        assert iterations_to_precision(_rows([4], [above]), 0.5, 0.25) == EXCEEDED
+
+    def test_a_strided_trace_reports_an_evaluated_row(self):
+        # the rows of a stride-7 run are the stride-1 run's rows at those t;
+        # the first hit of the dense run falls between two of them
+        prob = make_problem(gen_instance(6, 0.2, 0), ExactOracleConfig(), T=50)
+        dense = oblivious_smd(prob, StepSchedule(degree=1), 50, 0, eval_stride=1)
+        sparse = oblivious_smd(prob, StepSchedule(degree=1), 50, 0, eval_stride=7)
+        assert list(sparse.t) == [7, 14, 21, 28, 35, 42, 49, 50]
+        f_ref = dense.best_F_ag
+        target = float(dense.F_ag[9] - f_ref)
+        first = iterations_to_precision(dense, f_ref, target)
+        assert first % 7 != 0
+        hit = iterations_to_precision(sparse, f_ref, target)
+        assert hit in sparse.t and hit > first
+        assert hit == min(t for t in sparse.t
+                          if dense.F_ag[t - 1] - f_ref <= target)
+
+    @pytest.mark.parametrize("target", [0.0, -1e-3])
+    def test_target_must_be_positive(self, target):
+        with pytest.raises(ValueError, match="target must be positive"):
+            iterations_to_precision(_rows([1], [1.0]), 0.0, target)
 
 
 def test_anchor_is_certified_and_its_bound_holds():

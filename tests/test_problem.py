@@ -48,8 +48,11 @@ def random_feasible(box, rng):
 
 class TestBoxSet:
     def test_radius_must_be_positive(self):
-        with pytest.raises(ValueError):
-            BoxSet(center=SymMatrix(np.eye(2)), radius=0.0)
+        # and finite: nan and inf would pass a bare "radius <= 0" test
+        for radius in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="radius must be positive "
+                               f"and finite, got {radius!r}"):
+                BoxSet(center=SymMatrix(np.eye(2)), radius=radius)
 
     def test_bounds_are_built_once_and_read_only(self):
         box = random_box(24)

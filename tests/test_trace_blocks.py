@@ -51,12 +51,11 @@ def ref_acsmd(prob, T, stride):
     a_sum = 0.0
     for t in range(1, T + 1):
         alpha, gamma = alphas[t - 1], gammas[t - 1]
-        a_new = a_sum + alpha
-        _, g = oracle((a_sum * x_ag + alpha * x) / a_new, gen)
+        a_sum += alpha
+        _, g = oracle(x_ag + (x - x_ag) * alpha / a_sum, gen)
         x = _clip((2.0 * mu * (alpha * prob.x1.data + gamma * x) - alpha * g)
                   / (2.0 * mu * (alpha + gamma)), prob)
-        x_ag = (a_sum * x_ag + alpha * x) / a_new
-        a_sum = a_new
+        x_ag = x_ag + (x - x_ag) * alpha / a_sum
         rows.record(t, x_ag, float(np.linalg.norm(g)))
     return rows, x_ag
 
