@@ -115,11 +115,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("run", help="run one solver on an instance file")
     p.add_argument("--instance", required=True)
     p.add_argument("--solver", required=True,
-                   help='kind:key=value,...: smd, acsmd take degree, scale; '
-                        'levy D, M; lan L, sigma; relative Lstar, Gamma, each '
-                        'a number or "theory" (the default), and tuned=true, '
-                        'which divides D, L, Lstar (not M, sigma, Gamma) by '
-                        'a tuning factor; e.g. "lan:L=theory,tuned=true"')
+                   help='kind:key=value,...: smd, acsmd take degree; levy '
+                        'D, M; lan L; relative Lstar, Gamma, each a number or '
+                        '"theory" (the default), and tuned=true, which '
+                        'divides D, L, Lstar (not M, Gamma) by a tuning '
+                        'factor; e.g. "lan:L=theory,tuned=true"')
     p.add_argument("--oracle", default="smoothing:k=1,epsilon=0.01",
                    help='e.g. "smoothing:k=1,epsilon=0.01" (exact eigen-solve '
                         'per draw) | "power:p=21,square_input=true" | "exact"; '

@@ -5,7 +5,7 @@ import json
 import math
 import os
 import re
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -87,13 +87,13 @@ def reference_run(instance: BoxSet, mu: float, budget: int, tol: float):
 def theory_parameters(instance: BoxSet, oracle, T: int) -> dict:
     """Conservative a-priori constants for baselines asking for "theory" values.
 
-    M = 1 (rank-one unit projector draws), sigma = 1, D = Frobenius box
-    diameter 2*rho*d, L = d/epsilon for the smoothing oracle, Lstar = p*d for
-    the power oracle, Gamma calibrated as lambda_max(A) / D^2.
+    M = 1 (rank-one unit projector draws), D = Frobenius box diameter
+    2*rho*d, L = d/epsilon for the smoothing oracle, Lstar = p*d for the
+    power oracle, Gamma calibrated as lambda_max(A) / D^2.
     """
     d = instance.dim
     diameter = instance.diameter_frobenius
-    out = {"M": 1.0, "sigma": 1.0, "D": diameter,
+    out = {"M": 1.0, "D": diameter,
            "Gamma": max(eval_F(instance.center.data), 1e-12) / diameter ** 2}
     if isinstance(oracle, SmoothingOracleConfig):
         out["L"] = d / oracle.epsilon
@@ -172,11 +172,11 @@ class ExperimentConfig:
     {"kind": "power", "p": 21, "square_input": true} or {"kind": "exact"}.
     Each solver spec is a dict with a "kind", an optional "name" label and
     that kind's options: smd and acsmd take degree (an integer >= 0,
-    default 1) and scale (positive, default 1.0); levy takes D and M, lan
-    L and sigma, relative Lstar and Gamma, each a number or "theory" (the
-    default, from theory_parameters), plus a "tuned" flag that divides D,
-    L and Lstar by TUNE_D, TUNE_L and TUNE_LSTAR; M, sigma and Gamma take
-    "theory" untuned. Any other key or a wrong type raises ValueError.
+    default 1); levy takes D > 0 and M >= 0, lan L > 0, relative Lstar > 0
+    and Gamma > 0, each a number or "theory" (the default, from
+    theory_parameters), plus a "tuned" flag that divides D, L and Lstar by
+    TUNE_D, TUNE_L and TUNE_LSTAR; M and Gamma take "theory" untuned. Any
+    other key, a wrong type or a value out of range raises ValueError.
     reference_budget caps the iterations of each dim's certified anchor
     (reference_run), which stops at a gap of target_precision / 10.
     """
@@ -246,40 +246,11 @@ class CellResult:
 
 @dataclass
 class BenchReport:
-    """All cell results plus per-(dim, solver) medians and percentile bands."""
+    """Cell results, and each dim's anchor as (F_ref, gap, iterations)."""
 
     config: ExperimentConfig
     cells: list
-    F_ref: dict                  # dim -> reference value
-    anchors: dict = field(default_factory=dict)  # dim -> (gap, iterations)
-    summaries: dict = field(default_factory=dict)
-    warnings: list = field(default_factory=list)
-
-    def finalize(self):
-        """Per-(dim, solver) nearest-rank iteration percentiles, misses as inf."""
-        solver_names = [_solver_label(s) for s in self.config.solvers]
-        for dim in self.config.dims:
-            for name in solver_names:
-                group = [c for c in self.cells if c.dim == dim and c.solver == name]
-                iters = sorted(float(c.iterations) if c.status == "ok"
-                               else math.inf for c in group)
-                self.summaries[(dim, name)] = {
-                    "median_iterations": _nearest_rank(iters, 50),
-                    "p10_iterations": _nearest_rank(iters, 10),
-                    "p90_iterations": _nearest_rank(iters, 90),
-                    "n_reached": sum(1 for c in group if c.status == "ok"),
-                    "n_runs": len(group),
-                }
-        # soft monotonicity check: iterations-to-precision should not shrink
-        # as the dimension grows on this instance family
-        for name in solver_names:
-            meds = [self.summaries[(dim, name)]["median_iterations"]
-                    for dim in self.config.dims]
-            finite = [m for m in meds if math.isfinite(m)]
-            if any(b < a for a, b in zip(finite, finite[1:])):
-                self.warnings.append(
-                    f"median iterations for {name} are not monotone in dim: {meds}")
-        return self
+    anchors: dict
 
 
 def _nearest_rank(sorted_values: list, pct: float) -> float:
@@ -313,19 +284,18 @@ def build_oracle(spec: dict):
 _CONSTANT = (lambda v: v == "theory" or _is_real(v) and math.isfinite(v),
              "a finite number or 'theory'")
 _STEP_OPTIONS = {
-    "degree": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
-    "scale": (lambda v: _is_real(v) and 0 < v < math.inf, "positive and finite")}
+    "degree": (lambda v: _is_int(v) and v >= 0, "an integer >= 0")}
 # each baseline's constants, with the factor its "tuned" flag divides by
-_BASELINES = {"levy": {"D": TUNE_D, "M": 1.0}, "lan": {"L": TUNE_L, "sigma": 1.0},
+_BASELINES = {"levy": {"D": TUNE_D, "M": 1.0}, "lan": {"L": TUNE_L},
               "relative": {"Lstar": TUNE_LSTAR, "Gamma": 1.0}}
 
 
 def resolve_solver_spec(spec: dict, theory: dict) -> tuple:
     """(solver, parameters) for solver(prob, *parameters, T, seed, ...).
 
-    An unknown kind or option, an option of the wrong type or range, or a
-    "theory" constant this oracle has no value for raises ValueError here,
-    before any solver runs.
+    An unknown kind or option, an option of the wrong type or range (a
+    constant is checked once resolved), or a "theory" constant this oracle
+    has no value for raises ValueError here, before any solver runs.
     """
     kind = spec.get("kind")
     # looked up per call: perfbench's tracer wraps the names in this module
@@ -346,16 +316,18 @@ def resolve_solver_spec(spec: dict, theory: dict) -> tuple:
             raise ValueError(
                 f"solver option {key} must be {need}, got {spec[key]!r}")
     if kind in ("smd", "acsmd"):
-        return solver, (StepSchedule(degree=int(spec.get("degree", 1)),
-                                     scale=float(spec.get("scale", 1.0))),)
+        return solver, (StepSchedule(degree=int(spec.get("degree", 1))),)
     params = []
     for key, factor in factors.items():
         value = spec.get(key, "theory")
         if value == "theory" and key not in theory:
             raise ValueError(
                 f"no theory value for {key!r} with this oracle; give a number")
-        value = theory[key] if value == "theory" else value
-        params.append(float(value) / (factor if spec.get("tuned") else 1.0))
+        value = float(theory[key] if value == "theory" else value)
+        if not (value >= 0 if key == "M" else value > 0):
+            need = "nonnegative" if key == "M" else "positive"
+            raise ValueError(f"solver option {key} must be {need}, got {value!r}")
+        params.append(value / (factor if spec.get("tuned") else 1.0))
     return solver, tuple(params)
 
 
@@ -386,20 +358,15 @@ def run_bench(cfg: ExperimentConfig) -> BenchReport:
 
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    cells = []
-    f_refs, anchors, warnings = {}, {}, []
-    tol = cfg.target_precision / 10
+    cells, anchors = [], {}
     for dim, instance in instances.items():
         theory = theories[dim]
         save_instance(outdir / f"instance_d{dim}.txt", instance,
                       seed=cfg.instance_seed, noise_sigma=cfg.noise_sigma)
         f_ref, gap, _, ref_trace = reference_run(
-            instance, 1.0 / math.sqrt(cfg.T), cfg.reference_budget, tol)
-        f_refs[dim] = f_ref
-        anchors[dim] = (gap, int(ref_trace.t[-1]))
-        if gap > tol:
-            warnings.append(f"anchor d={dim} uncertified (gap {gap:.3e} > "
-                            f"{tol:g} after {anchors[dim][1]} iterations)")
+            instance, 1.0 / math.sqrt(cfg.T), cfg.reference_budget,
+            cfg.target_precision / 10)
+        anchors[dim] = (f_ref, gap, int(ref_trace.t[-1]))
         write_trace(outdir / f"reference_d{dim}.csv", ref_trace)
 
         prob = make_problem(instance, oracle_cfg, T=cfg.T)
@@ -429,16 +396,9 @@ def run_bench(cfg: ExperimentConfig) -> BenchReport:
                     wall_seconds=trace.total_seconds,
                     oracle_seconds=trace.oracle_seconds))
 
-    report = BenchReport(config=cfg, cells=cells, F_ref=f_refs,
-                         anchors=anchors, warnings=warnings).finalize()
+    report = BenchReport(config=cfg, cells=cells, anchors=anchors)
     _write_report_files(report, outdir)
     return report
-
-
-def _fmt_iters(value: float, summary: dict) -> str:
-    if math.isfinite(value):
-        return f"{value:.0f}"
-    return f"{summary['n_reached']}/{summary['n_runs']} reached"
 
 
 def _write_report_files(report: BenchReport, outdir: Path) -> None:
@@ -454,12 +414,35 @@ def _write_report_files(report: BenchReport, outdir: Path) -> None:
     (outdir / "report.csv").write_text("\n".join(lines) + "\n")
     (outdir / "timing.csv").write_text("\n".join(timing) + "\n")
 
+    tol = cfg.target_precision / 10
+    warnings = [f"anchor d={dim} uncertified (gap {gap:.3e} > {tol:g} after "
+                f"{n} iterations)"
+                for dim, (_, gap, n) in report.anchors.items() if gap > tol]
+    # per (dim, solver): nearest-rank iteration percentiles, a miss or a
+    # failed cell counting as inf, which prints as the count reached
     solver_names = [_solver_label(s) for s in cfg.solvers]
     entries = {}
-    for key, s in report.summaries.items():
-        med, p10, p90 = (_fmt_iters(s[f"{q}_iterations"], s)
-                         for q in ("median", "p10", "p90"))
-        entries[key] = f"{med} [{p10}, {p90}]"
+    for name in solver_names:
+        medians = []
+        for dim in cfg.dims:
+            group = [c for c in report.cells if c.dim == dim and c.solver == name]
+            iters = sorted(float(c.iterations) if c.status == "ok"
+                           else math.inf for c in group)
+            reached = sum(c.status == "ok" for c in group)
+            failed = sum(c.status == "error" for c in group)
+            miss = f"{reached}/{len(group)} reached" + (
+                f", {failed} failed" if failed else "")
+            med, p10, p90 = (_nearest_rank(iters, pct) for pct in (50, 10, 90))
+            med_s, p10_s, p90_s = (f"{v:.0f}" if math.isfinite(v) else miss
+                                   for v in (med, p10, p90))
+            entries[dim, name] = f"{med_s} [{p10_s}, {p90_s}]"
+            medians.append(med)
+        # soft check: iterations-to-precision should not shrink as the
+        # dimension grows on this instance family
+        finite = [m for m in medians if math.isfinite(m)]
+        if any(b < a for a, b in zip(finite, finite[1:])):
+            warnings.append(f"median iterations for {name} are not monotone "
+                            f"in dim: {medians}")
     width = max(len(t) for t in [*solver_names, *entries.values()]) + 2
     text = [f"iterations to reach precision {cfg.target_precision:g} "
             f"(nearest-rank median over {len(cfg.seeds)} seeds, [p10, p90])", ""]
@@ -469,13 +452,10 @@ def _write_report_files(report: BenchReport, outdir: Path) -> None:
             entries[(dim, name)].ljust(width) for name in solver_names))
     text.append("")
     for dim in cfg.dims:
-        line = f"F_ref(d={dim}) = {report.F_ref[dim]!r}"
-        if dim in report.anchors:
-            gap, iters = report.anchors[dim]
-            line += f" (certified gap {gap:.3e} after {iters} iterations)"
-        text.append(line)
-    for warning in report.warnings:
-        text.append(f"WARNING: {warning}")
+        f_ref, gap, iters = report.anchors[dim]
+        text.append(f"F_ref(d={dim}) = {f_ref!r} (certified gap {gap:.3e} "
+                    f"after {iters} iterations)")
+    text += [f"WARNING: {warning}" for warning in warnings]
     (outdir / "summary.txt").write_text("\n".join(text) + "\n")
 
     (outdir / "config_echo.yaml").write_text(

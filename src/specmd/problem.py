@@ -10,8 +10,6 @@ import numpy as np
 
 from .linalg import SymMatrix, full_spectrum, make_rng, sym_from
 
-FEASIBILITY_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class BoxSet:
@@ -48,27 +46,21 @@ class BoxSet:
         """Frobenius diameter of the entrywise box: 2 * rho * d."""
         return 2.0 * self.radius * self.dim
 
-    def contains(self, x: np.ndarray, tol: float = FEASIBILITY_TOL) -> bool:
-        """Whether the square array x lies in the box, up to tol per entry."""
-        if x.shape != self.lower.shape:
-            return False
-        return bool(np.all(np.abs(x - self.center.data) <= self.radius + tol))
-
 
 @dataclass(frozen=True)
 class CompositeProblem:
     """Objective Psi(X) = lambda_max(X) + mu * ||X - X1||_F^2 over a box.
 
-    `oracle` is an (X, rng) -> (value, grad) callable: one of the oracle
-    configs from specmd.oracles, which are callable themselves, or any other
-    function (handy for test stubs). X is a plain d x d array; the value
-    must be a finite float and the gradient an exactly symmetric d x d
-    array. The solver loop checks finiteness only.
+    The start point X1 is the box center. `oracle` is an (X, rng) ->
+    (value, grad) callable: one of the oracle configs from specmd.oracles,
+    which are callable themselves, or any other function (handy for test
+    stubs). X is a plain d x d array; the value must be a finite float and
+    the gradient an exactly symmetric d x d array. The solver loop checks
+    finiteness only.
     """
 
     feasible: BoxSet
     mu: float
-    x1: SymMatrix
     oracle: object
 
     def __post_init__(self):
@@ -76,10 +68,10 @@ class CompositeProblem:
             raise ValueError(f"mu must be positive and finite, got {self.mu!r}")
         if not callable(self.oracle):
             raise ValueError(f"oracle is not callable: {self.oracle!r}")
-        if self.x1.dim != self.feasible.dim:
-            raise ValueError("start point dimension does not match the box")
-        if not self.feasible.contains(self.x1.data):
-            raise ValueError("start point is not feasible")
+
+    @property
+    def x1(self) -> SymMatrix:
+        return self.feasible.center
 
     @property
     def dim(self) -> int:
@@ -87,23 +79,20 @@ class CompositeProblem:
 
 
 def make_problem(box: BoxSet, oracle, T: int | None = None,
-                 mu: float | None = None, x1: SymMatrix | None = None) -> CompositeProblem:
-    """Assemble a problem; mu defaults to 1/sqrt(T), the start point to the box center."""
+                 mu: float | None = None) -> CompositeProblem:
+    """Assemble a problem; mu defaults to 1/sqrt(T)."""
     if T is not None and T < 1:
         raise ValueError("T must be >= 1")
     if mu is None:
         if T is None:
             raise ValueError("either mu or a horizon T is required")
         mu = 1.0 / math.sqrt(T)
-    return CompositeProblem(feasible=box, mu=mu, oracle=oracle,
-                            x1=box.center if x1 is None else x1)
+    return CompositeProblem(feasible=box, mu=mu, oracle=oracle)
 
 
 def project_box(x: np.ndarray, box: BoxSet) -> np.ndarray:
-    """Entrywise clamp of the square array x onto the box, as a new array
+    """Entrywise clamp of the d x d array x onto the box, as a new array
     (the Frobenius-nearest feasible point)."""
-    if x.shape != box.lower.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {box.lower.shape}")
     out = np.maximum(x, box.lower)
     return np.minimum(out, box.upper, out=out)
 
@@ -114,20 +103,17 @@ def prox_step(xt: np.ndarray, g: np.ndarray, alpha: float, gamma: float,
 
         alpha * (<g, x> + mu ||x - X1||^2) + gamma * mu ||x - Xt||^2
 
-    over the box. The objective is an entrywise-separable strictly convex
-    quadratic, so clamping its stationary point is exact. Takes the arrays
-    Xt and g and returns the minimizer as a new array; every operation is
-    entrywise, so symmetric inputs give an exactly symmetric output.
+    over the box, for alpha, gamma > 0 (StepSchedule.weights makes them so).
+    The objective is an entrywise-separable strictly convex quadratic, so
+    clamping its stationary point is exact. Takes the arrays Xt and g and
+    returns the minimizer as a new array; every operation is entrywise, so
+    symmetric inputs give an exactly symmetric output.
 
     The stationary point (2 mu (alpha X1 + gamma Xt) - alpha g) /
     (2 mu (alpha + gamma)) is built in one buffer, in that operation order,
     and clamped in place: the same bits as the expression followed by
     np.clip.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
     mu = prob.mu
     box = prob.feasible
     s = alpha * prob.x1.data

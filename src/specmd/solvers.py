@@ -26,11 +26,13 @@ class SolverError(RuntimeError):
 class StepSchedule:
     """Problem-independent polynomial step sizes.
 
-    alpha_t = scale * (t+1)^degree and gamma_t = scale * t^(degree+1) /
-    (degree+1). By the mean value theorem on t^(degree+1), the gamma
-    increments are bracketed for every t >= 1 and every degree:
+    alpha_t = (t+1)^degree and gamma_t = t^(degree+1) / (degree+1), with
+    no scale: a common factor cancels in the prox step, which reads only
+    gamma_t / alpha_t, and in the averages, which read only alpha_t / A_t.
+    By the mean value theorem on t^(degree+1), the gamma increments are
+    bracketed for every t >= 1 and every degree:
 
-        scale * t^degree <= gamma_{t+1} - gamma_t <= scale * (t+1)^degree,
+        t^degree <= gamma_{t+1} - gamma_t <= (t+1)^degree,
 
     so gamma_t tracks the running sum of alpha_s, alpha is nondecreasing, and
     gamma_t / alpha_t grows like t / (degree+1). The paper's transition time
@@ -43,19 +45,16 @@ class StepSchedule:
     """
 
     degree: int = 1
-    scale: float = 1.0
 
     def __post_init__(self):
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
 
     def weights(self, horizon: int) -> tuple[np.ndarray, np.ndarray]:
         """(alpha_t, gamma_t) arrays for t = 1..horizon."""
         t = np.arange(1, horizon + 1, dtype=float)
-        alpha = self.scale * (t + 1.0) ** self.degree
-        gamma = self.scale * t ** (self.degree + 1) / (self.degree + 1)
+        alpha = (t + 1.0) ** self.degree
+        gamma = t ** (self.degree + 1) / (self.degree + 1)
         return alpha, gamma
 
 
@@ -218,8 +217,8 @@ def _oblivious(name, prob, sched, T, rng, at_md, eval_stride, stop=None):
     def prox(t, x, g, gnorm):
         return prox_step(x, g, alphas[t - 1], gammas[t - 1], prob)
 
-    return _run(name, {"degree": sched.degree, "scale": sched.scale}, prob, T,
-                rng, prox, alphas, at_md, eval_stride, stop)
+    return _run(name, {"degree": sched.degree}, prob, T, rng, prox, alphas,
+                at_md, eval_stride, stop)
 
 
 def oblivious_smd(prob: CompositeProblem, sched: StepSchedule, T: int, rng,
@@ -267,13 +266,13 @@ def levy_adaptive(prob: CompositeProblem, D: float, M: float, T: int, rng,
                 np.ones(T), eval_stride=eval_stride)
 
 
-def lan_acsa(prob: CompositeProblem, L: float, sigma: float, T: int, rng,
+def lan_acsa(prob: CompositeProblem, L: float, T: int, rng,
              eval_stride: int | None = None) -> RunTrace:
     """Accelerated stochastic approximation with a known smoothness constant.
 
     Combination weights come from alpha_t = t/2 (md weight 2/(t+1)); the
     update is a projected gradient step of size t/(4L) taken at the md point.
-    sigma is echoed for reporting; the step rule uses L only.
+    The step reads L only; AC-SA's noise level sigma enters no step here.
     """
     if L <= 0:
         raise ValueError("L must be positive")
@@ -282,7 +281,7 @@ def lan_acsa(prob: CompositeProblem, L: float, sigma: float, T: int, rng,
         eta = t / (4.0 * L)
         return project_box(x - eta * g, prob.feasible)
 
-    return _run("lan_acsa", {"L": L, "sigma": sigma}, prob, T, rng, step,
+    return _run("lan_acsa", {"L": L}, prob, T, rng, step,
                 0.5 * np.arange(1, T + 1), True, eval_stride)
 
 

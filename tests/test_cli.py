@@ -50,13 +50,13 @@ def test_generate_and_run_round_trip(tmp_path, instance, capsys):
     ("bogus", "unknown solver kind: bogus"),
     ("acsmd:degre=2", "solver option 'degre' is unknown for acsmd"),
     ("acsmd:degree=1.7", "solver option degree must be an integer >= 0, got 1.7"),
-    ("smd:scale=0", "solver option scale must be positive and finite, got 0"),
+    ("smd:scale=2", "solver option 'scale' is unknown for smd"),
     ("smd:tuned=true", "solver option 'tuned' is unknown for smd"),
     ("levy:tuned=no", "solver option tuned must be true or false, got 'no'"),
     ("levy:D=abc",
      "solver option D must be a finite number or 'theory', got 'abc'"),
-    ("lan:L=40,sigma=inf",
-     "solver option sigma must be a finite number or 'theory', got inf"),
+    ("lan:L=40,sigma=1", "solver option 'sigma' is unknown for lan"),
+    ("lan:L=0", "solver option L must be positive, got 0.0"),
 ])
 def test_bad_solver_spec_exits_2_with_one_line(tmp_path, instance, solver, message):
     out = tmp_path / "o.csv"
@@ -68,7 +68,7 @@ def test_bad_solver_spec_exits_2_with_one_line(tmp_path, instance, solver, messa
 
 
 @pytest.mark.parametrize("solver, key", [
-    ("levy:M=theory", "M"), ("lan:L=40,sigma=theory", "sigma"),
+    ("levy:M=theory", "M"),
     ("relative:Lstar=10,Gamma=theory,tuned=true", "Gamma"),
 ])
 def test_theory_is_accepted_for_every_baseline_constant(tmp_path, instance,
@@ -203,13 +203,24 @@ def test_unknown_campaign_key_exits_2_with_one_line(tmp_path):
             (full.replace("{kind: acsmd}", "{kind: acsmd, degree: true}"),
              "solver option degree must be an integer >= 0, got True"),
             (full.replace("{kind: acsmd}", "{kind: smd, scale: .nan}"),
-             "solver option scale must be positive and finite, got nan"),
+             "solver option 'scale' is unknown for smd"),
+            (full.replace("{kind: acsmd}", "{kind: lan, L: 40, sigma: 1}"),
+             "solver option 'sigma' is unknown for lan"),
             (full.replace("{kind: acsmd}", '{kind: levy, tuned: "false"}'),
              "solver option tuned must be true or false, got 'false'"),
             (full.replace("{kind: acsmd}", "{kind: levy, D: abc}"),
              "solver option D must be a finite number or 'theory', got 'abc'"),
             (full.replace("{kind: acsmd}", "{kind: levy, M: [1]}"),
-             "solver option M must be a finite number or 'theory', got [1]")):
+             "solver option M must be a finite number or 'theory', got [1]"),
+            # constants in range once resolved, before any anchor run too
+            (full.replace("{kind: acsmd}", "{kind: levy, D: -1}"),
+             "solver option D must be positive, got -1.0"),
+            (full.replace("{kind: acsmd}", "{kind: levy, M: -1}"),
+             "solver option M must be nonnegative, got -1.0"),
+            (full.replace("{kind: acsmd}", "{kind: lan, L: 0}"),
+             "solver option L must be positive, got 0.0"),
+            (full.replace("{kind: acsmd}", "{kind: relative, Lstar: 0}"),
+             "solver option Lstar must be positive, got 0.0")):
         config.write_text(text)
         done = run_cli("bench", "--config", str(config))
         assert done.returncode == 2
@@ -241,7 +252,9 @@ def test_failed_cells_are_named_on_stderr_and_exit_1(tmp_path):
             r"<X\^n u, u> = \S+ is not positive for the sampled direction",
             line), line
     assert done.stdout == (outdir / "summary.txt").read_text()
-    assert "0/2 reached" in done.stdout
+    # a failed cell is told apart from a run that missed the target
+    assert "0/2 reached, 2 failed [0/2 reached, 2 failed, 0/2 reached, " \
+        "2 failed]" in done.stdout
 
 
 @pytest.mark.parametrize("rho", ["nan", "inf", "-1"])

@@ -25,14 +25,14 @@ from specmd.solvers import (StepSchedule, lan_acsa, levy_adaptive,
 D, T, SEED = 12, 60, 7
 SCHED = StepSchedule(degree=1)
 LEVY_D, LEVY_M = 3.0, 1.0
-LAN_L, LAN_SIGMA = 40.0, 1.0
+LAN_L = 40.0
 REL_LSTAR, REL_GAMMA = 10.0, 0.01
 
 
 def _steps(t):
-    """(alpha_t, gamma_t) of SCHED: scale (t+1)^n and scale t^(n+1) / (n+1)."""
-    n, c = SCHED.degree, SCHED.scale
-    return c * (t + 1.0) ** n, c * float(t) ** (n + 1) / (n + 1)
+    """(alpha_t, gamma_t) of SCHED: (t+1)^n and t^(n+1) / (n+1)."""
+    n = SCHED.degree
+    return (t + 1.0) ** n, float(t) ** (n + 1) / (n + 1)
 
 
 def _bounds(prob):
@@ -149,7 +149,7 @@ SOLVERS = {
               ref_acsmd),
     "levy": (lambda prob: levy_adaptive(prob, LEVY_D, LEVY_M, T, SEED,
                                         eval_stride=1), ref_levy),
-    "lan": (lambda prob: lan_acsa(prob, LAN_L, LAN_SIGMA, T, SEED,
+    "lan": (lambda prob: lan_acsa(prob, LAN_L, T, SEED,
                                   eval_stride=1), ref_lan),
     "relative": (lambda prob: relative_md(prob, REL_LSTAR, REL_GAMMA, T, SEED,
                                           eval_stride=1), ref_relative),

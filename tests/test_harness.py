@@ -190,16 +190,16 @@ def test_nearest_rank_percentiles_and_reached_count(tmp_path):
     cells += [CellResult(dim=6, solver="smd_n1", seed=s, status="exceeded",
                          iterations=None, final_gap=0.5, wall_seconds=0.0,
                          oracle_seconds=0.0) for s in range(3)]
+    report = BenchReport(config=cfg, cells=cells, anchors={6: (0.0, 0.0, 100)})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = BenchReport(config=cfg, cells=cells, F_ref={6: 0.0}).finalize()
-    s = report.summaries[(6, "acsmd_n1")]
-    assert (s["p10_iterations"], s["median_iterations"]) == (10, 30)
-    assert s["p90_iterations"] == math.inf
-    _write_report_files(report, tmp_path)
+        _write_report_files(report, tmp_path)
     summary = (tmp_path / "summary.txt").read_text()
+    # acsmd: p10 = 10, median = 30 and p90 a miss, printed as the count
     assert "30 [10, 2/3 reached]" in summary
     assert "0/3 reached [0/3 reached, 0/3 reached]" in summary
+    assert "F_ref(d=6) = 0.0 (certified gap 0.000e+00 after 100 iterations)" \
+        in summary
 
 
 def test_build_oracle_rejects_unknown_keys():
@@ -216,12 +216,21 @@ def test_build_oracle_rejects_unknown_keys():
     ({"kind": "acsmd", "degre": 2}, "solver option 'degre' is unknown for acsmd"),
     ({"kind": "acsmd", "degree": 1.7},
      "solver option degree must be an integer >= 0, got 1.7"),
-    ({"kind": "smd", "scale": float("inf")},
-     "solver option scale must be positive and finite, got inf"),
+    ({"kind": "smd", "scale": 2.0}, "solver option 'scale' is unknown for smd"),
     ({"kind": "levy", "tuned": "false"},
      "solver option tuned must be true or false, got 'false'"),
     ({"kind": "levy", "D": "abc"},
      "solver option D must be a finite number or 'theory', got 'abc'"),
+    ({"kind": "lan", "L": 40.0, "sigma": 1.0},
+     "solver option 'sigma' is unknown for lan"),
+    # constants are checked against the solvers' ranges once resolved
+    ({"kind": "levy", "D": -1}, "solver option D must be positive, got -1.0"),
+    ({"kind": "levy", "M": -1}, "solver option M must be nonnegative, got -1.0"),
+    ({"kind": "lan", "L": 0}, "solver option L must be positive, got 0.0"),
+    ({"kind": "relative", "Lstar": 0},
+     "solver option Lstar must be positive, got 0.0"),
+    ({"kind": "relative", "Lstar": 10, "Gamma": -0.5, "tuned": True},
+     "solver option Gamma must be positive, got -0.5"),
 ])
 def test_bad_solver_spec_fails_before_any_reference_run(tmp_path, monkeypatch,
                                                         solver, message):
@@ -237,24 +246,73 @@ def test_bad_solver_spec_fails_before_any_reference_run(tmp_path, monkeypatch,
 
 
 def test_solver_constants_resolve_from_theory():
-    theory = {"D": 12.0, "M": 1.0, "sigma": 1.0, "Gamma": 0.01, "L": 600.0}
+    theory = {"D": 12.0, "M": 1.0, "Gamma": 0.01, "L": 600.0}
     resolve = harness.resolve_solver_spec
-    # M, sigma and Gamma take "theory" untuned; D, L and Lstar are tuned
+    # M and Gamma take "theory" untuned; D, L and Lstar are tuned
     assert resolve({"kind": "levy", "M": "theory", "tuned": True}, theory) == (
         harness.levy_adaptive, (12.0 / harness.TUNE_D, 1.0))
-    assert resolve({"kind": "lan", "sigma": "theory"}, theory) == (
-        harness.lan_acsa, (600.0, 1.0))
+    assert resolve({"kind": "lan", "L": "theory"}, theory) == (
+        harness.lan_acsa, (600.0,))
     assert resolve({"kind": "relative", "Lstar": 10, "Gamma": "theory",
                     "tuned": True}, theory) == (
         harness.relative_md, (10.0 / harness.TUNE_LSTAR, 0.01))
     # the specs the benchmark runs stay valid
     assert resolve({"kind": "lan", "tuned": True}, theory)[1] == (
-        600.0 / harness.TUNE_L, 1.0)
-    assert resolve({"kind": "lan", "L": 40.0}, theory)[1] == (40.0, 1.0)
-    solver, (sched,) = resolve({"kind": "acsmd", "name": "a", "degree": 0,
-                                "scale": 2}, theory)
+        600.0 / harness.TUNE_L,)
+    assert resolve({"kind": "lan", "L": 40.0}, theory)[1] == (40.0,)
+    # M may be 0, as levy_adaptive allows
+    assert resolve({"kind": "levy", "M": 0}, theory)[1] == (12.0, 0.0)
+    solver, (sched,) = resolve({"kind": "acsmd", "name": "a", "degree": 0},
+                               theory)
     assert solver is harness.oblivious_acsmd
-    assert (sched.degree, sched.scale) == (0, 2.0)
+    assert sched == StepSchedule(degree=0)
+
+
+# two values of every option a solver spec or an oracle takes; each pair
+# must give different F_ag bytes at d = 6, T = 20. square_input is left out:
+# the unsquared power form fails at t = 1 on instances this small.
+OPTION_VALUES = {
+    "degree": (1, 2), "D": (1.0, 5.0), "M": (0.0, 10.0), "L": (40.0, 400.0),
+    "Lstar": (10.0, 100.0), "Gamma": (0.01, 1.0), "tuned": (False, True),
+    "k": (1, 3), "epsilon": (1e-2, 1e-1), "p": (3, 7),
+}
+
+
+def _every_option():
+    """(solver spec, oracle spec, option, the spec that takes it) for each
+    option, read from the tables resolve_solver_spec and build_oracle check
+    specs against."""
+    smoothing = {"kind": "smoothing"}
+    for kind in ("smd", "acsmd"):
+        for key in harness._STEP_OPTIONS:
+            yield pytest.param({"kind": kind}, smoothing, key, "solver",
+                               id=f"{kind}-{key}")
+    for kind, constants in harness._BASELINES.items():
+        # the smoothing oracle has no theory value for Lstar
+        base = {"kind": kind, **({"Lstar": 10.0} if kind == "relative" else {})}
+        for key in [*constants, "tuned"]:
+            yield pytest.param(base, smoothing, key, "solver",
+                               id=f"{kind}-{key}")
+    for kind, cls in harness._ORACLE_CONFIGS.items():
+        for key in [f.name for f in dataclasses.fields(cls)]:
+            if key != "square_input":
+                yield pytest.param({"kind": "acsmd"}, {"kind": kind}, key,
+                                   "oracle", id=f"{kind}-{key}")
+
+
+@pytest.mark.parametrize("solver, oracle, key, where", _every_option())
+def test_every_option_changes_the_run(solver, oracle, key, where):
+    box = gen_instance(6, 0.2, seed=0)
+    runs = []
+    for value in OPTION_VALUES[key]:
+        specs = {"solver": solver, "oracle": oracle}
+        specs[where] = {**specs[where], key: value}
+        oracle_cfg = build_oracle(specs["oracle"])
+        prob = make_problem(box, oracle_cfg, T=20)
+        theory = harness.theory_parameters(box, oracle_cfg, 20)
+        trace = harness.run_solver_spec(specs["solver"], prob, 20, 0, theory)
+        runs.append(trace.F_ag.tobytes())
+    assert runs[0] != runs[1]
 
 
 def json_trace_text(trace) -> str:

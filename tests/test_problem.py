@@ -66,11 +66,6 @@ class TestBoxSet:
         box = BoxSet(center=SymMatrix(np.zeros((5, 5))), radius=0.3)
         assert box.diameter_frobenius == 3.0
 
-    def test_contains_with_slack(self):
-        box = BoxSet(center=SymMatrix(np.zeros((2, 2))), radius=1.0)
-        assert box.contains(SymMatrix(np.full((2, 2), 1.0 + 1e-13)).data)
-        assert not box.contains(SymMatrix(np.full((2, 2), 1.0 + 1e-9)).data)
-
 
 class TestProjectBox:
     def test_feasible_point_unchanged(self):
@@ -115,21 +110,14 @@ class TestCompositeProblem:
     def test_requires_positive_mu(self):
         box = random_box(8)
         with pytest.raises(ValueError):
-            CompositeProblem(feasible=box, mu=0.0, x1=box.center,
-                             oracle=ExactOracleConfig())
-
-    def test_requires_feasible_start(self):
-        box = random_box(9)
-        bad = SymMatrix(box.center.data + 2.0 * box.radius * np.eye(box.dim))
-        with pytest.raises(ValueError):
-            CompositeProblem(feasible=box, mu=1.0, x1=bad,
-                             oracle=ExactOracleConfig())
+            CompositeProblem(feasible=box, mu=0.0, oracle=ExactOracleConfig())
 
     def test_make_problem_defaults(self):
         box = random_box(10)
         prob = make_problem(box, ExactOracleConfig(), T=400)
         assert prob.mu == pytest.approx(1.0 / 20.0)
-        assert np.array_equal(prob.x1.data, box.center.data)
+        # the start point is the box center, with no other way to set it
+        assert prob.x1 is box.center
         with pytest.raises(ValueError):
             make_problem(box, ExactOracleConfig())
 
@@ -194,14 +182,6 @@ class TestProxStep:
         out = prox_step(xt, g.data, 1e-14, 3.0, prob)
         assert np.allclose(out, xt, atol=1e-12)
 
-    def test_rejects_nonpositive_steps(self):
-        box = random_box(16)
-        prob = make_problem(box, ExactOracleConfig(), mu=1.0)
-        with pytest.raises(ValueError):
-            prox_step(box.center.data, np.zeros_like(box.lower), 0.0, 1.0, prob)
-        with pytest.raises(ValueError):
-            prox_step(box.center.data, np.zeros_like(box.lower), 1.0, -1.0, prob)
-
     def test_beats_random_feasible_points(self):
         box = random_box(17)
         prob = make_problem(box, ExactOracleConfig(), mu=0.9)
@@ -238,7 +218,7 @@ class TestProxStep:
             gamma = float(rng.uniform(0.01, 5.0))
             out = prox_step(xt, g.data, alpha, gamma, prob)
             assert prox_kkt_violations(out, xt, g.data, alpha, gamma, prob) == 0
-            assert box.contains(out)
+            assert np.all(np.abs(out - box.center.data) <= box.radius + 1e-12)
             assert np.array_equal(project_box(out, box), out)
             if scale > 1.0:
                 assert np.any(out == box.lower) and np.any(out == box.upper)
@@ -260,7 +240,7 @@ class TestProxStep:
         assert len(calls) == 40
         previous = prob.x1.data
         for t, (xt, g, alpha, gamma, x) in enumerate(calls, start=1):
-            # degree 1, scale 1: alpha_t = t + 1 and gamma_t = t^2 / 2
+            # degree 1: alpha_t = t + 1 and gamma_t = t^2 / 2
             assert (alpha, gamma) == ((t + 1.0) ** 1, float(t) ** 2 / 2)
             assert np.array_equal(xt, previous)
             assert prox_kkt_violations(x, xt, g, alpha, gamma, prob) == 0
@@ -288,6 +268,49 @@ class TestProxStep:
                         entry_obj, bounds=(box.lower[i, j], box.upper[i, j]),
                         method="bounded", options={"xatol": 1e-10})
                     assert out[i, j] == pytest.approx(res.x, abs=1e-6)
+
+
+class TestCommonStepFactorCancels:
+    """Why StepSchedule has no scale: a factor common to alpha and gamma
+    cancels in the prox step and in the alpha_t / A_t averages."""
+
+    @pytest.mark.parametrize("d", [3, 20, 200])
+    def test_prox_step_ignores_a_common_factor(self, d):
+        rng = make_rng(50 + d)
+        for trial in range(6):
+            box = random_box(300 * d + trial, d=d,
+                             radius=float(rng.uniform(0.1, 1.0)))
+            prob = make_problem(box, ExactOracleConfig(),
+                                mu=float(rng.uniform(0.05, 2.0)))
+            xt = random_feasible(box, rng)
+            # the last trials scale g so that entries land on both faces
+            scale = 1e3 if trial >= 4 else 1.0
+            g = sym_from(scale * rng.standard_normal((d, d))).data
+            alpha = float(rng.uniform(0.01, 5.0))
+            gamma = float(rng.uniform(0.01, 5.0))
+            base = prox_step(xt, g, alpha, gamma, prob)
+            # doubling is exact in every operation, so not a bit moves
+            doubled = prox_step(xt, g, 2 * alpha, 2 * gamma, prob)
+            assert doubled.tobytes() == base.tobytes()
+            # a factor of 3 rounds, but only in the last bits: within 4 ulps
+            # of the largest entry (measured at most 1.9, or 1.3e-15 at d = 200)
+            tripled = prox_step(xt, g, 3 * alpha, 3 * gamma, prob)
+            ulp = np.finfo(float).eps * max(1.0, float(np.max(np.abs(base))))
+            assert np.max(np.abs(tripled - base)) <= 4 * ulp
+
+    def test_acsmd_run_ignores_doubled_weights(self):
+        class Doubled(StepSchedule):
+            def weights(self, horizon):
+                alpha, gamma = super().weights(horizon)
+                return 2.0 * alpha, 2.0 * gamma
+
+        prob = make_problem(gen_instance(6, 0.2, seed=3),
+                            PowerOracleConfig(p=5), T=40)
+        base = oblivious_acsmd(prob, StepSchedule(), 40, 1, eval_stride=1)
+        doubled = oblivious_acsmd(prob, Doubled(), 40, 1, eval_stride=1)
+        assert doubled.F_ag.tobytes() == base.F_ag.tobytes()
+        assert doubled.final_point.data.tobytes() == \
+            base.final_point.data.tobytes()
 
 
 class TestEvaluation:

@@ -17,19 +17,17 @@ from specmd.solvers import (RunTrace, SolverError, StepSchedule, lan_acsa,
 def schedule_at(sched, t):
     """The step law one scalar at a time, kept here so StepSchedule.weights
     is checked against an independent formula."""
-    n, c = sched.degree, sched.scale
-    return c * (t + 1.0) ** n, c * float(t) ** (n + 1) / (n + 1)
+    n = sched.degree
+    return (t + 1.0) ** n, float(t) ** (n + 1) / (n + 1)
 
 
 class TestStepSchedule:
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             StepSchedule(degree=-1)
-        with pytest.raises(ValueError):
-            StepSchedule(scale=0.0)
 
     def test_degree_zero_increment_equality(self):
-        sched = StepSchedule(degree=0, scale=1.0)
+        sched = StepSchedule(degree=0)
         alpha, gamma = sched.weights(1000)
         for t in (1, 2, 10, 999):
             assert alpha[t - 1] == 1.0
@@ -37,13 +35,13 @@ class TestStepSchedule:
             assert (alpha[t - 1], gamma[t - 1]) == schedule_at(sched, t)
 
     def test_formula_values(self):
-        # alpha = scale * (t+1)^degree, gamma = scale * t^(degree+1) / (degree+1)
-        alpha, gamma = StepSchedule(degree=1, scale=1.0).weights(3)
-        assert alpha[2] == 4.0  # 1 * (3+1)^1
-        assert gamma[2] == 4.5  # 1 * 3^2 / 2
-        alpha, gamma = StepSchedule(degree=2, scale=0.5).weights(2)
-        assert alpha[1] == 0.5 * 9.0  # 0.5 * (2+1)^2
-        assert gamma[1] == 0.5 * 8.0 / 3.0  # 0.5 * 2^3 / 3
+        # alpha = (t+1)^degree, gamma = t^(degree+1) / (degree+1)
+        alpha, gamma = StepSchedule(degree=1).weights(3)
+        assert alpha[2] == 4.0  # (3+1)^1
+        assert gamma[2] == 4.5  # 3^2 / 2
+        alpha, gamma = StepSchedule(degree=2).weights(2)
+        assert alpha[1] == 9.0  # (2+1)^2
+        assert gamma[1] == 8.0 / 3.0  # 2^3 / 3
 
     def test_rejects_bad_iteration_index(self):
         # no step exists before t = 1: the schedule is empty and the
@@ -57,21 +55,20 @@ class TestStepSchedule:
 
     @pytest.mark.parametrize("degree", [0, 1, 2, 3])
     def test_bracket_holds_over_a_long_horizon(self, degree):
-        # the bracket scale t^n <= gamma_{t+1} - gamma_t <= scale (t+1)^n
-        # that the mean value theorem gives, and a nondecreasing alpha
+        # the bracket t^n <= gamma_{t+1} - gamma_t <= (t+1)^n that the mean
+        # value theorem gives, and a nondecreasing alpha
         t = np.arange(1, 100_000, dtype=float)
-        for scale in (0.1, 1.0, 2.0, 10.0):
-            alpha, gamma = StepSchedule(degree=degree, scale=scale).weights(100_000)
-            assert np.all(np.diff(alpha) >= 0.0)
-            increments = np.diff(gamma)
-            low, high = scale * t ** degree, scale * (t + 1.0) ** degree
-            slack = 1e-12 * np.maximum(1.0, np.maximum(high, gamma[1:]))
-            assert np.all(increments >= low - slack)
-            assert np.all(increments <= high + slack)
+        alpha, gamma = StepSchedule(degree=degree).weights(100_000)
+        assert np.all(np.diff(alpha) >= 0.0)
+        increments = np.diff(gamma)
+        low, high = t ** degree, (t + 1.0) ** degree
+        slack = 1e-12 * np.maximum(1.0, np.maximum(high, gamma[1:]))
+        assert np.all(increments >= low - slack)
+        assert np.all(increments <= high + slack)
 
     def test_weights_match_schedule_at(self):
-        for sched in (StepSchedule(degree=2, scale=1.3), StepSchedule(),
-                      StepSchedule(degree=0, scale=0.7)):
+        for sched in (StepSchedule(degree=2), StepSchedule(),
+                      StepSchedule(degree=0)):
             alpha, gamma = sched.weights(50)
             for t in range(1, 51):
                 assert (alpha[t - 1], gamma[t - 1]) == schedule_at(sched, t)
@@ -177,7 +174,7 @@ class TestFeasibilityAndAveraging:
         lambda prob, T, rng: oblivious_smd(prob, StepSchedule(degree=1), T, rng),
         lambda prob, T, rng: oblivious_acsmd(prob, StepSchedule(degree=2), T, rng),
         lambda prob, T, rng: levy_adaptive(prob, 3.0, 1.0, T, rng),
-        lambda prob, T, rng: lan_acsa(prob, 20.0, 1.0, T, rng),
+        lambda prob, T, rng: lan_acsa(prob, 20.0, T, rng),
         lambda prob, T, rng: relative_md(prob, 10.0, 0.01, T, rng),
     ])
     def test_iterates_stay_feasible(self, runner, recorder):
@@ -249,7 +246,7 @@ class TestLevy:
 class TestLanAcsa:
     def test_huge_smoothness_pins_iterates(self):
         prob = interior_problem(seed=9, d=5, oracle=SmoothingOracleConfig())
-        trace = lan_acsa(prob, L=1e12, sigma=1.0, T=50, rng=2)
+        trace = lan_acsa(prob, L=1e12, T=50, rng=2)
         assert np.max(np.abs(trace.final_point.data - prob.x1.data)) <= 1e-8
 
     def test_scalar_quadratic_rate(self):
@@ -263,7 +260,7 @@ class TestLanAcsa:
         prob = make_problem(box, grad_oracle, mu=1e-9)
         gaps = {}
         for T in (100, 1000):
-            trace = lan_acsa(prob, L, 0.0, T, 0, eval_stride=T)
+            trace = lan_acsa(prob, L, T, 0, eval_stride=T)
             x_end = trace.final_point.data[0, 0]
             gaps[T] = 0.5 * L * (x_end - b) ** 2
         assert gaps[1000] <= max(2.0 * gaps[100] * 100 / 1000, 1e-10)
@@ -289,7 +286,7 @@ FIVE_SOLVERS = [
     lambda prob: oblivious_smd(prob, StepSchedule(degree=1), 10, 0),
     lambda prob: oblivious_acsmd(prob, StepSchedule(degree=1), 10, 0),
     lambda prob: levy_adaptive(prob, 3.0, 1.0, 10, 0),
-    lambda prob: lan_acsa(prob, 20.0, 1.0, 10, 0),
+    lambda prob: lan_acsa(prob, 20.0, 10, 0),
     lambda prob: relative_md(prob, 10.0, 0.01, 10, 0),
 ]
 
