@@ -55,6 +55,8 @@ def _cmd_generate(args):
 def _cmd_run(args):
     if not 0 < args.target < math.inf:
         raise ValueError(f"target must be positive and finite, got {args.target!r}")
+    if args.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
     box, meta = load_instance(args.instance)
     oracle_cfg = build_oracle(_parse_kv_spec(args.oracle))
     solver_spec = _parse_kv_spec(args.solver)
@@ -149,6 +151,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "out", None) and not Path(args.out).parent.is_dir():
+            raise ValueError(f"output directory {Path(args.out).parent} does not exist")
         return args.func(args)
     except (ValueError, OSError) as err:
         print(f"specmd: error: {err}", file=sys.stderr)

@@ -215,7 +215,8 @@ _CONFIG_RULES = (
     ("solvers", _list_of(lambda v: isinstance(v, dict)), "a list of mappings",
      bool, "nonempty"),
     ("T", _is_int, "an integer", lambda v: v >= 1, ">= 1"),
-    ("seeds", _list_of(_is_int), "a list of integers", bool, "nonempty"),
+    ("seeds", _list_of(_is_int), "a list of integers",
+     lambda v: v and min(v) >= 0, "a nonempty list of nonnegative integers"),
     ("target_precision", _is_real, "a number", lambda v: 0 < v < math.inf,
      "positive and finite"),
     ("noise_sigma", _is_real, "a number", lambda v: 0 <= v < math.inf,

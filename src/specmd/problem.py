@@ -158,8 +158,9 @@ def gen_instance(d: int, noise_sigma: float, seed: int) -> BoxSet:
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be nonnegative")
+    if not 0 <= noise_sigma < math.inf:
+        raise ValueError(
+            f"noise_sigma must be nonnegative and finite, got {noise_sigma!r}")
     rng = make_rng(seed)
     a = np.diag(np.exp(-np.arange(1, d + 1, dtype=float)))
     a = a + rng.normal(0.0, noise_sigma, size=(d, d)) if noise_sigma > 0 else a

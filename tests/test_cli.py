@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import specmd
+from specmd import cli
 from specmd.cli import main
 from specmd.harness import read_trace, theory_parameters
 from specmd.oracles import ExactOracleConfig
@@ -112,6 +113,7 @@ def test_bad_oracle_option_exits_2_with_one_line(tmp_path, instance, oracle,
     (("--mu", "nan"), "mu must be positive and finite, got nan"),
     (("--mu", "inf"), "mu must be positive and finite, got inf"),
     (("--mu", "0"), "mu must be positive and finite, got 0.0"),
+    (("--seed", "-1"), "seed must be >= 0, got -1"),
 ])
 def test_bad_number_exits_2_with_one_line_before_the_run(tmp_path, instance,
                                                          args, message):
@@ -178,6 +180,9 @@ def test_unknown_campaign_key_exits_2_with_one_line(tmp_path):
              "oracle must be a mapping, got 'exact'"),
             (full + "reference_budget: 0\n",
              "reference_budget must be >= 1, got 0"),
+            (full.replace("seeds: [0]", "seeds: [-1, 2]"),
+             "seeds must be a nonempty list of nonnegative integers, "
+             "got [-1, 2]"),
             # options inside the oracle mapping, checked before any output
             # directory or anchor run
             (full.replace("{kind: exact}", "{kind: smoothing, k: abc}"),
@@ -255,6 +260,40 @@ def test_failed_cells_are_named_on_stderr_and_exit_1(tmp_path):
     # a failed cell is told apart from a run that missed the target
     assert "0/2 reached, 2 failed [0/2 reached, 2 failed, 0/2 reached, " \
         "2 failed]" in done.stdout
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-1"])
+def test_generate_rejects_a_bad_noise_level_in_one_line(tmp_path, sigma):
+    out = tmp_path / "inst.txt"
+    done = run_cli("generate", "--dim", "4", "--noise-sigma", sigma,
+                   "--out", str(out))
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [
+        "specmd: error: noise_sigma must be nonnegative and finite, "
+        f"got {float(sigma)!r}"]
+    assert not out.exists()
+
+
+def test_run_and_reference_check_the_output_directory_first(
+        tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the --out check")
+
+    for name in ("load_instance", "run_solver_spec", "reference_run"):
+        monkeypatch.setattr(cli, name, never)
+    out = tmp_path / "missing" / "o.csv"
+    message = f"specmd: error: output directory {out.parent} does not exist"
+    for args in (("run", "--instance", "nosuch.txt", "--solver", "acsmd",
+                  "--out", str(out)),
+                 ("reference", "--instance", "nosuch.txt", "--out", str(out))):
+        assert main(list(args)) == 2
+        assert capsys.readouterr().err.splitlines() == [message]
+    # a negative --seed is refused before the instance is read as well
+    assert main(["run", "--instance", "nosuch.txt", "--solver", "acsmd",
+                 "--seed", "-2", "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "specmd: error: seed must be >= 0, got -2"]
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("rho", ["nan", "inf", "-1"])

@@ -245,6 +245,20 @@ def test_bad_solver_spec_fails_before_any_reference_run(tmp_path, monkeypatch,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("seeds", [[-1, 2], [0, -3]])
+def test_negative_seed_fails_before_any_reference_run(tmp_path, monkeypatch,
+                                                      seeds):
+    def no_reference_run(*args, **kwargs):
+        raise AssertionError("reference run started before config validation")
+
+    monkeypatch.setattr(harness, "reference_run", no_reference_run)
+    with pytest.raises(ValueError) as err:
+        run_bench(tiny_config(tmp_path / "out", {"kind": "exact"}, seeds=seeds))
+    assert str(err.value) == ("seeds must be a nonempty list of nonnegative "
+                              f"integers, got {seeds!r}")
+    assert not (tmp_path / "out").exists()
+
+
 def test_solver_constants_resolve_from_theory():
     theory = {"D": 12.0, "M": 1.0, "Gamma": 0.01, "L": 600.0}
     resolve = harness.resolve_solver_spec

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from specmd.harness import build_oracle
-from specmd.linalg import full_spectrum, make_rng, sym_from
+from specmd.linalg import full_spectrum, leading_eigpair, make_rng, sym_from
 from specmd.oracles import (ExactOracleConfig, PowerOracleConfig,
                             SmoothingOracleConfig, _krylov_value_grad,
                             exact_subgrad, oracle_echo, power_grad,
@@ -341,7 +341,7 @@ class TestExactSubgrad:
 
 def smoothing_reference(x, cfg, rng):
     """The smoothing draw in its first arithmetic: np.mean of np.diag,
-    np.diag_indices and np.outer, around the same stacked eigen-solve."""
+    np.diag_indices and np.outer, around the same leading_eigpair call."""
     base = np.array(x, dtype=float)
     d = base.shape[0]
     offset = float(np.mean(np.diag(base)))
@@ -349,15 +349,16 @@ def smoothing_reference(x, cfg, rng):
     z = rng.standard_normal((cfg.k, d))
     stack = (cfg.epsilon / d) * (z[:, :, None] * z[:, None, :])
     stack += base
-    vals, vecs = np.linalg.eigh(stack)
-    best = int(np.argmax(vals[:, -1]))
-    v = vecs[best][:, -1]
-    return float(vals[best, -1]) + offset, np.outer(v, v)
+    tops, vecs = leading_eigpair(stack)
+    best = int(np.argmax(tops))
+    v = vecs[best]
+    return float(tops[best]) + offset, np.outer(v, v)
 
 
 class TestOracleArithmetic:
     """The golden traces call the same oracle on both sides, so the
-    oracles' own rounding is pinned here, bit for bit."""
+    oracles' own rounding is pinned here, bit for bit, around the one
+    eigen-solve seam leading_eigpair (tested in tests/test_linalg.py)."""
 
     @pytest.mark.parametrize("d", [6, 20, 50])
     @pytest.mark.parametrize("k", [1, 2])
@@ -376,10 +377,10 @@ class TestOracleArithmetic:
         rng = make_rng(80 + d)
         for _ in range(5):
             x = sym(rng.standard_normal((d, d)))
-            vals, vecs = np.linalg.eigh(x)
+            top, v = leading_eigpair(x)
             value, grad = exact_subgrad(x)
-            assert value == float(vals[-1])
-            assert grad.tobytes() == np.outer(vecs[:, -1], vecs[:, -1]).tobytes()
+            assert value == float(top)
+            assert grad.tobytes() == np.outer(v, v).tobytes()
 
 
 class TestGradientSymmetry:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import specmd
 
 DELETED = ("GradSample", "power_value_grad", "sym_identity", "sym_zeros",
@@ -14,3 +19,15 @@ def test_deleted_names_are_not_exported():
     for name in DELETED:
         assert name not in specmd.__all__
         assert not hasattr(specmd, name)
+
+
+def test_import_loads_no_scipy():
+    # the LAPACK binding comes from numpy's own library: scipy.linalg would
+    # add hundreds of milliseconds and tens of MB to every start-up
+    code = ("import sys, specmd; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    src = str(Path(specmd.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=60, check=True)
+    assert done.stdout.strip() == "[]"

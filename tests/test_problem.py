@@ -435,6 +435,16 @@ class TestGenInstance:
         with pytest.raises(ValueError):
             gen_instance(3, -0.1, seed=1)
 
+    @pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf, -math.inf])
+    def test_rejects_a_noise_level_that_is_not_finite_and_nonnegative(
+            self, sigma):
+        # nan > 0 is false, so nan used to give a noise-free instance, and
+        # inf drew infinite noise before failing
+        with pytest.raises(ValueError) as err:
+            gen_instance(3, sigma, seed=1)
+        assert str(err.value) == (
+            f"noise_sigma must be nonnegative and finite, got {sigma!r}")
+
 
 class TestInstanceFiles:
     def test_round_trip_bitwise(self, tmp_path):
