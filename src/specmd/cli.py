@@ -9,11 +9,13 @@ from pathlib import Path
 from .harness import (build_oracle, iterations_to_precision,
                       load_experiment_config, reference_run, run_bench,
                       run_solver_spec, theory_parameters, write_trace)
+from .oracles import ExactOracleConfig
 from .problem import load_instance, make_problem, save_instance, gen_instance
 
-# `reference` anchors `run` at its defaults: mu = 1/sqrt(T) for --T 1000,
-# certified to within --target 1e-2 over 10
-ANCHOR_MU, ANCHOR_GAP = 1.0 / math.sqrt(1000), 1e-3
+# `run`'s --T and --target defaults; `reference` anchors `run` at them, as a
+# campaign anchors its cells, certified to within a tenth of the target
+RUN_T, RUN_TARGET = 1000, 1e-2
+ANCHOR_GAP = RUN_TARGET / 10
 
 
 def _parse_kv_spec(text: str) -> dict:
@@ -55,6 +57,8 @@ def _cmd_generate(args):
 def _cmd_run(args):
     if not 0 < args.target < math.inf:
         raise ValueError(f"target must be positive and finite, got {args.target!r}")
+    if args.f_ref is not None and not math.isfinite(args.f_ref):
+        raise ValueError(f"f-ref must be finite, got {args.f_ref!r}")
     if args.seed < 0:
         raise ValueError(f"seed must be >= 0, got {args.seed}")
     box, meta = load_instance(args.instance)
@@ -78,8 +82,8 @@ def _cmd_run(args):
 
 def _cmd_reference(args):
     box, _ = load_instance(args.instance)
-    value, gap, _, trace = reference_run(box, ANCHOR_MU, args.budget,
-                                         ANCHOR_GAP)
+    mu = make_problem(box, ExactOracleConfig(), T=RUN_T).mu
+    value, gap, _, trace = reference_run(box, mu, args.budget, ANCHOR_GAP)
     if args.out:
         write_trace(args.out, trace)
     note = "" if gap <= ANCHOR_GAP else " (uncertified; raise --budget)"
@@ -126,13 +130,13 @@ def main(argv=None) -> int:
                    help='e.g. "smoothing:k=1,epsilon=0.01" (exact eigen-solve '
                         'per draw) | "power:p=21,square_input=true" | "exact"; '
                         'other options are rejected')
-    p.add_argument("--T", type=int, default=1000)
+    p.add_argument("--T", type=int, default=RUN_T)
     p.add_argument("--mu", type=float, default=None,
                    help="regularization weight (default 1/sqrt(T))")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--f-ref", type=float, default=None,
                    help="reference value for the iterations-to-precision line")
-    p.add_argument("--target", type=float, default=1e-2)
+    p.add_argument("--target", type=float, default=RUN_TARGET)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_run)
 

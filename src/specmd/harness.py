@@ -14,8 +14,7 @@ import yaml
 from .linalg import sym_from
 # perfbench's tracer wraps exact_subgrad at this name (harness.reference_polish)
 from .oracles import (ExactOracleConfig, PowerOracleConfig,
-                      SmoothingOracleConfig, _is_int, _is_real, exact_subgrad,
-                      oracle_echo)
+                      SmoothingOracleConfig, _is_int, _is_real, exact_subgrad)
 from .problem import (BoxSet, box_lower_bound, eval_F, eval_penalty,
                       gen_instance, make_problem, save_instance)
 from .solvers import (RunTrace, StepSchedule, _oblivious, lan_acsa,
@@ -38,9 +37,12 @@ TUNE_LSTAR = 50.0
 # ---------------------------------------------------------------------------
 
 def iterations_to_precision(trace: RunTrace, F_ref: float, target: float):
-    """Smallest evaluated t with F_ag(t) - F_ref <= target, else "exceeded"."""
-    if target <= 0:
-        raise ValueError("target must be positive")
+    """Smallest evaluated t with F_ag(t) - F_ref <= target, else "exceeded".
+    A non-finite F_ref or target raises ValueError: it is no miss."""
+    if not 0 < target < math.inf:
+        raise ValueError(f"target must be positive and finite, got {target!r}")
+    if not math.isfinite(F_ref):
+        raise ValueError(f"F_ref must be finite, got {F_ref!r}")
     hits = np.nonzero(trace.F_ag - F_ref <= target)[0]
     return int(trace.t[hits[0]]) if hits.size else EXCEEDED
 
@@ -48,38 +50,30 @@ def iterations_to_precision(trace: RunTrace, F_ref: float, target: float):
 def reference_run(instance: BoxSet, mu: float, budget: int, tol: float):
     """Certified anchor: exact-oracle accelerated mirror descent at weight mu.
 
-    One run of at most budget iterations checks the gap
-    Psi(X_ag) - box_lower_bound(W_ag) at t = 100, 200, 400, ... and stops at
-    the first that is <= tol. W_ag is the drawn v v^T averaged by the
-    solver loop's rule, W_ag += (v v^T - W_ag) * alpha_t / A_t. The steps
-    do not depend on the horizon and the exact oracle draws nothing, so the
-    run up to t is the run of horizon t. Returns (F_ref, gap, W_ag, trace):
-    the trace's least F_ag (every 10th iteration and the last), the
-    certified gap >= Psi(X_ag) - Psi* at its last iteration, W_ag there and
-    the run; gap > tol is uncertified.
+    One run of at most budget iterations. The solver loop's stop hook sees
+    each draw v v^T with the loop's own alpha_t and A_t and folds it into
+    W_ag by the loop's averaging rule, W_ag += (v v^T - W_ag) * alpha_t /
+    A_t; at t = 100, 200, 400, ... it checks the gap Psi(X_ag) -
+    box_lower_bound(W_ag) and stops the run at the first that is <= tol.
+    The steps do not depend on the horizon and the exact oracle draws
+    nothing, so the run up to t is the run of horizon t. Returns (F_ref,
+    gap, W_ag, trace): the trace's least F_ag (every 10th iteration and the
+    last), the certified gap >= Psi(X_ag) - Psi* at its last iteration,
+    W_ag there and the run; gap > tol is uncertified.
     """
     if budget < 1:
         raise ValueError(f"reference budget must be >= 1, got {budget}")
-    exact, sched = ExactOracleConfig(), StepSchedule(degree=1)
-    alpha = sched.weights(budget)[0]
-    w_ag, steps = np.zeros_like(instance.lower), zip(alpha, np.cumsum(alpha))
-
-    def averaging(x, rng):  # acsmd draws once per iteration, in order
-        value, grad = exact(x, rng)
-        a, a_sum = next(steps)
-        w_ag[...] += (grad - w_ag) * a / a_sum
-        return value, grad
-
-    prob = make_problem(instance, averaging, mu=mu)
+    prob = make_problem(instance, ExactOracleConfig(), mu=mu)
+    w_ag = np.zeros_like(instance.lower)
     checks = {100 * 2 ** k for k in range(budget.bit_length())}
 
-    def certified(t, x_ag):
+    def certified(t, x_ag, g, alpha, a_sum):
+        w_ag[...] += (g - w_ag) * alpha / a_sum
         return t in checks and (eval_F(x_ag) + eval_penalty(x_ag, prob)
                                 - box_lower_bound(w_ag, prob)) <= tol
 
-    trace = _oblivious("oblivious_acsmd", prob, sched, budget, 0, True, 10,
-                       certified)
-    trace.config_echo["oracle"] = oracle_echo(exact)
+    trace = _oblivious("oblivious_acsmd", prob, StepSchedule(degree=1), budget,
+                       0, True, 10, certified)
     gap = float(trace.Psi_ag[-1]) - box_lower_bound(w_ag, prob)
     return trace.best_F_ag, gap, w_ag, trace
 
@@ -176,7 +170,8 @@ class ExperimentConfig:
     and Gamma > 0, each a number or "theory" (the default, from
     theory_parameters), plus a "tuned" flag that divides D, L and Lstar by
     TUNE_D, TUNE_L and TUNE_LSTAR; M and Gamma take "theory" untuned. Any
-    other key, a wrong type or a value out of range raises ValueError.
+    other key, a wrong type, a value out of range or a repeated dim or seed
+    raises ValueError; run_bench refuses two specs with one label.
     reference_budget caps the iterations of each dim's certified anchor
     (reference_run), which stops at a gap of target_precision / 10.
     """
@@ -200,6 +195,11 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be {kind}, got {value!r}")
             if not range_ok(value):
                 raise ValueError(f"{key} must be {bound}, got {value!r}")
+        # a repeated dim or seed would run, and write, the same cells twice
+        for key in ("dims", "seeds"):
+            values = getattr(self, key)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{key} must not repeat, got {values!r}")
 
 
 def _list_of(test):
@@ -267,6 +267,19 @@ def _solver_label(spec: dict) -> str:
     if kind in ("smd", "acsmd"):
         return f"{kind}_n{spec.get('degree', 1)}"
     return kind
+
+
+def _check_labels(specs: list) -> None:
+    """Each spec's label names its cells in report.csv and its trace files,
+    so it must be a plain word and no two specs may share one."""
+    labels = [_solver_label(spec) for spec in specs]
+    for label in labels:
+        if not isinstance(label, str) or not re.fullmatch(r"[^,/\s]+", label):
+            raise ValueError("solver name must be a nonempty string without "
+                             f"',', '/' or whitespace, got {label!r}")
+        if labels.count(label) > 1:
+            raise ValueError(f"solver label {label!r} names more than one "
+                             "solver spec; give each a distinct name")
 
 
 def build_oracle(spec: dict):
@@ -352,10 +365,12 @@ def run_bench(cfg: ExperimentConfig) -> BenchReport:
                  for dim in cfg.dims}
     theories = {dim: theory_parameters(box, oracle_cfg, cfg.T)
                 for dim, box in instances.items()}
-    # a bad solver spec fails here, before any reference run is paid for
+    # a bad solver spec or label fails here, before any reference run is
+    # paid for
     for spec in cfg.solvers:
         for theory in theories.values():
             resolve_solver_spec(spec, theory)
+    _check_labels(cfg.solvers)
 
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -364,13 +379,13 @@ def run_bench(cfg: ExperimentConfig) -> BenchReport:
         theory = theories[dim]
         save_instance(outdir / f"instance_d{dim}.txt", instance,
                       seed=cfg.instance_seed, noise_sigma=cfg.noise_sigma)
+        # the anchor solves the cells' own problem: make_problem's mu
+        prob = make_problem(instance, oracle_cfg, T=cfg.T)
         f_ref, gap, _, ref_trace = reference_run(
-            instance, 1.0 / math.sqrt(cfg.T), cfg.reference_budget,
-            cfg.target_precision / 10)
+            instance, prob.mu, cfg.reference_budget, cfg.target_precision / 10)
         anchors[dim] = (f_ref, gap, int(ref_trace.t[-1]))
         write_trace(outdir / f"reference_d{dim}.csv", ref_trace)
 
-        prob = make_problem(instance, oracle_cfg, T=cfg.T)
         for spec in cfg.solvers:
             label = _solver_label(spec)
             for seed in cfg.seeds:

@@ -19,10 +19,10 @@ class SymMatrix:
 
     Entries are finite and exactly symmetric (checked at construction, in
     that order); use `sym_from` to symmetrize arbitrary square input. Built
-    only where data enters the system (a box center, a start point X1,
-    `load_instance`, `read_trace`) and for a trace's final point. Oracles,
-    steps and the solver loop work on plain float64 arrays; `np.asarray`
-    of a SymMatrix is its read-only `data`, and `np.array` a writable copy.
+    only where data enters the system (a box center, `load_instance`,
+    `read_trace`) and for a trace's final point. Oracles, steps and the
+    solver loop work on plain float64 arrays; `np.asarray` of a SymMatrix
+    is its read-only `data`, and `np.array` a writable copy.
     """
 
     data: np.ndarray

@@ -143,8 +143,7 @@ def box_lower_bound(w: np.ndarray, prob: CompositeProblem) -> float:
     """Certified bound Psi* >= min over the box of <W, X> + mu ||X - X1||^2
     for a density matrix W (<W, X> <= lambda_max(X)); the minimizer is the
     entrywise clamp of X1 - W / (2 mu)."""
-    x = np.clip(prob.x1.data - w / (2.0 * prob.mu), prob.feasible.lower,
-                prob.feasible.upper)
+    x = project_box(prob.x1.data - w / (2.0 * prob.mu), prob.feasible)
     return float(np.vdot(w, x)) + eval_penalty(x, prob)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SymMatrix, make_rng
-from .oracles import oracle_echo
+from .oracles import _is_int, oracle_echo
 from .problem import (CompositeProblem, eval_F, eval_penalty, project_box,
                       prox_step)
 
@@ -167,11 +167,16 @@ def _run(name, params, prob, T, rng, step, alphas, at_md=False,
     and p = X_{t+1}; otherwise both are X_t. rng is the run's integer seed.
     An oracle failure (a non-finite value or gradient too) or a step
     failure is raised as a SolverError tagged with its iteration. A
-    `stop(t, x_ag)` that returns true ends the run after iteration t as if
-    T were t: that row is recorded and the echoed T is t.
+    `stop(t, x_ag, g, alpha_t, A_t)` that returns true ends the run after
+    iteration t as if T were t: that row is recorded and the echoed T is t.
+    eval_stride is None (the default stride) or an integer >= 1.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
+    if eval_stride is not None and not (_is_int(eval_stride)
+                                        and eval_stride >= 1):
+        raise ValueError(
+            f"eval_stride must be None or an integer >= 1, got {eval_stride!r}")
     gen = make_rng(rng)
     echo = {"solver": name, **params, "T": T, "mu": prob.mu,
             "oracle": oracle_echo(prob.oracle)}
@@ -204,7 +209,7 @@ def _run(name, params, prob, T, rng, step, alphas, at_md=False,
             raise SolverError(f"step failed at iteration {t}: {err}") from err
         x_ag += ((x_next if at_md else x) - x_ag) * alpha / a_sum
         x = x_next
-        last = t == T or stop is not None and stop(t, x_ag)
+        last = stop is not None and stop(t, x_ag, g, alpha, a_sum) or t == T
         builder.record(t, x_ag, gnorm, last)
         if last:
             echo["T"] = t

@@ -114,6 +114,8 @@ def test_bad_oracle_option_exits_2_with_one_line(tmp_path, instance, oracle,
     (("--mu", "inf"), "mu must be positive and finite, got inf"),
     (("--mu", "0"), "mu must be positive and finite, got 0.0"),
     (("--seed", "-1"), "seed must be >= 0, got -1"),
+    (("--f-ref", "nan"), "f-ref must be finite, got nan"),
+    (("--f-ref", "inf"), "f-ref must be finite, got inf"),
 ])
 def test_bad_number_exits_2_with_one_line_before_the_run(tmp_path, instance,
                                                          args, message):
@@ -183,6 +185,24 @@ def test_unknown_campaign_key_exits_2_with_one_line(tmp_path):
             (full.replace("seeds: [0]", "seeds: [-1, 2]"),
              "seeds must be a nonempty list of nonnegative integers, "
              "got [-1, 2]"),
+            # every cell is distinct: no repeated dim or seed, and each
+            # solver label a plain word naming one spec
+            (full.replace("dims: [6]", "dims: [6, 6]"),
+             "dims must not repeat, got [6, 6]"),
+            (full.replace("seeds: [0]", "seeds: [0, 0]"),
+             "seeds must not repeat, got [0, 0]"),
+            (full.replace("{kind: acsmd}", "{kind: smd}, {kind: smd, degree: 1}"),
+             "solver label 'smd_n1' names more than one solver spec; give "
+             "each a distinct name"),
+            *((full.replace("{kind: acsmd}", f"{{kind: acsmd, name: {name}}}"),
+               "solver name must be a nonempty string without ',', '/' or "
+               f"whitespace, got {got}")
+              for name, got in (("'a,b'", "'a,b'"), ("a/b", "'a/b'"),
+                                ("a b", "'a b'"), ("''", "''"), ("3", "3"))),
+            (full.replace("{kind: acsmd}", "{kind: acsmd}, {kind: levy, "
+                          "name: acsmd_n1}"),
+             "solver label 'acsmd_n1' names more than one solver spec; give "
+             "each a distinct name"),
             # options inside the oracle mapping, checked before any output
             # directory or anchor run
             (full.replace("{kind: exact}", "{kind: smoothing, k: abc}"),

@@ -86,10 +86,17 @@ class TestIterationsToPrecision:
         assert hit == min(t for t in sparse.t
                           if dense.F_ag[t - 1] - f_ref <= target)
 
-    @pytest.mark.parametrize("target", [0.0, -1e-3])
+    # nan would read as "exceeded" and inf as a hit at the first row
+    @pytest.mark.parametrize("target", [0.0, -1e-3, math.nan, math.inf])
     def test_target_must_be_positive(self, target):
         with pytest.raises(ValueError, match="target must be positive"):
             iterations_to_precision(_rows([1], [1.0]), 0.0, target)
+
+    @pytest.mark.parametrize("f_ref", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_reference_is_refused(self, f_ref):
+        with pytest.raises(ValueError,
+                           match=f"F_ref must be finite, got {f_ref!r}"):
+            iterations_to_precision(_rows([1], [1.0]), f_ref, 0.1)
 
 
 def test_anchor_is_certified_and_its_bound_holds():
@@ -169,6 +176,11 @@ def test_summary_prints_each_anchor_deterministically(tmp_path):
     assert line is not None
     assert 0.0 <= float(line.group(2)) <= 1e-3
     assert "uncertified" not in texts[0]
+    # the anchor solves its cells' problem, whose mu make_problem sets
+    anchor = read_trace(tmp_path / "a" / "reference_d6.csv").config_echo
+    cell = read_trace(tmp_path / "a" / "trace_d6_acsmd_n1_s0.csv").config_echo
+    assert anchor["mu"] == cell["mu"] == 1.0 / math.sqrt(50)
+    assert anchor["oracle"] == {"kind": "exact"}
 
 
 def test_tiny_budget_flags_an_uncertified_anchor(tmp_path):
@@ -200,6 +212,35 @@ def test_nearest_rank_percentiles_and_reached_count(tmp_path):
     assert "0/3 reached [0/3 reached, 0/3 reached]" in summary
     assert "F_ref(d=6) = 0.0 (certified gap 0.000e+00 after 100 iterations)" \
         in summary
+
+
+def test_summary_warns_when_a_median_falls_with_dim(tmp_path):
+    # one seed, so each cell is its (dim, solver) median: acsmd falls from
+    # d = 6 to d = 12, smd rises, and levy's miss at d = 12 is skipped
+    cfg = tiny_config(tmp_path, {"kind": "exact"}, seeds=(0,))
+    cfg = dataclasses.replace(cfg, dims=[6, 12, 24], solvers=[
+        {"kind": "acsmd"}, {"kind": "smd"}, {"kind": "levy"}])
+    iterations = {"acsmd_n1": (30, 20, 40), "smd_n1": (10, 20, 30),
+                  "levy": (10, None, 30)}
+    cells = [CellResult(dim=dim, solver=name, seed=0,
+                        status="ok" if it else "exceeded", iterations=it,
+                        final_gap=0.0 if it else 0.5, wall_seconds=0.0,
+                        oracle_seconds=0.0)
+             for name, its in iterations.items()
+             for dim, it in zip(cfg.dims, its)]
+    anchors = dict.fromkeys(cfg.dims, (0.0, 0.0, 100))
+    _write_report_files(BenchReport(config=cfg, cells=cells, anchors=anchors),
+                        tmp_path)
+    summary = (tmp_path / "summary.txt").read_text()
+    assert [line for line in summary.splitlines() if "WARNING" in line] == [
+        "WARNING: median iterations for acsmd_n1 are not monotone in dim: "
+        "[30.0, 20.0, 40.0]"]
+
+
+def test_config_rules_cover_every_field_in_order():
+    # a campaign field without a rule would go unchecked
+    assert [rule[0] for rule in harness._CONFIG_RULES] == [
+        f.name for f in dataclasses.fields(ExperimentConfig)]
 
 
 def test_build_oracle_rejects_unknown_keys():

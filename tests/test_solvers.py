@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -377,6 +378,49 @@ class TestDeterminismAndErrors:
         prob = interior_problem()
         with pytest.raises(ValueError):
             oblivious_smd(prob, StepSchedule(), 0, 0)
+
+    @pytest.mark.parametrize("solver, params", [
+        (oblivious_smd, (StepSchedule(),)), (oblivious_acsmd, (StepSchedule(),)),
+        (levy_adaptive, (1.0, 1.0)), (lan_acsa, (40.0,)),
+        (relative_md, (10.0, 0.01))])
+    def test_eval_stride_is_none_or_an_integer_of_at_least_1(self, solver,
+                                                            params):
+        prob = interior_problem()
+        for stride in (0, -1, 2.5, True, "3"):
+            with pytest.raises(ValueError, match=re.escape(
+                    "eval_stride must be None or an integer >= 1, "
+                    f"got {stride!r}")):
+                solver(prob, *params, 10, 0, eval_stride=stride)
+        trace = solver(prob, *params, 10, 0, eval_stride=np.int64(4))
+        assert list(trace.t) == [4, 8, 10]
+
+
+class TestStopHook:
+    def test_sees_every_draw_with_the_loop_weights(self):
+        draws = []
+
+        def recording(x, rng):
+            value, g = ExactOracleConfig()(x, rng)
+            draws.append(g)
+            return value, g
+
+        seen = []
+
+        def stop(t, x_ag, g, alpha, a_sum):
+            seen.append((t, g, alpha, a_sum))
+            return False
+
+        sched, T = StepSchedule(degree=2), 12
+        prob = interior_problem(seed=3, oracle=recording)
+        trace = solvers._oblivious("oblivious_acsmd", prob, sched, T, 0, True,
+                                   None, stop)
+        alphas = sched.weights(T)[0]
+        assert [t for t, *_ in seen] == list(range(1, T + 1))
+        assert len(draws) == T
+        assert all(g is draw for (_, g, _, _), draw in zip(seen, draws))
+        assert [alpha for _, _, alpha, _ in seen] == list(alphas)
+        assert [a_sum for *_, a_sum in seen] == list(np.cumsum(alphas))
+        assert trace.t[-1] == T
 
 
 class TestConstantOracleDynamics:
