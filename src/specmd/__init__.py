@@ -12,7 +12,7 @@ from .problem import (BoxSet, CompositeProblem, box_lower_bound, eval_F,
                       prox_step, save_instance)
 from .solvers import (RunTrace, SolverError, StepSchedule, lan_acsa,
                       levy_adaptive, oblivious_acsmd, oblivious_smd,
-                      relative_md, relative_step)
+                      relative_md)
 from .harness import (BenchReport, ExperimentConfig, iterations_to_precision,
                       read_trace, reference_run, run_bench,
                       theory_parameters, write_trace)
@@ -28,6 +28,6 @@ __all__ = [
     "levy_adaptive", "load_instance", "make_problem", "make_rng",
     "oblivious_acsmd", "oblivious_smd", "power_grad",
     "project_box", "prox_step", "read_trace", "reference_run", "relative_md",
-    "relative_step", "run_bench", "save_instance", "smoothing_grad",
+    "run_bench", "save_instance", "smoothing_grad",
     "sym_from", "theory_parameters", "write_trace",
 ]

@@ -3,12 +3,14 @@ reference values, and run benchmark campaigns."""
 
 import argparse
 import math
+import re
 import sys
 from pathlib import Path
 
-from .harness import (build_oracle, iterations_to_precision,
-                      load_experiment_config, reference_run, run_bench,
-                      run_solver_spec, theory_parameters, write_trace)
+from .harness import (ExperimentConfig, build_oracle,
+                      iterations_to_precision, load_experiment_config,
+                      reference_run, run_bench, run_solver_spec,
+                      theory_parameters, write_trace)
 from .oracles import ExactOracleConfig
 from .problem import load_instance, make_problem, save_instance, gen_instance
 
@@ -119,13 +121,18 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("run", help="run one solver on an instance file")
+    # argparse reads "-1e-3" or "-inf" as an option unless it matches this
+    # pattern, and would refuse "--f-ref -1e-3" before the value's own check;
+    # no option of this parser looks like a negative number
+    p._negative_number_matcher = re.compile(
+        r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
     p.add_argument("--instance", required=True)
     p.add_argument("--solver", required=True,
                    help='kind:key=value,...: smd, acsmd take degree; levy '
-                        'D, M; lan L; relative Lstar, Gamma, each a number or '
-                        '"theory" (the default), and tuned=true, which '
-                        'divides D, L, Lstar (not M, Gamma) by a tuning '
-                        'factor; e.g. "lan:L=theory,tuned=true"')
+                        'D, M; lan L; relative Lstar, Gamma, each a finite '
+                        'number or "theory" (the default), and tuned=true, '
+                        'which divides D, L, Lstar (not M, Gamma) by a '
+                        'tuning factor; e.g. "lan:L=theory,tuned=true"')
     p.add_argument("--oracle", default="smoothing:k=1,epsilon=0.01",
                    help='e.g. "smoothing:k=1,epsilon=0.01" (exact eigen-solve '
                         'per draw) | "power:p=21,square_input=true" | "exact"; '
@@ -143,7 +150,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("reference",
                        help="compute a certified reference objective value")
     p.add_argument("--instance", required=True)
-    p.add_argument("--budget", type=int, default=20000,
+    p.add_argument("--budget", type=int,
+                   default=ExperimentConfig.reference_budget,
                    help="cap on the iterations of the anchor run")
     p.add_argument("--out", default=None, help="optional reference trace file")
     p.set_defaults(func=_cmd_reference)

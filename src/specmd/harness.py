@@ -17,8 +17,8 @@ from .oracles import (ExactOracleConfig, PowerOracleConfig,
                       SmoothingOracleConfig, _is_int, _is_real, exact_subgrad)
 from .problem import (BoxSet, box_lower_bound, eval_F, eval_penalty,
                       gen_instance, make_problem, save_instance)
-from .solvers import (RunTrace, StepSchedule, _oblivious, lan_acsa,
-                      levy_adaptive, oblivious_acsmd, oblivious_smd,
+from .solvers import (RunTrace, StepSchedule, _check_constant, _oblivious,
+                      lan_acsa, levy_adaptive, oblivious_acsmd, oblivious_smd,
                       relative_md)
 
 EXCEEDED = "exceeded"
@@ -61,7 +61,7 @@ def reference_run(instance: BoxSet, mu: float, budget: int, tol: float):
     last), the certified gap >= Psi(X_ag) - Psi* at its last iteration,
     W_ag there and the run; gap > tol is uncertified.
     """
-    if budget < 1:
+    if not (_is_int(budget) and budget >= 1):
         raise ValueError(f"reference budget must be >= 1, got {budget}")
     prob = make_problem(instance, ExactOracleConfig(), mu=mu)
     w_ag = np.zeros_like(instance.lower)
@@ -86,7 +86,7 @@ def theory_parameters(instance: BoxSet, oracle, T: int) -> dict:
     power oracle, Gamma calibrated as lambda_max(A) / D^2.
     """
     d = instance.dim
-    diameter = instance.diameter_frobenius
+    diameter = 2.0 * instance.radius * d
     out = {"M": 1.0, "D": diameter,
            "Gamma": max(eval_F(instance.center.data), 1e-12) / diameter ** 2}
     if isinstance(oracle, SmoothingOracleConfig):
@@ -167,7 +167,7 @@ class ExperimentConfig:
     Each solver spec is a dict with a "kind", an optional "name" label and
     that kind's options: smd and acsmd take degree (an integer >= 0,
     default 1); levy takes D > 0 and M >= 0, lan L > 0, relative Lstar > 0
-    and Gamma > 0, each a number or "theory" (the default, from
+    and Gamma > 0, each a finite number or "theory" (the default, from
     theory_parameters), plus a "tuned" flag that divides D, L and Lstar by
     TUNE_D, TUNE_L and TUNE_LSTAR; M and Gamma take "theory" untuned. Any
     other key, a wrong type, a value out of range or a repeated dim or seed
@@ -295,21 +295,18 @@ def build_oracle(spec: dict):
     return cls(**options)
 
 
-_CONSTANT = (lambda v: v == "theory" or _is_real(v) and math.isfinite(v),
-             "a finite number or 'theory'")
-_STEP_OPTIONS = {
-    "degree": (lambda v: _is_int(v) and v >= 0, "an integer >= 0")}
 # each baseline's constants, with the factor its "tuned" flag divides by
 _BASELINES = {"levy": {"D": TUNE_D, "M": 1.0}, "lan": {"L": TUNE_L},
               "relative": {"Lstar": TUNE_LSTAR, "Gamma": 1.0}}
 
 
 def resolve_solver_spec(spec: dict, theory: dict) -> tuple:
-    """(solver, parameters) for solver(prob, *parameters, T, seed, ...).
+    """(solver, parameters) for solver(prob, T=T, rng=seed, **parameters).
 
-    An unknown kind or option, an option of the wrong type or range (a
-    constant is checked once resolved), or a "theory" constant this oracle
-    has no value for raises ValueError here, before any solver runs.
+    An unknown kind or option, an option of the wrong type or range (the
+    degree and each constant, once "theory" is resolved, by the solvers'
+    own checks), or a "theory" constant this oracle has no value for raises
+    ValueError here, before any solver runs.
     """
     kind = spec.get("kind")
     # looked up per call: perfbench's tracer wraps the names in this module
@@ -319,37 +316,34 @@ def resolve_solver_spec(spec: dict, theory: dict) -> tuple:
     if solver is None:
         raise ValueError(f"unknown solver kind: {kind}")
     factors = _BASELINES.get(kind, {})
-    rules = _STEP_OPTIONS if kind in ("smd", "acsmd") else {
-        "tuned": (lambda v: isinstance(v, bool), "true or false"),
-        **dict.fromkeys(factors, _CONSTANT)}
-    for key in [key for key in spec if key not in ("kind", "name")]:
-        if key not in rules:
+    known = ("degree",) if kind in ("smd", "acsmd") else ("tuned", *factors)
+    for key in spec:
+        if key not in ("kind", "name", *known):
             raise ValueError(f"solver option {key!r} is unknown for {kind}")
-        test, need = rules[key]
-        if not test(spec[key]):
-            raise ValueError(
-                f"solver option {key} must be {need}, got {spec[key]!r}")
     if kind in ("smd", "acsmd"):
-        return solver, (StepSchedule(degree=int(spec.get("degree", 1))),)
-    params = []
+        return solver, {"sched": StepSchedule(degree=spec.get("degree", 1))}
+    tuned = spec.get("tuned", False)
+    if not isinstance(tuned, bool):
+        raise ValueError(
+            f"solver option tuned must be true or false, got {tuned!r}")
+    params = {}
     for key, factor in factors.items():
         value = spec.get(key, "theory")
-        if value == "theory" and key not in theory:
-            raise ValueError(
-                f"no theory value for {key!r} with this oracle; give a number")
-        value = float(theory[key] if value == "theory" else value)
-        if not (value >= 0 if key == "M" else value > 0):
-            need = "nonnegative" if key == "M" else "positive"
-            raise ValueError(f"solver option {key} must be {need}, got {value!r}")
-        params.append(value / (factor if spec.get("tuned") else 1.0))
-    return solver, tuple(params)
+        if value == "theory":
+            if key not in theory:
+                raise ValueError(f"no theory value for {key!r} with this "
+                                 "oracle; give a number")
+            value = theory[key]
+        _check_constant(key, value)
+        params[key] = float(value) / (factor if tuned else 1.0)
+    return solver, params
 
 
 def run_solver_spec(spec: dict, prob, T: int, seed: int, theory: dict,
                     eval_stride: int | None = None) -> RunTrace:
     """Dispatch one solver spec dict to the matching solver function."""
     solver, params = resolve_solver_spec(spec, theory)
-    return solver(prob, *params, T, seed, eval_stride=eval_stride)
+    return solver(prob, T=T, rng=seed, eval_stride=eval_stride, **params)
 
 
 def run_bench(cfg: ExperimentConfig) -> BenchReport:

@@ -41,11 +41,6 @@ class BoxSet:
         bound.setflags(write=False)
         return bound
 
-    @property
-    def diameter_frobenius(self) -> float:
-        """Frobenius diameter of the entrywise box: 2 * rho * d."""
-        return 2.0 * self.radius * self.dim
-
 
 @dataclass(frozen=True)
 class CompositeProblem:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SymMatrix, make_rng
-from .oracles import _is_int, oracle_echo
+from .oracles import _is_int, _is_real, oracle_echo
 from .problem import (CompositeProblem, eval_F, eval_penalty, project_box,
                       prox_step)
 
@@ -47,8 +47,9 @@ class StepSchedule:
     degree: int = 1
 
     def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError("degree must be nonnegative")
+        if not (_is_int(self.degree) and self.degree >= 0):
+            raise ValueError("solver option degree must be an integer >= 0, "
+                             f"got {self.degree!r}")
 
     def weights(self, horizon: int) -> tuple[np.ndarray, np.ndarray]:
         """(alpha_t, gamma_t) arrays for t = 1..horizon."""
@@ -102,89 +103,59 @@ class RunTrace:
 BLOCK_BYTES = 256 * 1024
 
 
-class _TraceBuilder:
-    """Accumulates evaluated iterations and assembles the RunTrace.
-
-    `record` stamps a row's t, penalty, gradient norm and elapsed time and
-    copies the averaged point into a preallocated block of at most
-    BLOCK_BYTES (at least one point, and no more than the run can record).
-    A full block, and the last partial one at `build`, is evaluated by one
-    eval_F call on the (n, d, d) stack: one stacked eigvalsh, with the same
-    bits per matrix as n single calls.
-    """
-
-    def __init__(self, prob, T, eval_stride, seed, config_echo):
-        self.prob = prob
-        self.stride = eval_stride or (1 if prob.dim <= 150 else 10)
-        self.seed = int(seed)
-        self.config_echo = config_echo
-        self.start = time.perf_counter()
-        self.oracle_seconds = 0.0
-        d = prob.dim
-        rows = min(max(1, BLOCK_BYTES // (8 * d * d)),
-                   (T + self.stride - 1) // self.stride)
-        self.block = np.empty((rows, d, d))
-        self.filled = 0
-        self.rows = []
-        self.tops = []
-
-    def record(self, t, avg_arr, grad_norm, last=False):
-        if t % self.stride != 0 and not last:
-            return
-        self.block[self.filled] = avg_arr
-        self.filled += 1
-        self.rows.append((t, eval_penalty(avg_arr, self.prob), grad_norm,
-                          time.perf_counter() - self.start))
-        if self.filled == len(self.block):
-            self._evaluate()
-
-    def _evaluate(self):
-        self.tops.extend(eval_F(self.block[:self.filled]).tolist())
-        self.filled = 0
-
-    def build(self, final_arr) -> RunTrace:
-        if self.filled:
-            self._evaluate()
-        t, penalty, gn, el = (np.array(col) for col in zip(*self.rows))
-        f = np.array(self.tops)
-        return RunTrace(t=t.astype(int), F_ag=f, Psi_ag=f + penalty,
-                        grad_norm=gn, elapsed_s=el,
-                        final_point=SymMatrix(final_arr.copy()),
-                        config_echo=self.config_echo, seed=self.seed,
-                        total_seconds=time.perf_counter() - self.start,
-                        oracle_seconds=self.oracle_seconds)
+def _block_rows(d, T, stride):
+    """Averaged points per trace block; see _run."""
+    return min(max(1, BLOCK_BYTES // (8 * d * d)), (T + stride - 1) // stride)
 
 
-def _run(name, params, prob, T, rng, step, alphas, at_md=False,
+def _check_constant(name, value):
+    """D, L, Lstar and Gamma must be finite reals > 0, M a finite real >= 0."""
+    need = "nonnegative" if name == "M" else "positive"
+    if not (_is_real(value) and 0 <= value < math.inf
+            and (value > 0 or name == "M")):
+        raise ValueError(
+            f"solver option {name} must be {need} and finite, got {value!r}")
+
+
+def _run(name, params, prob, T, rng, step, alphas=None, at_md=False,
          eval_stride=None, stop=None) -> RunTrace:
     """The one loop behind every solver, with one averaging rule.
 
     Each iteration draws a gradient g, takes X_{t+1} = step(t, X_t, g, ||g||)
     and, with A_t = A_{t-1} + alphas[t - 1], folds a point p into the
     average as x_ag += (p - x_ag) * alpha_t / A_t, left to right, so alpha
-    = 1 is the uniform mean (p - x_ag) / t bit for bit. With at_md the
-    oracle is queried at the md point x_ag + (X_t - x_ag) * alpha_t / A_t
-    and p = X_{t+1}; otherwise both are X_t. rng is the run's integer seed.
-    An oracle failure (a non-finite value or gradient too) or a step
-    failure is raised as a SolverError tagged with its iteration. A
+    = 1 (alphas None) is the uniform mean (p - x_ag) / t bit for bit. With
+    at_md the oracle is queried at the md point x_ag + (X_t - x_ag) *
+    alpha_t / A_t and p = X_{t+1}; otherwise both are X_t. rng is the run's
+    integer seed. An oracle failure (a non-finite value or gradient too) or
+    a step failure is raised as a SolverError tagged with its iteration. A
     `stop(t, x_ag, g, alpha_t, A_t)` that returns true ends the run after
     iteration t as if T were t: that row is recorded and the echoed T is t.
     eval_stride is None (the default stride) or an integer >= 1.
+
+    Every stride-th iteration and the last is a row: t, penalty, gradient
+    norm and elapsed time, with x_ag copied into a block of _block_rows
+    points (BLOCK_BYTES, at least one point, at most the rows the run can
+    record). A full block, and the last partial one, is evaluated by one
+    eval_F on the (n, d, d) stack: the same bits per matrix as n calls.
     """
-    if T < 1:
+    if not (_is_int(T) and T >= 1):
         raise ValueError("T must be >= 1")
     if eval_stride is not None and not (_is_int(eval_stride)
                                         and eval_stride >= 1):
         raise ValueError(
             f"eval_stride must be None or an integer >= 1, got {eval_stride!r}")
+    alphas = np.ones(T) if alphas is None else alphas
     gen = make_rng(rng)
     echo = {"solver": name, **params, "T": T, "mu": prob.mu,
             "oracle": oracle_echo(prob.oracle)}
-    builder = _TraceBuilder(prob, T, eval_stride, rng, echo)
-
+    start = time.perf_counter()
     x = prob.x1.data.copy()
     x_ag = x.copy()
     a_sum = 0.0
+    stride = eval_stride or (1 if prob.dim <= 150 else 10)
+    block = np.empty((_block_rows(prob.dim, T, stride), *x.shape))
+    filled, rows, tops, oracle_seconds = 0, [], [], 0.0
     for t in range(1, T + 1):
         alpha = alphas[t - 1]
         a_sum += alpha
@@ -192,7 +163,7 @@ def _run(name, params, prob, T, rng, step, alphas, at_md=False,
         tic = time.perf_counter()
         try:
             value, g = prob.oracle(query, gen)
-            builder.oracle_seconds += time.perf_counter() - tic
+            oracle_seconds += time.perf_counter() - tic
             # sqrt(ddot), as np.linalg.norm; a non-finite entry makes it
             # non-finite, so the full scan runs only then
             flat = g.ravel(order="K")
@@ -210,10 +181,22 @@ def _run(name, params, prob, T, rng, step, alphas, at_md=False,
         x_ag += ((x_next if at_md else x) - x_ag) * alpha / a_sum
         x = x_next
         last = stop is not None and stop(t, x_ag, g, alpha, a_sum) or t == T
-        builder.record(t, x_ag, gnorm, last)
+        if t % stride == 0 or last:
+            block[filled] = x_ag
+            filled += 1
+            rows.append((t, eval_penalty(x_ag, prob), gnorm,
+                         time.perf_counter() - start))
+            if filled == len(block) or last:
+                tops.extend(eval_F(block[:filled]).tolist())
+                filled = 0
         if last:
-            echo["T"] = t
-            return builder.build(x_ag)
+            ts, penalty, gn, el = (np.array(col) for col in zip(*rows))
+            f = np.array(tops)
+            return RunTrace(t=ts, F_ag=f, Psi_ag=f + penalty, grad_norm=gn,
+                            elapsed_s=el, final_point=SymMatrix(x_ag.copy()),
+                            config_echo={**echo, "T": t}, seed=int(rng),
+                            total_seconds=time.perf_counter() - start,
+                            oracle_seconds=oracle_seconds)
 
 
 def _oblivious(name, prob, sched, T, rng, at_md, eval_stride, stop=None):
@@ -255,10 +238,8 @@ def levy_adaptive(prob: CompositeProblem, D: float, M: float, T: int, rng,
     Needs the set diameter D up front; the trace follows the uniform average
     of the query points.
     """
-    if D <= 0:
-        raise ValueError("D must be positive")
-    if M < 0:
-        raise ValueError("M must be nonnegative")
+    _check_constant("D", D)
+    _check_constant("M", M)
     acc = M * M
 
     def step(t, x, g, gnorm):
@@ -268,7 +249,7 @@ def levy_adaptive(prob: CompositeProblem, D: float, M: float, T: int, rng,
         return project_box(x - eta * g, prob.feasible)
 
     return _run("levy_adaptive", {"D": D, "M": M}, prob, T, rng, step,
-                np.ones(T), eval_stride=eval_stride)
+                eval_stride=eval_stride)
 
 
 def lan_acsa(prob: CompositeProblem, L: float, T: int, rng,
@@ -279,8 +260,7 @@ def lan_acsa(prob: CompositeProblem, L: float, T: int, rng,
     update is a projected gradient step of size t/(4L) taken at the md point.
     The step reads L only; AC-SA's noise level sigma enters no step here.
     """
-    if L <= 0:
-        raise ValueError("L must be positive")
+    _check_constant("L", L)
 
     def step(t, x, g, gnorm):
         eta = t / (4.0 * L)
@@ -290,22 +270,19 @@ def lan_acsa(prob: CompositeProblem, L: float, T: int, rng,
                 0.5 * np.arange(1, T + 1), True, eval_stride)
 
 
-def relative_step(Lstar: float, Gamma: float, T: int) -> float:
-    """Constant step 1/sqrt(Gamma * Lstar * T) of the relative-scale baseline."""
-    if Lstar <= 0 or Gamma <= 0:
-        raise ValueError("Lstar and Gamma must be positive")
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    return 1.0 / math.sqrt(Gamma * Lstar * T)
-
-
 def relative_md(prob: CompositeProblem, Lstar: float, Gamma: float, T: int, rng,
                 eval_stride: int | None = None) -> RunTrace:
-    """Projected SGD with the constant relative-scale step and uniform averaging."""
-    eta = relative_step(Lstar, Gamma, T)
+    """Projected SGD with the constant relative-scale step
+    1/sqrt(Gamma * Lstar * T) and uniform averaging."""
+    _check_constant("Lstar", Lstar)
+    _check_constant("Gamma", Gamma)
+    # the step divides by T before the loop checks it
+    if not (_is_int(T) and T >= 1):
+        raise ValueError("T must be >= 1")
+    eta = 1.0 / math.sqrt(Gamma * Lstar * T)
 
     def step(t, x, g, gnorm):
         return project_box(x - eta * g, prob.feasible)
 
     return _run("relative_md", {"Lstar": Lstar, "Gamma": Gamma, "eta": eta},
-                prob, T, rng, step, np.ones(T), eval_stride=eval_stride)
+                prob, T, rng, step, eval_stride=eval_stride)

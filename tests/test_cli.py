@@ -9,7 +9,7 @@ import pytest
 import specmd
 from specmd import cli
 from specmd.cli import main
-from specmd.harness import read_trace, theory_parameters
+from specmd.harness import ExperimentConfig, read_trace, theory_parameters
 from specmd.oracles import ExactOracleConfig
 from specmd.problem import load_instance
 
@@ -54,10 +54,15 @@ def test_generate_and_run_round_trip(tmp_path, instance, capsys):
     ("smd:scale=2", "solver option 'scale' is unknown for smd"),
     ("smd:tuned=true", "solver option 'tuned' is unknown for smd"),
     ("levy:tuned=no", "solver option tuned must be true or false, got 'no'"),
-    ("levy:D=abc",
-     "solver option D must be a finite number or 'theory', got 'abc'"),
+    ("levy:D=abc", "solver option D must be positive and finite, got 'abc'"),
     ("lan:L=40,sigma=1", "solver option 'sigma' is unknown for lan"),
-    ("lan:L=0", "solver option L must be positive, got 0.0"),
+    ("lan:L=0", "solver option L must be positive and finite, got 0"),
+    # the solvers' own checks, word for word
+    ("levy:M=nan", "solver option M must be nonnegative and finite, got nan"),
+    ("relative:Lstar=10,Gamma=inf",
+     "solver option Gamma must be positive and finite, got inf"),
+    ("acsmd:degree=true",
+     "solver option degree must be an integer >= 0, got True"),
 ])
 def test_bad_solver_spec_exits_2_with_one_line(tmp_path, instance, solver, message):
     out = tmp_path / "o.csv"
@@ -116,6 +121,10 @@ def test_bad_oracle_option_exits_2_with_one_line(tmp_path, instance, oracle,
     (("--seed", "-1"), "seed must be >= 0, got -1"),
     (("--f-ref", "nan"), "f-ref must be finite, got nan"),
     (("--f-ref", "inf"), "f-ref must be finite, got inf"),
+    # negative numbers in every float form reach these checks, not argparse
+    (("--f-ref", "-inf"), "f-ref must be finite, got -inf"),
+    (("--mu", "-1e-3"), "mu must be positive and finite, got -0.001"),
+    (("--target", "-1e-3"), "target must be positive and finite, got -0.001"),
 ])
 def test_bad_number_exits_2_with_one_line_before_the_run(tmp_path, instance,
                                                          args, message):
@@ -234,18 +243,18 @@ def test_unknown_campaign_key_exits_2_with_one_line(tmp_path):
             (full.replace("{kind: acsmd}", '{kind: levy, tuned: "false"}'),
              "solver option tuned must be true or false, got 'false'"),
             (full.replace("{kind: acsmd}", "{kind: levy, D: abc}"),
-             "solver option D must be a finite number or 'theory', got 'abc'"),
+             "solver option D must be positive and finite, got 'abc'"),
             (full.replace("{kind: acsmd}", "{kind: levy, M: [1]}"),
-             "solver option M must be a finite number or 'theory', got [1]"),
+             "solver option M must be nonnegative and finite, got [1]"),
             # constants in range once resolved, before any anchor run too
             (full.replace("{kind: acsmd}", "{kind: levy, D: -1}"),
-             "solver option D must be positive, got -1.0"),
+             "solver option D must be positive and finite, got -1"),
             (full.replace("{kind: acsmd}", "{kind: levy, M: -1}"),
-             "solver option M must be nonnegative, got -1.0"),
+             "solver option M must be nonnegative and finite, got -1"),
             (full.replace("{kind: acsmd}", "{kind: lan, L: 0}"),
-             "solver option L must be positive, got 0.0"),
+             "solver option L must be positive and finite, got 0"),
             (full.replace("{kind: acsmd}", "{kind: relative, Lstar: 0}"),
-             "solver option Lstar must be positive, got 0.0")):
+             "solver option Lstar must be positive and finite, got 0")):
         config.write_text(text)
         done = run_cli("bench", "--config", str(config))
         assert done.returncode == 2
@@ -331,6 +340,30 @@ def test_bad_box_radius_exits_2_with_one_line(tmp_path, instance, rho):
         assert done.stderr.splitlines() == [f"specmd: error: {message}"]
         assert done.stdout == ""
     assert not out.exists()
+
+
+def test_negative_f_ref_in_exponent_form_runs(tmp_path, instance, capsys):
+    out = tmp_path / "o.csv"
+    assert main(["run", "--instance", str(instance), "--solver", "acsmd",
+                 "--oracle", "exact", "--T", "20", "--f-ref", "-1e-3",
+                 "--out", str(out)]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.endswith(", iterations to 0.01: exceeded"), line
+
+
+def test_reference_budget_defaults_to_the_campaigns(instance, monkeypatch,
+                                                     capsys):
+    budgets = []
+
+    def fake_reference_run(box, mu, budget, tol):
+        budgets.append(budget)
+        return 1.0, 0.0, None, type("Trace", (), {"t": [budget]})
+
+    monkeypatch.setattr(cli, "reference_run", fake_reference_run)
+    assert main(["reference", "--instance", str(instance)]) == 0
+    assert budgets == [ExperimentConfig.reference_budget]
+    assert capsys.readouterr().out.strip().endswith(
+        f"after {ExperimentConfig.reference_budget} iterations")
 
 
 def test_reference_prints_certified_anchor(tmp_path, instance, capsys):

@@ -19,8 +19,7 @@ from specmd.oracles import (ExactOracleConfig, PowerOracleConfig,
                             SmoothingOracleConfig)
 from specmd.problem import gen_instance, make_problem
 from specmd.solvers import (StepSchedule, lan_acsa, levy_adaptive,
-                            oblivious_acsmd, oblivious_smd, relative_md,
-                            relative_step)
+                            oblivious_acsmd, oblivious_smd, relative_md)
 
 D, T, SEED = 12, 60, 7
 SCHED = StepSchedule(degree=1)
@@ -131,7 +130,7 @@ def ref_lan(prob):
 
 def ref_relative(prob):
     oracle, gen, rows = prob.oracle, make_rng(SEED), _Rows(prob)
-    eta = relative_step(REL_LSTAR, REL_GAMMA, T)
+    eta = 1.0 / math.sqrt(REL_GAMMA * REL_LSTAR * T)
     x = prob.x1.data.copy()
     x_bar = x.copy()
     for t in range(1, T + 1):

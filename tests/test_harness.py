@@ -148,6 +148,13 @@ def test_reference_budget_must_be_positive():
         reference_run(gen_instance(4, 0.2, 0), 0.1, 0, 1e-3)
 
 
+@pytest.mark.parametrize("budget", [2.5, 100.0, True])
+def test_reference_budget_must_be_an_integer(budget):
+    with pytest.raises(ValueError) as err:
+        reference_run(gen_instance(4, 0.2, 0), 0.1, budget, 1e-3)
+    assert str(err.value) == f"reference budget must be >= 1, got {budget}"
+
+
 def test_path_output_dir_is_echoed_as_a_string(tmp_path):
     cfg = tiny_config(tmp_path, {"kind": "exact"}, seeds=(0,))
     run_bench(dataclasses.replace(cfg, output_dir=tmp_path / "out"))
@@ -261,17 +268,20 @@ def test_build_oracle_rejects_unknown_keys():
     ({"kind": "levy", "tuned": "false"},
      "solver option tuned must be true or false, got 'false'"),
     ({"kind": "levy", "D": "abc"},
-     "solver option D must be a finite number or 'theory', got 'abc'"),
+     "solver option D must be positive and finite, got 'abc'"),
     ({"kind": "lan", "L": 40.0, "sigma": 1.0},
      "solver option 'sigma' is unknown for lan"),
-    # constants are checked against the solvers' ranges once resolved
-    ({"kind": "levy", "D": -1}, "solver option D must be positive, got -1.0"),
-    ({"kind": "levy", "M": -1}, "solver option M must be nonnegative, got -1.0"),
-    ({"kind": "lan", "L": 0}, "solver option L must be positive, got 0.0"),
+    # constants are checked by the solvers' own rule once resolved
+    ({"kind": "levy", "D": -1},
+     "solver option D must be positive and finite, got -1"),
+    ({"kind": "levy", "M": -1},
+     "solver option M must be nonnegative and finite, got -1"),
+    ({"kind": "lan", "L": 0},
+     "solver option L must be positive and finite, got 0"),
     ({"kind": "relative", "Lstar": 0},
-     "solver option Lstar must be positive, got 0.0"),
+     "solver option Lstar must be positive and finite, got 0"),
     ({"kind": "relative", "Lstar": 10, "Gamma": -0.5, "tuned": True},
-     "solver option Gamma must be positive, got -0.5"),
+     "solver option Gamma must be positive and finite, got -0.5"),
 ])
 def test_bad_solver_spec_fails_before_any_reference_run(tmp_path, monkeypatch,
                                                         solver, message):
@@ -305,22 +315,22 @@ def test_solver_constants_resolve_from_theory():
     resolve = harness.resolve_solver_spec
     # M and Gamma take "theory" untuned; D, L and Lstar are tuned
     assert resolve({"kind": "levy", "M": "theory", "tuned": True}, theory) == (
-        harness.levy_adaptive, (12.0 / harness.TUNE_D, 1.0))
+        harness.levy_adaptive, {"D": 12.0 / harness.TUNE_D, "M": 1.0})
     assert resolve({"kind": "lan", "L": "theory"}, theory) == (
-        harness.lan_acsa, (600.0,))
+        harness.lan_acsa, {"L": 600.0})
     assert resolve({"kind": "relative", "Lstar": 10, "Gamma": "theory",
                     "tuned": True}, theory) == (
-        harness.relative_md, (10.0 / harness.TUNE_LSTAR, 0.01))
+        harness.relative_md, {"Lstar": 10.0 / harness.TUNE_LSTAR, "Gamma": 0.01})
     # the specs the benchmark runs stay valid
-    assert resolve({"kind": "lan", "tuned": True}, theory)[1] == (
-        600.0 / harness.TUNE_L,)
-    assert resolve({"kind": "lan", "L": 40.0}, theory)[1] == (40.0,)
+    assert resolve({"kind": "lan", "tuned": True}, theory)[1] == {
+        "L": 600.0 / harness.TUNE_L}
+    assert resolve({"kind": "lan", "L": 40.0}, theory)[1] == {"L": 40.0}
     # M may be 0, as levy_adaptive allows
-    assert resolve({"kind": "levy", "M": 0}, theory)[1] == (12.0, 0.0)
-    solver, (sched,) = resolve({"kind": "acsmd", "name": "a", "degree": 0},
-                               theory)
+    assert resolve({"kind": "levy", "M": 0}, theory)[1] == {"D": 12.0, "M": 0.0}
+    solver, params = resolve({"kind": "acsmd", "name": "a", "degree": 0},
+                             theory)
     assert solver is harness.oblivious_acsmd
-    assert sched == StepSchedule(degree=0)
+    assert params == {"sched": StepSchedule(degree=0)}
 
 
 # two values of every option a solver spec or an oracle takes; each pair
@@ -335,11 +345,11 @@ OPTION_VALUES = {
 
 def _every_option():
     """(solver spec, oracle spec, option, the spec that takes it) for each
-    option, read from the tables resolve_solver_spec and build_oracle check
-    specs against."""
+    option, read from StepSchedule's fields and the tables
+    resolve_solver_spec and build_oracle check specs against."""
     smoothing = {"kind": "smoothing"}
     for kind in ("smd", "acsmd"):
-        for key in harness._STEP_OPTIONS:
+        for key in [f.name for f in dataclasses.fields(StepSchedule)]:
             yield pytest.param({"kind": kind}, smoothing, key, "solver",
                                id=f"{kind}-{key}")
     for kind, constants in harness._BASELINES.items():

@@ -1,4 +1,6 @@
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +8,8 @@ from pathlib import Path
 import specmd
 
 DELETED = ("GradSample", "power_value_grad", "sym_identity", "sym_zeros",
-           "eval_Psi", "resolve_oracle", "schedule_at", "mat_power_apply")
+           "eval_Psi", "resolve_oracle", "schedule_at", "mat_power_apply",
+           "relative_step")
 
 
 def test_every_exported_name_resolves():
@@ -19,6 +22,26 @@ def test_deleted_names_are_not_exported():
     for name in DELETED:
         assert name not in specmd.__all__
         assert not hasattr(specmd, name)
+
+
+def test_every_definition_has_a_caller():
+    # a top-level function or class that nothing in the package names
+    # outside its own definition (exports aside) has no caller: delete it
+    package = Path(specmd.__file__).parent
+    sources = {path.name: path.read_text().splitlines()
+               for path in package.glob("*.py") if path.name != "__init__.py"}
+    orphans = []
+    for name, lines in sources.items():
+        for node in ast.parse("\n".join(lines)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            own = range(node.lineno - 1, node.end_lineno)
+            word = re.compile(rf"\b{node.name}\b")
+            if not any(word.search(line) for other, body in sources.items()
+                       for i, line in enumerate(body)
+                       if other != name or i not in own):
+                orphans.append(f"{name}:{node.name}")
+    assert orphans == []
 
 
 def test_import_loads_no_scipy():

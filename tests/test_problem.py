@@ -10,6 +10,7 @@ from specmd.problem import (BoxSet, CompositeProblem, box_lower_bound,
                             eval_F, eval_penalty, gen_instance, load_instance,
                             make_problem, project_box, prox_step,
                             save_instance)
+from specmd.harness import theory_parameters
 import specmd.solvers as solvers
 from specmd.solvers import StepSchedule, oblivious_acsmd
 
@@ -63,8 +64,9 @@ class TestBoxSet:
             box.lower[0, 0] = 0.0
 
     def test_frobenius_diameter(self):
+        # the baselines' theory D is the box's Frobenius diameter 2 rho d
         box = BoxSet(center=SymMatrix(np.zeros((5, 5))), radius=0.3)
-        assert box.diameter_frobenius == 3.0
+        assert theory_parameters(box, ExactOracleConfig(), 10)["D"] == 3.0
 
 
 class TestProjectBox:

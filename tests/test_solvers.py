@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import constant_oracle, zero_oracle
+from specmd.harness import resolve_solver_spec
 from specmd.linalg import SymMatrix, sym_from
 from specmd.oracles import (ExactOracleConfig, PowerOracleConfig,
                             SmoothingOracleConfig)
@@ -12,7 +13,7 @@ from specmd.problem import BoxSet, gen_instance, make_problem, project_box
 import specmd.solvers as solvers
 from specmd.solvers import (RunTrace, SolverError, StepSchedule, lan_acsa,
                             levy_adaptive, oblivious_acsmd, oblivious_smd,
-                            relative_md, relative_step)
+                            relative_md)
 
 
 def schedule_at(sched, t):
@@ -269,8 +270,9 @@ class TestLanAcsa:
 
 class TestRelativeMd:
     def test_step_formula(self):
-        eta1 = relative_step(10.0, 0.5, 1000)
-        eta2 = relative_step(10.0, 0.5, 2000)
+        prob = interior_problem()
+        eta1, eta2 = (relative_md(prob, 10.0, 0.5, T, 0).config_echo["eta"]
+                      for T in (1000, 2000))
         assert eta2 * math.sqrt(2.0) == pytest.approx(eta1, rel=1e-14)
         assert eta1 == pytest.approx(1.0 / math.sqrt(0.5 * 10.0 * 1000),
                                      rel=1e-15)
@@ -290,6 +292,13 @@ FIVE_SOLVERS = [
     lambda prob: lan_acsa(prob, 20.0, 10, 0),
     lambda prob: relative_md(prob, 10.0, 0.01, 10, 0),
 ]
+
+
+# each public solver with its inputs ahead of (T, rng)
+SOLVER_PARAMS = [
+    (oblivious_smd, (StepSchedule(),)), (oblivious_acsmd, (StepSchedule(),)),
+    (levy_adaptive, (1.0, 1.0)), (lan_acsa, (40.0,)),
+    (relative_md, (10.0, 0.01))]
 
 
 class TestDeterminismAndErrors:
@@ -379,10 +388,14 @@ class TestDeterminismAndErrors:
         with pytest.raises(ValueError):
             oblivious_smd(prob, StepSchedule(), 0, 0)
 
-    @pytest.mark.parametrize("solver, params", [
-        (oblivious_smd, (StepSchedule(),)), (oblivious_acsmd, (StepSchedule(),)),
-        (levy_adaptive, (1.0, 1.0)), (lan_acsa, (40.0,)),
-        (relative_md, (10.0, 0.01))])
+    @pytest.mark.parametrize("solver, params", SOLVER_PARAMS)
+    @pytest.mark.parametrize("T", [2.5, 10.0, True])
+    def test_rejects_a_non_integer_horizon(self, solver, params, T):
+        with pytest.raises(ValueError) as err:
+            solver(interior_problem(), *params, T, 0)
+        assert str(err.value) == "T must be >= 1"
+
+    @pytest.mark.parametrize("solver, params", SOLVER_PARAMS)
     def test_eval_stride_is_none_or_an_integer_of_at_least_1(self, solver,
                                                             params):
         prob = interior_problem()
@@ -456,3 +469,41 @@ class TestLookupNames:
         run(interior_problem(seed=12, oracle=SmoothingOracleConfig()))
         assert counts == {"prox_step": n_prox, "project_box": n_proj,
                           "eval_F": 10}
+
+
+# each solver input, the direct call that takes it, and the spec that names it
+SOLVER_INPUTS = {
+    "D": (lambda prob, v: levy_adaptive(prob, v, 1.0, 10, 0), "levy"),
+    "M": (lambda prob, v: levy_adaptive(prob, 3.0, v, 10, 0), "levy"),
+    "L": (lambda prob, v: lan_acsa(prob, v, 10, 0), "lan"),
+    "Lstar": (lambda prob, v: relative_md(prob, v, 0.01, 10, 0), "relative"),
+    "Gamma": (lambda prob, v: relative_md(prob, 10.0, v, 10, 0), "relative"),
+    "degree": (lambda prob, v: oblivious_smd(prob, StepSchedule(degree=v),
+                                             10, 0), "smd"),
+}
+
+
+def _bad_inputs():
+    for key in SOLVER_INPUTS:
+        # M = 0 and degree = 0 are valid; 1.5 is a valid constant
+        for value in (math.nan, math.inf, -1, 0, "abc", True, 1.5):
+            if (value == 0 and key in ("M", "degree")
+                    or value == 1.5 and key != "degree"):
+                continue
+            yield pytest.param(key, value, id=f"{key}={value!r}")
+
+
+@pytest.mark.parametrize("key, value", _bad_inputs())
+def test_direct_call_and_spec_refuse_an_input_in_one_line(key, value):
+    # one check per input: the solver call and the campaign's spec
+    # resolution must raise the same words
+    call, kind = SOLVER_INPUTS[key]
+    theory = {"D": 12.0, "M": 1.0, "L": 600.0, "Lstar": 10.0, "Gamma": 0.01}
+    with pytest.raises(ValueError) as direct:
+        call(interior_problem(), value)
+    with pytest.raises(ValueError) as spec:
+        resolve_solver_spec({"kind": kind, key: value}, theory)
+    need = {"degree": "an integer >= 0",
+            "M": "nonnegative and finite"}.get(key, "positive and finite")
+    assert str(direct.value) == str(spec.value) == (
+        f"solver option {key} must be {need}, got {value!r}")

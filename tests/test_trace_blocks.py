@@ -6,14 +6,16 @@ below evaluate every row on its own, so a row dropped, shifted or
 mis-evaluated at a block boundary shows up as a bitwise difference.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from specmd.linalg import make_rng
 from specmd.oracles import ExactOracleConfig, PowerOracleConfig
 from specmd.problem import gen_instance, make_problem
-from specmd.solvers import (BLOCK_BYTES, StepSchedule, _TraceBuilder,
-                            oblivious_acsmd, relative_md, relative_step)
+from specmd.solvers import (BLOCK_BYTES, StepSchedule, _block_rows,
+                            oblivious_acsmd, relative_md)
 
 SEED = 5
 SCHED = StepSchedule(degree=1)
@@ -62,7 +64,7 @@ def ref_acsmd(prob, T, stride):
 
 def ref_relative(prob, T, stride):
     oracle, gen, rows = prob.oracle, make_rng(SEED), _Rows(prob, T, stride)
-    eta = relative_step(10.0, 0.01, T)
+    eta = 1.0 / math.sqrt(0.01 * 10.0 * T)
     x = prob.x1.data.copy()
     x_bar = x.copy()
     for t in range(1, T + 1):
@@ -93,7 +95,7 @@ def test_blocks_match_rows_evaluated_one_at_a_time(d, T, stride, oracle, solver)
     else:
         trace = relative_md(prob, 10.0, 0.01, T, SEED, eval_stride=stride)
         rows, final = ref_relative(prob, T, stride)
-    per_block = len(_TraceBuilder(prob, T, stride, SEED, {}).block)
+    per_block = _block_rows(d, T, stride)
     assert len(trace.t) == len(rows.f)
     if d == 6:
         assert 2 * per_block < len(trace.t) < 3 * per_block
@@ -109,8 +111,7 @@ def test_blocks_match_rows_evaluated_one_at_a_time(d, T, stride, oracle, solver)
 def test_block_buffer_is_bounded_whatever_T(d, most):
     # peak memory must not grow with the number of evaluated rows: at most
     # BLOCK_BYTES of points, or one point where a point alone is larger
-    prob = make_problem(gen_instance(d, 0.2, seed=0), ExactOracleConfig(), T=100)
     for T, stride in ((1, 1), (100, 1), (10**6, 1), (10**6, 10), (25, 10)):
-        block = _TraceBuilder(prob, T, stride, SEED, {}).block
-        assert len(block) == min(most, -(-T // stride))
-        assert block.nbytes <= max(BLOCK_BYTES, 8 * d * d)
+        rows = _block_rows(d, T, stride)
+        assert rows == min(most, -(-T // stride))
+        assert rows * 8 * d * d <= max(BLOCK_BYTES, 8 * d * d)
