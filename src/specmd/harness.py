@@ -110,13 +110,15 @@ def write_trace(path, trace: RunTrace) -> None:
     cols = (trace.F_ag, trace.Psi_ag, trace.grad_norm, trace.elapsed_s)
     rows = [",".join([str(int(t))] + [repr(float(c[i])) for c in cols])
             for i, t in enumerate(trace.t)]
+    # built first: a header json.dumps refuses leaves no file behind
+    header = ("# specmd-trace v1\n"
+              f"# config: {json.dumps(trace.config_echo, sort_keys=True)}\n"
+              f"# seed: {trace.seed}\n"
+              f"# total_seconds: {trace.total_seconds!r}\n"
+              f"# oracle_seconds: {trace.oracle_seconds!r}\n"
+              f"{_POINT_KEY}[")
     with open(path, "w") as out:
-        out.write("# specmd-trace v1\n"
-                  f"# config: {json.dumps(trace.config_echo, sort_keys=True)}\n"
-                  f"# seed: {trace.seed}\n"
-                  f"# total_seconds: {trace.total_seconds!r}\n"
-                  f"# oracle_seconds: {trace.oracle_seconds!r}\n"
-                  f"{_POINT_KEY}[")
+        out.write(header)
         for i, row in enumerate(trace.final_point.data):
             out.write((", " if i else "") + json.dumps(row.tolist()))
         out.write("]\n" + "\n".join([_TRACE_COLUMNS] + rows) + "\n")
@@ -334,8 +336,7 @@ def resolve_solver_spec(spec: dict, theory: dict) -> tuple:
                 raise ValueError(f"no theory value for {key!r} with this "
                                  "oracle; give a number")
             value = theory[key]
-        _check_constant(key, value)
-        params[key] = float(value) / (factor if tuned else 1.0)
+        params[key] = _check_constant(key, value) / (factor if tuned else 1.0)
     return solver, params
 
 

@@ -3,6 +3,7 @@ exact eigen-solves behind the oracles (`leading_eigpair`) and the traces
 (`full_spectrum`)."""
 
 import ctypes
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,11 @@ except (ImportError, OSError, AttributeError):
     _DSYEVR = None
 
 
+# dsyevr's buffers and arguments per order d, built on a thread's first call
+# at d: per thread, since ctypes releases the GIL during the call
+_WORKSPACES = threading.local()
+
+
 def leading_eigpair(a: np.ndarray) -> tuple:
     """Maximum eigenvalue and a unit eigenvector of a symmetric array.
 
@@ -78,30 +84,42 @@ def leading_eigpair(a: np.ndarray) -> tuple:
     eigenvalue, any unit vector of its eigenspace. Each matrix is one exact
     dense LAPACK dsyevr call for its top eigenpair alone (RANGE='I', IL = IU
     = d; numpy's OpenBLAS symbol scipy_dsyevr_64_), 2-4x faster than eigh at
-    d = 20 to 200. np.linalg.eigh solves instead without that symbol, for
-    input that is not real and square, and when a call does not give INFO = 0
-    and one eigenpair (as on NaN input).
+    d = 20 to 200, into buffers each thread keeps per d. np.linalg.eigh
+    solves instead without that symbol, for input that is not real and
+    square, and for a matrix whose call does not give INFO = 0 and one
+    eigenpair (as on NaN input).
     """
     a = np.asarray(a)
-    if a.ndim > 2 and a.size:
-        vals, vecs = zip(*map(leading_eigpair, a.reshape(-1, *a.shape[-2:])))
-        return np.reshape(vals, a.shape[:-2]), np.reshape(vecs, a.shape[:-1])
     d = a.shape[-1]
-    if _DSYEVR is not None and a.shape == (d, d) and np.isrealobj(a):
+    if _DSYEVR is None or a.shape[-2:] != (d, d) or a.dtype.kind == "c" \
+            or not a.size:
+        vals, vecs = np.linalg.eigh(a)
+        return vals[..., -1], vecs[..., -1]
+    spaces = _WORKSPACES.__dict__
+    if d not in spaces:
         # f = [A, W, Z, WORK (26d), VL, VU, ABSTOL], n = [N, LDA, IL, IU, LDZ,
-        # LWORK, LIWORK, M, INFO, ISUPPZ, IWORK], held until the call returns
+        # LWORK, LIWORK, M, INFO, ISUPPZ, IWORK]; LAPACK reads A column-major
         e, f, n = d * d, np.zeros(d * d + 28 * d + 3), np.zeros(11 + 10 * d, np.int64)
         n[:7] = (d, d, d, d, d, 26 * d, 10 * d)
         fp, ip = (ctypes.addressof(ctypes.c_char.from_buffer(b)) for b in (f, n))
         w, z, work, vl = (fp + 8 * k for k in (e, e + d, e + 2 * d, e + 28 * d))
-        f[:e].reshape(d, d).T[...] = a  # column-major, as LAPACK reads it
-        _DSYEVR(b"V", b"I", b"L", ip, fp, ip + 8, vl, vl + 8, ip + 16, ip + 24,
-                vl + 16, ip + 56, w, z, ip + 32, ip + 72, work, ip + 40,
-                ip + 88, ip + 48, ip + 64, 1, 1, 1)
-        if n[8] == 0 and n[7] == 1:
-            return f[e], f[e + d:e + 2 * d].copy()
-    vals, vecs = np.linalg.eigh(a)
-    return vals[..., -1], vecs[..., -1]
+        spaces[d] = (f[:e].reshape(d, d).T, f[e:e + 2 * d], n[7:9], (
+            b"V", b"I", b"L", ip, fp, ip + 8, vl, vl + 8, ip + 16, ip + 24,
+            vl + 16, ip + 56, w, z, ip + 32, ip + 72, work, ip + 40, ip + 88,
+            ip + 48, ip + 64, 1, 1, 1))
+    matrix, top, found, args = spaces[d]
+    stack = a.reshape(-1, d, d)
+    vals, vecs = np.empty(len(stack)), np.empty((len(stack), d))
+    for i, m in enumerate(stack):
+        matrix[...] = m
+        _DSYEVR(*args)
+        if found.tolist() == [1, 0]:
+            vals[i], vecs[i] = top[0], top[d:]
+        else:
+            w, v = np.linalg.eigh(m)
+            vals[i], vecs[i] = w[-1], v[:, -1]
+    # [()] turns a 2-d input's 0-d value into a scalar, as eigh gives it
+    return vals.reshape(a.shape[:-2])[()], vecs.reshape(a.shape[:-1])
 
 
 def full_spectrum(m: np.ndarray) -> np.ndarray:

@@ -122,7 +122,7 @@ def smoothing_grad(x: np.ndarray, cfg: SmoothingOracleConfig, rng) -> tuple:
     stack = (cfg.epsilon / d) * (z[:, :, None] * z[:, None, :])
     stack += base
     tops, vecs = leading_eigpair(stack)
-    best = int(np.argmax(tops))
+    best = int(tops.argmax())
     v = vecs[best]
     # v_i * v_j == v_j * v_i, so the outer product is exactly symmetric
     return float(tops[best]) + offset, v[:, None] * v

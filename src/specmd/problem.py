@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .linalg import SymMatrix, full_spectrum, make_rng, sym_from
+from .oracles import _is_int
 
 
 @dataclass(frozen=True)
@@ -75,8 +76,8 @@ class CompositeProblem:
 
 def make_problem(box: BoxSet, oracle, T: int | None = None,
                  mu: float | None = None) -> CompositeProblem:
-    """Assemble a problem; mu defaults to 1/sqrt(T)."""
-    if T is not None and T < 1:
+    """Assemble a problem; mu defaults to 1/sqrt(T), for an integer T >= 1."""
+    if T is not None and not (_is_int(T) and T >= 1):
         raise ValueError("T must be >= 1")
     if mu is None:
         if T is None:

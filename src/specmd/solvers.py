@@ -50,6 +50,8 @@ class StepSchedule:
         if not (_is_int(self.degree) and self.degree >= 0):
             raise ValueError("solver option degree must be an integer >= 0, "
                              f"got {self.degree!r}")
+        # a numpy integer passes as well; the trace header echoes a plain int
+        object.__setattr__(self, "degree", int(self.degree))
 
     def weights(self, horizon: int) -> tuple[np.ndarray, np.ndarray]:
         """(alpha_t, gamma_t) arrays for t = 1..horizon."""
@@ -108,13 +110,15 @@ def _block_rows(d, T, stride):
     return min(max(1, BLOCK_BYTES // (8 * d * d)), (T + stride - 1) // stride)
 
 
-def _check_constant(name, value):
-    """D, L, Lstar and Gamma must be finite reals > 0, M a finite real >= 0."""
+def _check_constant(name, value) -> float:
+    """D, L, Lstar and Gamma must be finite reals > 0, M a finite real >= 0;
+    returns the value as a plain float, which the trace header echoes."""
     need = "nonnegative" if name == "M" else "positive"
     if not (_is_real(value) and 0 <= value < math.inf
             and (value > 0 or name == "M")):
         raise ValueError(
             f"solver option {name} must be {need} and finite, got {value!r}")
+    return float(value)
 
 
 def _run(name, params, prob, T, rng, step, alphas=None, at_md=False,
@@ -145,7 +149,8 @@ def _run(name, params, prob, T, rng, step, alphas=None, at_md=False,
                                         and eval_stride >= 1):
         raise ValueError(
             f"eval_stride must be None or an integer >= 1, got {eval_stride!r}")
-    alphas = np.ones(T) if alphas is None else alphas
+    # Python floats: the loop's scalar arithmetic is cheaper on them
+    alphas = [1.0] * T if alphas is None else alphas.tolist()
     gen = make_rng(rng)
     echo = {"solver": name, **params, "T": T, "mu": prob.mu,
             "oracle": oracle_echo(prob.oracle)}
@@ -238,8 +243,7 @@ def levy_adaptive(prob: CompositeProblem, D: float, M: float, T: int, rng,
     Needs the set diameter D up front; the trace follows the uniform average
     of the query points.
     """
-    _check_constant("D", D)
-    _check_constant("M", M)
+    D, M = _check_constant("D", D), _check_constant("M", M)
     acc = M * M
 
     def step(t, x, g, gnorm):
@@ -260,7 +264,7 @@ def lan_acsa(prob: CompositeProblem, L: float, T: int, rng,
     update is a projected gradient step of size t/(4L) taken at the md point.
     The step reads L only; AC-SA's noise level sigma enters no step here.
     """
-    _check_constant("L", L)
+    L = _check_constant("L", L)
 
     def step(t, x, g, gnorm):
         eta = t / (4.0 * L)
@@ -274,8 +278,8 @@ def relative_md(prob: CompositeProblem, Lstar: float, Gamma: float, T: int, rng,
                 eval_stride: int | None = None) -> RunTrace:
     """Projected SGD with the constant relative-scale step
     1/sqrt(Gamma * Lstar * T) and uniform averaging."""
-    _check_constant("Lstar", Lstar)
-    _check_constant("Gamma", Gamma)
+    Lstar = _check_constant("Lstar", Lstar)
+    Gamma = _check_constant("Gamma", Gamma)
     # the step divides by T before the loop checks it
     if not (_is_int(T) and T >= 1):
         raise ValueError("T must be >= 1")

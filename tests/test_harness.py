@@ -19,8 +19,8 @@ from specmd.oracles import (ExactOracleConfig, SmoothingOracleConfig,
                             exact_subgrad)
 from specmd.problem import (box_lower_bound, eval_F, eval_penalty,
                             gen_instance, make_problem, project_box)
-from specmd.solvers import (RunTrace, StepSchedule, oblivious_acsmd,
-                            oblivious_smd)
+from specmd.solvers import (RunTrace, StepSchedule, levy_adaptive,
+                            oblivious_acsmd, oblivious_smd)
 
 
 def tiny_config(outdir, oracle, seeds=(0, 1), budget=10_000):
@@ -469,3 +469,25 @@ def test_trace_file_round_trip_is_exact(tmp_path):
     assert back.config_echo == trace.config_echo
     assert (back.seed, back.total_seconds, back.oracle_seconds) == (
         trace.seed, trace.total_seconds, trace.oracle_seconds)
+
+
+@pytest.mark.parametrize("run", [
+    lambda prob: oblivious_smd(prob, StepSchedule(degree=np.int64(1)), 10, 0),
+    lambda prob: levy_adaptive(prob, np.float32(3.0), 1.0, 10, 0)])
+def test_numpy_scalar_options_write_and_read_back(tmp_path, run):
+    trace = run(make_problem(gen_instance(5, 0.2, 0), ExactOracleConfig(),
+                             T=10))
+    path = tmp_path / "trace.csv"
+    write_trace(path, trace)
+    assert read_trace(path).config_echo == json.loads(
+        json.dumps(trace.config_echo))
+
+
+def test_a_header_json_refuses_leaves_no_file(tmp_path):
+    trace = synthetic_trace(3)
+    trace.config_echo["mu"] = np.float32(0.1)
+    path = tmp_path / "trace.csv"
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        write_trace(path, trace)
+    assert not path.exists()
+

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -161,17 +162,64 @@ class TestLeadingEigpair:
 
     def test_stack_equals_per_slice_calls(self, path):
         rng = make_rng(6)
-        raw = rng.standard_normal((4, 7, 7))
-        stack = (raw + raw.transpose(0, 2, 1)) / 2.0
-        lams, vecs = leading_eigpair(stack)
-        assert lams.shape == (4,) and vecs.shape == (4, 7)
-        for i in range(4):
-            lam, v = leading_eigpair(stack[i])
-            assert np.array_equal(lams[i], lam)
-            assert np.array_equal(vecs[i], v)
+        # the smoothing oracle's k = 1 and k = 3 stacks at d = 20 as well
+        for k, d in ((4, 7), (3, 20), (1, 20)):
+            raw = rng.standard_normal((k, d, d))
+            stack = (raw + raw.transpose(0, 2, 1)) / 2.0
+            lams, vecs = leading_eigpair(stack)
+            assert lams.shape == (k,) and vecs.shape == (k, d)
+            for i in range(k):
+                lam, v = leading_eigpair(stack[i])
+                assert np.array_equal(lams[i], lam)
+                assert np.array_equal(vecs[i], v)
         # an empty stack gives empty results, as np.linalg.eigh does
         lams, vecs = leading_eigpair(np.zeros((0, 7, 7)))
         assert lams.shape == (0,) and vecs.shape == (0, 7)
+
+    def test_a_kept_workspace_gives_a_fresh_ones_bits(self, monkeypatch):
+        if linalg._DSYEVR is None:
+            pytest.skip("numpy's LAPACK has no scipy_dsyevr_64_")
+        mats = [_symmetric(d, 30 + i) for i, d in enumerate((20, 5, 20, 1, 20))]
+        fresh = []
+        for m in mats:
+            monkeypatch.setattr(linalg, "_WORKSPACES", threading.local())
+            fresh.append(leading_eigpair(m))
+        for m, (lam, v) in zip(mats, fresh):
+            got_lam, got_v = leading_eigpair(m)
+            assert got_lam.tobytes() == lam.tobytes()
+            assert got_v.tobytes() == v.tobytes()
+
+    def test_concurrent_threads_get_their_serial_results(self):
+        if linalg._DSYEVR is None:
+            pytest.skip("numpy's LAPACK has no scipy_dsyevr_64_")
+        # each thread solves its own matrices at one d: a workspace shared
+        # between threads would mix them up while ctypes holds no GIL
+        work = [[_symmetric(20, 100 * j + i) for i in range(10)] for j in (1, 2)]
+        serial = [[leading_eigpair(m) for m in mats] for mats in work]
+        got = [[], []]
+        start = threading.Barrier(2)
+
+        def solve(j):
+            start.wait()
+            for n in range(1000):
+                got[j].append(leading_eigpair(work[j][n % 10]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=solve, args=(j,)) for j in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for j in (0, 1):
+            assert len(got[j]) == 1000
+            for n, (lam, v) in enumerate(got[j]):
+                want_lam, want_v = serial[j][n % 10]
+                assert lam == want_lam and np.array_equal(v, want_v)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 20, 200])
     def test_nan_input_neither_crashes_nor_hangs(self, path, d):

@@ -123,6 +123,14 @@ class TestCompositeProblem:
         with pytest.raises(ValueError):
             make_problem(box, ExactOracleConfig())
 
+    @pytest.mark.parametrize("T", [2.5, 0, True, np.float64(4.0)])
+    def test_make_problem_takes_an_integer_horizon(self, T):
+        # the rule and message of the solver loop's own check
+        with pytest.raises(ValueError, match="^T must be >= 1$"):
+            make_problem(random_box(4), ExactOracleConfig(), T=T)
+        assert make_problem(random_box(4), ExactOracleConfig(),
+                            T=np.int64(4)).mu == 0.5
+
 
 def with_nan(x, i=0, j=1):
     """A copy of x with one NaN entry, to pin how the clamps pass NaN on."""
