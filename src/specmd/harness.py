@@ -5,11 +5,10 @@ import json
 import math
 import os
 import re
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .linalg import sym_from
 # perfbench's tracer wraps exact_subgrad at this name (harness.reference_polish)
@@ -243,7 +242,6 @@ class CellResult:
     iterations: int | None
     final_gap: float
     wall_seconds: float
-    oracle_seconds: float
     message: str = ""
 
 
@@ -350,10 +348,10 @@ def run_solver_spec(spec: dict, prob, T: int, seed: int, theory: dict,
 def run_bench(cfg: ExperimentConfig) -> BenchReport:
     """Execute every (dim, solver, seed) cell and write all output files.
 
-    Per dim: the instance file, a reference trace, and one trace per run.
-    Campaign-wide: report.csv and summary.txt (deterministic given the
-    config), timing.csv (wall-clock, excluded from the determinism claim),
-    and config_echo.yaml.
+    Per dim: instance_d{dim}.txt, reference_d{dim}.csv and one
+    trace_d{dim}_{label}_s{seed}.csv per cell, whose header echoes the
+    cell's config and timings. Then report.csv and summary.txt, which are
+    deterministic given the config.
     """
     oracle_cfg = build_oracle(cfg.oracle)
     instances = {dim: gen_instance(dim, cfg.noise_sigma, cfg.instance_seed)
@@ -391,7 +389,7 @@ def run_bench(cfg: ExperimentConfig) -> BenchReport:
                     cells.append(CellResult(
                         dim=dim, solver=label, seed=seed, status="error",
                         iterations=None, final_gap=float("nan"),
-                        wall_seconds=0.0, oracle_seconds=0.0, message=str(err)))
+                        wall_seconds=0.0, message=str(err)))
                     continue
                 trace.config_echo["instance"] = {
                     "d": dim, "seed": cfg.instance_seed,
@@ -404,8 +402,7 @@ def run_bench(cfg: ExperimentConfig) -> BenchReport:
                     status="ok" if iters != EXCEEDED else EXCEEDED,
                     iterations=iters if iters != EXCEEDED else None,
                     final_gap=trace.final_F_ag - f_ref,
-                    wall_seconds=trace.total_seconds,
-                    oracle_seconds=trace.oracle_seconds))
+                    wall_seconds=trace.total_seconds))
 
     report = BenchReport(config=cfg, cells=cells, anchors=anchors)
     _write_report_files(report, outdir)
@@ -415,15 +412,11 @@ def run_bench(cfg: ExperimentConfig) -> BenchReport:
 def _write_report_files(report: BenchReport, outdir: Path) -> None:
     cfg = report.config
     lines = ["dim,solver,seed,status,iterations,final_gap"]
-    timing = ["dim,solver,seed,wall_seconds,oracle_seconds"]
     for c in sorted(report.cells, key=lambda c: (c.dim, c.solver, c.seed)):
         iters = "" if c.iterations is None else str(c.iterations)
         gap = repr(float(c.final_gap)) if math.isfinite(c.final_gap) else "nan"
         lines.append(f"{c.dim},{c.solver},{c.seed},{c.status},{iters},{gap}")
-        timing.append(f"{c.dim},{c.solver},{c.seed},"
-                      f"{c.wall_seconds!r},{c.oracle_seconds!r}")
     (outdir / "report.csv").write_text("\n".join(lines) + "\n")
-    (outdir / "timing.csv").write_text("\n".join(timing) + "\n")
 
     tol = cfg.target_precision / 10
     warnings = [f"anchor d={dim} uncertified (gap {gap:.3e} > {tol:g} after "
@@ -434,8 +427,8 @@ def _write_report_files(report: BenchReport, outdir: Path) -> None:
     solver_names = [_solver_label(s) for s in cfg.solvers]
     entries = {}
     for name in solver_names:
-        medians = []
-        for dim in cfg.dims:
+        medians = []  # in ascending dim, for the check below
+        for dim in sorted(cfg.dims):
             group = [c for c in report.cells if c.dim == dim and c.solver == name]
             iters = sorted(float(c.iterations) if c.status == "ok"
                            else math.inf for c in group)
@@ -469,10 +462,6 @@ def _write_report_files(report: BenchReport, outdir: Path) -> None:
     text += [f"WARNING: {warning}" for warning in warnings]
     (outdir / "summary.txt").write_text("\n".join(text) + "\n")
 
-    (outdir / "config_echo.yaml").write_text(
-        yaml.safe_dump({**asdict(cfg), "output_dir": str(cfg.output_dir)},
-                       sort_keys=True))
-
 
 def load_experiment_config(path) -> ExperimentConfig:
     """Read a YAML benchmark config file.
@@ -480,6 +469,7 @@ def load_experiment_config(path) -> ExperimentConfig:
     A file that is not a mapping, an unknown key or a missing required key
     raises ValueError naming the first such key.
     """
+    import yaml  # here, not at module level: only campaign files need YAML
     raw = yaml.safe_load(Path(path).read_text())
     if not isinstance(raw, dict):
         raise ValueError(f"campaign config {path} is not a mapping")

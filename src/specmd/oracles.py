@@ -60,6 +60,9 @@ class SmoothingOracleConfig:
                       "an integer >= 1")
         _check_option("epsilon", self.epsilon, _is_real(self.epsilon)
                       and 0 < self.epsilon < math.inf, "positive and finite")
+        # numpy scalars pass as well; the trace header echoes plain numbers
+        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "epsilon", float(self.epsilon))
 
 
 @dataclass(frozen=True)
@@ -86,6 +89,8 @@ class PowerOracleConfig:
                       "an integer >= 1")
         _check_option("square_input", self.square_input,
                       isinstance(self.square_input, bool), "true or false")
+        # a numpy integer passes as well; the trace header echoes a plain int
+        object.__setattr__(self, "p", int(self.p))
 
 
 @dataclass(frozen=True)

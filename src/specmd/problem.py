@@ -62,6 +62,8 @@ class CompositeProblem:
     def __post_init__(self):
         if not 0 < self.mu < math.inf:
             raise ValueError(f"mu must be positive and finite, got {self.mu!r}")
+        # a numpy scalar passes as well; Psi and the trace header use a float
+        object.__setattr__(self, "mu", float(self.mu))
         if not callable(self.oracle):
             raise ValueError(f"oracle is not callable: {self.oracle!r}")
 

@@ -7,7 +7,6 @@ import warnings
 
 import numpy as np
 import pytest
-import yaml
 
 import specmd.harness as harness
 from specmd.harness import (EXCEEDED, BenchReport, CellResult,
@@ -15,8 +14,8 @@ from specmd.harness import (EXCEEDED, BenchReport, CellResult,
                             build_oracle, iterations_to_precision, read_trace,
                             reference_run, run_bench, write_trace)
 from specmd.linalg import make_rng, sym_from
-from specmd.oracles import (ExactOracleConfig, SmoothingOracleConfig,
-                            exact_subgrad)
+from specmd.oracles import (ExactOracleConfig, PowerOracleConfig,
+                            SmoothingOracleConfig, exact_subgrad)
 from specmd.problem import (box_lower_bound, eval_F, eval_penalty,
                             gen_instance, make_problem, project_box)
 from specmd.solvers import (RunTrace, StepSchedule, levy_adaptive,
@@ -155,11 +154,13 @@ def test_reference_budget_must_be_an_integer(budget):
     assert str(err.value) == f"reference budget must be >= 1, got {budget}"
 
 
-def test_path_output_dir_is_echoed_as_a_string(tmp_path):
+def test_path_output_dir_holds_only_the_campaign_files(tmp_path):
+    # each fact is written once: no file repeats the traces or the config
     cfg = tiny_config(tmp_path, {"kind": "exact"}, seeds=(0,))
     run_bench(dataclasses.replace(cfg, output_dir=tmp_path / "out"))
-    echo = yaml.safe_load((tmp_path / "out" / "config_echo.yaml").read_text())
-    assert echo["output_dir"] == str(tmp_path / "out")
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "instance_d6.txt", "reference_d6.csv", "report.csv", "summary.txt",
+        "trace_d6_acsmd_n1_s0.csv", "trace_d6_smd_n1_s0.csv"]
 
 
 def test_anchor_horizons_repeat_as_prefixes():
@@ -201,14 +202,13 @@ def test_tiny_budget_flags_an_uncertified_anchor(tmp_path):
 def test_nearest_rank_percentiles_and_reached_count(tmp_path):
     cfg = tiny_config(tmp_path, {"kind": "exact"}, seeds=(0, 1, 2))
     cells = [CellResult(dim=6, solver="acsmd_n1", seed=s, status=status,
-                        iterations=it, final_gap=gap, wall_seconds=0.0,
-                        oracle_seconds=0.0)
+                        iterations=it, final_gap=gap, wall_seconds=0.0)
              for s, status, it, gap in ((0, "ok", 30, 0.0),
                                         (1, "exceeded", None, 0.5),
                                         (2, "ok", 10, 0.0))]
     cells += [CellResult(dim=6, solver="smd_n1", seed=s, status="exceeded",
-                         iterations=None, final_gap=0.5, wall_seconds=0.0,
-                         oracle_seconds=0.0) for s in range(3)]
+                         iterations=None, final_gap=0.5, wall_seconds=0.0)
+             for s in range(3)]
     report = BenchReport(config=cfg, cells=cells, anchors={6: (0.0, 0.0, 100)})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -223,25 +223,27 @@ def test_nearest_rank_percentiles_and_reached_count(tmp_path):
 
 def test_summary_warns_when_a_median_falls_with_dim(tmp_path):
     # one seed, so each cell is its (dim, solver) median: acsmd falls from
-    # d = 6 to d = 12, smd rises, and levy's miss at d = 12 is skipped
-    cfg = tiny_config(tmp_path, {"kind": "exact"}, seeds=(0,))
-    cfg = dataclasses.replace(cfg, dims=[6, 12, 24], solvers=[
-        {"kind": "acsmd"}, {"kind": "smd"}, {"kind": "levy"}])
+    # d = 6 to d = 12, smd rises, and levy's miss at d = 12 is skipped. The
+    # medians are compared in ascending dim, whatever the config's order.
     iterations = {"acsmd_n1": (30, 20, 40), "smd_n1": (10, 20, 30),
                   "levy": (10, None, 30)}
     cells = [CellResult(dim=dim, solver=name, seed=0,
                         status="ok" if it else "exceeded", iterations=it,
-                        final_gap=0.0 if it else 0.5, wall_seconds=0.0,
-                        oracle_seconds=0.0)
+                        final_gap=0.0 if it else 0.5, wall_seconds=0.0)
              for name, its in iterations.items()
-             for dim, it in zip(cfg.dims, its)]
-    anchors = dict.fromkeys(cfg.dims, (0.0, 0.0, 100))
-    _write_report_files(BenchReport(config=cfg, cells=cells, anchors=anchors),
-                        tmp_path)
-    summary = (tmp_path / "summary.txt").read_text()
-    assert [line for line in summary.splitlines() if "WARNING" in line] == [
-        "WARNING: median iterations for acsmd_n1 are not monotone in dim: "
-        "[30.0, 20.0, 40.0]"]
+             for dim, it in zip([6, 12, 24], its)]
+    for dims in ([6, 12, 24], [24, 12, 6]):
+        cfg = tiny_config(tmp_path, {"kind": "exact"}, seeds=(0,))
+        cfg = dataclasses.replace(cfg, dims=dims, solvers=[
+            {"kind": "acsmd"}, {"kind": "smd"}, {"kind": "levy"}])
+        anchors = dict.fromkeys(cfg.dims, (0.0, 0.0, 100))
+        _write_report_files(
+            BenchReport(config=cfg, cells=cells, anchors=anchors), tmp_path)
+        summary = (tmp_path / "summary.txt").read_text()
+        assert [line for line in summary.splitlines()
+                if "WARNING" in line] == [
+            "WARNING: median iterations for acsmd_n1 are not monotone in "
+            "dim: [30.0, 20.0, 40.0]"], dims
 
 
 def test_config_rules_cover_every_field_in_order():
@@ -481,6 +483,34 @@ def test_numpy_scalar_options_write_and_read_back(tmp_path, run):
     write_trace(path, trace)
     assert read_trace(path).config_echo == json.loads(
         json.dumps(trace.config_echo))
+
+
+@pytest.mark.parametrize("oracle, mu", [
+    (ExactOracleConfig(), np.float32(0.1)),
+    (SmoothingOracleConfig(k=np.int64(1)), None),
+    (SmoothingOracleConfig(epsilon=np.float32(0.01)), None),
+    (PowerOracleConfig(p=np.int64(3)), None)])
+def test_numpy_scalar_problem_inputs_write_and_read_back(tmp_path, oracle,
+                                                         mu):
+    prob = make_problem(gen_instance(5, 0.2, 0), oracle, T=10, mu=mu)
+    trace = oblivious_smd(prob, StepSchedule(degree=1), 10, 0)
+    path = tmp_path / "trace.csv"
+    write_trace(path, trace)
+    assert read_trace(path).config_echo == trace.config_echo
+
+
+def test_a_numpy_mu_runs_like_a_python_float():
+    # a float32 mu times a Python float stays float32: Psi_ag's penalty
+    # would round in single precision
+    box = gen_instance(5, 0.2, 0)
+    runs = [oblivious_smd(make_problem(box, ExactOracleConfig(), mu=mu),
+                          StepSchedule(degree=1), 10, 0)
+            for mu in (np.float32(0.1), float(np.float32(0.1)))]
+    for name in ("F_ag", "Psi_ag"):
+        assert getattr(runs[0], name).tobytes() == \
+            getattr(runs[1], name).tobytes(), name
+    assert runs[0].final_point.data.tobytes() == \
+        runs[1].final_point.data.tobytes()
 
 
 def test_a_header_json_refuses_leaves_no_file(tmp_path):
