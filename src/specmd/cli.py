@@ -2,7 +2,6 @@
 reference values, and run benchmark campaigns."""
 
 import argparse
-import math
 import re
 import sys
 from pathlib import Path
@@ -11,7 +10,7 @@ from .harness import (ExperimentConfig, build_oracle,
                       iterations_to_precision, load_experiment_config,
                       reference_run, run_bench, run_solver_spec,
                       theory_parameters, write_trace)
-from .oracles import ExactOracleConfig
+from .oracles import ExactOracleConfig, _check
 from .problem import load_instance, make_problem, save_instance, gen_instance
 
 # `run`'s --T and --target defaults; `reference` anchors `run` at them, as a
@@ -57,12 +56,10 @@ def _cmd_generate(args):
 
 
 def _cmd_run(args):
-    if not 0 < args.target < math.inf:
-        raise ValueError(f"target must be positive and finite, got {args.target!r}")
-    if args.f_ref is not None and not math.isfinite(args.f_ref):
-        raise ValueError(f"f-ref must be finite, got {args.f_ref!r}")
-    if args.seed < 0:
-        raise ValueError(f"seed must be >= 0, got {args.seed}")
+    _check("target", args.target, "positive and finite")
+    if args.f_ref is not None:
+        _check("f-ref", args.f_ref, "finite")
+    _check("seed", args.seed, "an integer >= 0")
     box, meta = load_instance(args.instance)
     oracle_cfg = build_oracle(_parse_kv_spec(args.oracle))
     solver_spec = _parse_kv_spec(args.solver)

@@ -13,7 +13,7 @@ import numpy as np
 from .linalg import sym_from
 # perfbench's tracer wraps exact_subgrad at this name (harness.reference_polish)
 from .oracles import (ExactOracleConfig, PowerOracleConfig,
-                      SmoothingOracleConfig, _is_int, _is_real, exact_subgrad)
+                      SmoothingOracleConfig, _check, exact_subgrad)
 from .problem import (BoxSet, box_lower_bound, eval_F, eval_penalty,
                       gen_instance, make_problem, save_instance)
 from .solvers import (RunTrace, StepSchedule, _check_constant, _oblivious,
@@ -38,10 +38,8 @@ TUNE_LSTAR = 50.0
 def iterations_to_precision(trace: RunTrace, F_ref: float, target: float):
     """Smallest evaluated t with F_ag(t) - F_ref <= target, else "exceeded".
     A non-finite F_ref or target raises ValueError: it is no miss."""
-    if not 0 < target < math.inf:
-        raise ValueError(f"target must be positive and finite, got {target!r}")
-    if not math.isfinite(F_ref):
-        raise ValueError(f"F_ref must be finite, got {F_ref!r}")
+    target = _check("target", target, "positive and finite")
+    F_ref = _check("F_ref", F_ref, "finite")
     hits = np.nonzero(trace.F_ag - F_ref <= target)[0]
     return int(trace.t[hits[0]]) if hits.size else EXCEEDED
 
@@ -60,8 +58,7 @@ def reference_run(instance: BoxSet, mu: float, budget: int, tol: float):
     last), the certified gap >= Psi(X_ag) - Psi* at its last iteration,
     W_ag there and the run; gap > tol is uncertified.
     """
-    if not (_is_int(budget) and budget >= 1):
-        raise ValueError(f"reference budget must be >= 1, got {budget}")
+    budget = _check("reference budget", budget, "an integer >= 1")
     prob = make_problem(instance, ExactOracleConfig(), mu=mu)
     w_ag = np.zeros_like(instance.lower)
     checks = {100 * 2 ** k for k in range(budget.bit_length())}
@@ -141,7 +138,8 @@ def read_trace(path) -> RunTrace:
                 saw_columns = True
             elif saw_columns and line != "\n":
                 rows.append([float(v) for v in line.split(",")])
-    if not saw_columns or not rows or point is None:
+    if not saw_columns or not rows or point is None or not header.keys() >= {
+            "config", "seed", "total_seconds", "oracle_seconds"}:
         raise ValueError(f"malformed trace file: {path}")
     data = np.array(rows)
     return RunTrace(
@@ -166,13 +164,15 @@ class ExperimentConfig:
     `oracle` is a dict like {"kind": "smoothing", "k": 1, "epsilon": 1e-2},
     {"kind": "power", "p": 21, "square_input": true} or {"kind": "exact"}.
     Each solver spec is a dict with a "kind", an optional "name" label and
-    that kind's options: smd and acsmd take degree (an integer >= 0,
-    default 1); levy takes D > 0 and M >= 0, lan L > 0, relative Lstar > 0
-    and Gamma > 0, each a finite number or "theory" (the default, from
-    theory_parameters), plus a "tuned" flag that divides D, L and Lstar by
-    TUNE_D, TUNE_L and TUNE_LSTAR; M and Gamma take "theory" untuned. Any
-    other key, a wrong type, a value out of range or a repeated dim or seed
-    raises ValueError; run_bench refuses two specs with one label.
+    that kind's options: smd and acsmd take degree (default 1); levy takes
+    D and M, lan L, relative Lstar and Gamma, each a number or "theory" (the
+    default, from theory_parameters), plus a "tuned" flag that divides D, L
+    and Lstar by TUNE_D, TUNE_L and TUNE_LSTAR; M and Gamma take "theory"
+    untuned. Each number field has its rule in _CONFIG_NUMBERS, each oracle
+    and solver option its rule in its class or solver, all of them phrases
+    of oracles._NEEDS. A value that breaks its rule, an empty or mistyped
+    field of _CONFIG_KINDS, any other key or a repeated dim or seed raises
+    ValueError; run_bench refuses two specs with one label.
     reference_budget caps the iterations of each dim's certified anchor
     (reference_run), which stops at a gap of target_precision / 10.
     """
@@ -190,12 +190,21 @@ class ExperimentConfig:
     eval_stride: int | None = None
 
     def __post_init__(self):
-        for key, type_ok, kind, range_ok, bound in _CONFIG_RULES:
+        for key, kind, name in _CONFIG_KINDS:
             value = getattr(self, key)
-            if not type_ok(value):
-                raise ValueError(f"{key} must be {kind}, got {value!r}")
-            if not range_ok(value):
-                raise ValueError(f"{key} must be {bound}, got {value!r}")
+            if not (isinstance(value, kind) and value):
+                raise ValueError(
+                    f"{key} must be a nonempty {name}, got {value!r}")
+        if not all(isinstance(spec, dict) for spec in self.solvers):
+            raise ValueError(
+                f"solvers must be a list of mappings, got {self.solvers!r}")
+        for key, need in _CONFIG_NUMBERS.items():
+            value = getattr(self, key)
+            if key in ("dims", "seeds"):
+                value = [_check(key, v, need) for v in value]
+            elif not (key == "eval_stride" and value is None):
+                value = _check(key, value, need)
+            setattr(self, key, value)
         # a repeated dim or seed would run, and write, the same cells twice
         for key in ("dims", "seeds"):
             values = getattr(self, key)
@@ -203,32 +212,17 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must not repeat, got {values!r}")
 
 
-def _list_of(test):
-    return lambda value: isinstance(value, list) and all(map(test, value))
-
-
-# every field's type and range, checked in this order on construction:
-# field, type test, the type it needs, range test, the range it needs
-_CONFIG_RULES = (
-    ("dims", _list_of(_is_int), "a list of integers",
-     lambda v: v and min(v) >= 1, "a nonempty list of positive integers"),
-    ("oracle", lambda v: isinstance(v, dict), "a mapping", bool, "nonempty"),
-    ("solvers", _list_of(lambda v: isinstance(v, dict)), "a list of mappings",
-     bool, "nonempty"),
-    ("T", _is_int, "an integer", lambda v: v >= 1, ">= 1"),
-    ("seeds", _list_of(_is_int), "a list of integers",
-     lambda v: v and min(v) >= 0, "a nonempty list of nonnegative integers"),
-    ("target_precision", _is_real, "a number", lambda v: 0 < v < math.inf,
-     "positive and finite"),
-    ("noise_sigma", _is_real, "a number", lambda v: 0 <= v < math.inf,
-     "nonnegative and finite"),
-    ("output_dir", lambda v: isinstance(v, (str, os.PathLike)), "a path",
-     lambda v: bool(os.fspath(v)), "nonempty"),
-    ("instance_seed", _is_int, "an integer", lambda v: v >= 0, ">= 0"),
-    ("reference_budget", _is_int, "an integer", lambda v: v >= 1, ">= 1"),
-    ("eval_stride", lambda v: v is None or _is_int(v), "an integer or null",
-     lambda v: v is None or v >= 1, ">= 1"),
-)
+# the fields that are not numbers: each a nonempty value of its kind
+_CONFIG_KINDS = (("dims", list, "list"), ("oracle", dict, "mapping"),
+                 ("solvers", list, "list"), ("seeds", list, "list"),
+                 ("output_dir", (str, os.PathLike), "path"))
+# each number field's _check rule, for dims and seeds each entry's;
+# eval_stride may also be None
+_CONFIG_NUMBERS = {
+    "dims": "an integer >= 1", "T": "an integer >= 1",
+    "seeds": "an integer >= 0", "target_precision": "positive and finite",
+    "noise_sigma": "nonnegative and finite", "instance_seed": "an integer >= 0",
+    "reference_budget": "an integer >= 1", "eval_stride": "an integer >= 1"}
 
 
 @dataclass
@@ -322,10 +316,8 @@ def resolve_solver_spec(spec: dict, theory: dict) -> tuple:
             raise ValueError(f"solver option {key!r} is unknown for {kind}")
     if kind in ("smd", "acsmd"):
         return solver, {"sched": StepSchedule(degree=spec.get("degree", 1))}
-    tuned = spec.get("tuned", False)
-    if not isinstance(tuned, bool):
-        raise ValueError(
-            f"solver option tuned must be true or false, got {tuned!r}")
+    tuned = _check("solver option tuned", spec.get("tuned", False),
+                   "true or false")
     params = {}
     for key, factor in factors.items():
         value = spec.get(key, "theory")

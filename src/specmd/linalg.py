@@ -30,10 +30,10 @@ class SymMatrix:
 
     def __post_init__(self):
         a = self.data
-        if not isinstance(a, np.ndarray) or a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square 2-d array, got {getattr(a, 'shape', None)}")
-        if a.shape[0] < 1:
-            raise ValueError("matrix dimension must be >= 1")
+        if not isinstance(a, np.ndarray) or a.ndim != 2 \
+                or a.shape[0] != a.shape[1] or not a.size:
+            raise ValueError("expected a nonempty square 2-d array, got "
+                             f"{getattr(a, 'shape', None)}")
         if not np.isfinite(a).all():
             raise ValueError("entries are not finite")
         if not np.array_equal(a, a.T):

@@ -26,9 +26,30 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _check_option(name, value, ok, need):
-    if not ok:
-        raise ValueError(f"oracle option {name} must be {need}, got {value!r}")
+# each rule _check knows: its type test, its range test and the plain type
+# a value that meets it is stored as (numpy scalars pass, and trace headers
+# echo plain numbers)
+_NEEDS = {
+    "an integer >= 1": (_is_int, lambda v: v >= 1, int),
+    "an integer >= 0": (_is_int, lambda v: v >= 0, int),
+    "positive and finite": (_is_real, lambda v: 0 < v < math.inf, float),
+    "nonnegative and finite": (_is_real, lambda v: 0 <= v < math.inf, float),
+    "finite": (_is_real, lambda v: -math.inf < v < math.inf, float),
+    "true or false": (lambda v: isinstance(v, bool), lambda v: True, bool),
+}
+
+
+def _check(name, value, need):
+    """The one number rule: value as a plain int, float or bool if it meets
+    `need`, a key of _NEEDS; else ValueError "{name} must be {need}, got
+    {value!r}"."""
+    type_ok, range_ok, plain = _NEEDS[need]
+    try:
+        if type_ok(value) and range_ok(value):
+            return plain(value)
+    except OverflowError:  # an integer past float's range is not finite
+        pass
+    raise ValueError(f"{name} must be {need}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -56,13 +77,10 @@ class SmoothingOracleConfig:
         return smoothing_grad(x, self, rng)
 
     def __post_init__(self):
-        _check_option("k", self.k, _is_int(self.k) and self.k >= 1,
-                      "an integer >= 1")
-        _check_option("epsilon", self.epsilon, _is_real(self.epsilon)
-                      and 0 < self.epsilon < math.inf, "positive and finite")
-        # numpy scalars pass as well; the trace header echoes plain numbers
-        object.__setattr__(self, "k", int(self.k))
-        object.__setattr__(self, "epsilon", float(self.epsilon))
+        object.__setattr__(self, "k", _check("oracle option k", self.k,
+                                             "an integer >= 1"))
+        object.__setattr__(self, "epsilon", _check(
+            "oracle option epsilon", self.epsilon, "positive and finite"))
 
 
 @dataclass(frozen=True)
@@ -85,12 +103,9 @@ class PowerOracleConfig:
         return power_grad(x, self, rng)
 
     def __post_init__(self):
-        _check_option("p", self.p, _is_int(self.p) and self.p >= 1,
-                      "an integer >= 1")
-        _check_option("square_input", self.square_input,
-                      isinstance(self.square_input, bool), "true or false")
-        # a numpy integer passes as well; the trace header echoes a plain int
-        object.__setattr__(self, "p", int(self.p))
+        object.__setattr__(self, "p", _check("oracle option p", self.p,
+                                             "an integer >= 1"))
+        _check("oracle option square_input", self.square_input, "true or false")
 
 
 @dataclass(frozen=True)

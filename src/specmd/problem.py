@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .linalg import SymMatrix, full_spectrum, make_rng, sym_from
-from .oracles import _is_int
+from .oracles import _check
 
 
 @dataclass(frozen=True)
@@ -20,9 +20,8 @@ class BoxSet:
     radius: float
 
     def __post_init__(self):
-        if not 0 < self.radius < math.inf:
-            raise ValueError(
-                f"radius must be positive and finite, got {self.radius!r}")
+        object.__setattr__(self, "radius", _check("radius", self.radius,
+                                                  "positive and finite"))
 
     @property
     def dim(self) -> int:
@@ -60,10 +59,8 @@ class CompositeProblem:
     oracle: object
 
     def __post_init__(self):
-        if not 0 < self.mu < math.inf:
-            raise ValueError(f"mu must be positive and finite, got {self.mu!r}")
-        # a numpy scalar passes as well; Psi and the trace header use a float
-        object.__setattr__(self, "mu", float(self.mu))
+        object.__setattr__(self, "mu", _check("mu", self.mu,
+                                              "positive and finite"))
         if not callable(self.oracle):
             raise ValueError(f"oracle is not callable: {self.oracle!r}")
 
@@ -79,8 +76,8 @@ class CompositeProblem:
 def make_problem(box: BoxSet, oracle, T: int | None = None,
                  mu: float | None = None) -> CompositeProblem:
     """Assemble a problem; mu defaults to 1/sqrt(T), for an integer T >= 1."""
-    if T is not None and not (_is_int(T) and T >= 1):
-        raise ValueError("T must be >= 1")
+    if T is not None:
+        T = _check("T", T, "an integer >= 1")
     if mu is None:
         if T is None:
             raise ValueError("either mu or a horizon T is required")
@@ -153,12 +150,9 @@ def gen_instance(d: int, noise_sigma: float, seed: int) -> BoxSet:
     symmetrizes, rescales so the largest absolute entry is 1, and sets the
     box radius to half the largest diagonal entry. Deterministic given seed.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    if not 0 <= noise_sigma < math.inf:
-        raise ValueError(
-            f"noise_sigma must be nonnegative and finite, got {noise_sigma!r}")
-    rng = make_rng(seed)
+    d = _check("d", d, "an integer >= 1")
+    noise_sigma = _check("noise_sigma", noise_sigma, "nonnegative and finite")
+    rng = make_rng(_check("seed", seed, "an integer >= 0"))
     a = np.diag(np.exp(-np.arange(1, d + 1, dtype=float)))
     a = a + rng.normal(0.0, noise_sigma, size=(d, d)) if noise_sigma > 0 else a
     a = (a + a.T) / 2.0

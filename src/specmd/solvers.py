@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SymMatrix, make_rng
-from .oracles import _is_int, _is_real, oracle_echo
+from .oracles import _check, oracle_echo
 from .problem import (CompositeProblem, eval_F, eval_penalty, project_box,
                       prox_step)
 
@@ -47,11 +47,8 @@ class StepSchedule:
     degree: int = 1
 
     def __post_init__(self):
-        if not (_is_int(self.degree) and self.degree >= 0):
-            raise ValueError("solver option degree must be an integer >= 0, "
-                             f"got {self.degree!r}")
-        # a numpy integer passes as well; the trace header echoes a plain int
-        object.__setattr__(self, "degree", int(self.degree))
+        object.__setattr__(self, "degree", _check(
+            "solver option degree", self.degree, "an integer >= 0"))
 
     def weights(self, horizon: int) -> tuple[np.ndarray, np.ndarray]:
         """(alpha_t, gamma_t) arrays for t = 1..horizon."""
@@ -111,14 +108,10 @@ def _block_rows(d, T, stride):
 
 
 def _check_constant(name, value) -> float:
-    """D, L, Lstar and Gamma must be finite reals > 0, M a finite real >= 0;
-    returns the value as a plain float, which the trace header echoes."""
-    need = "nonnegative" if name == "M" else "positive"
-    if not (_is_real(value) and 0 <= value < math.inf
-            and (value > 0 or name == "M")):
-        raise ValueError(
-            f"solver option {name} must be {need} and finite, got {value!r}")
-    return float(value)
+    """The rule of each baseline constant: M is nonnegative, D, L, Lstar and
+    Gamma positive, all finite."""
+    need = "nonnegative and finite" if name == "M" else "positive and finite"
+    return _check(f"solver option {name}", value, need)
 
 
 def _run(name, params, prob, T, rng, step, alphas=None, at_md=False,
@@ -143,15 +136,13 @@ def _run(name, params, prob, T, rng, step, alphas=None, at_md=False,
     record). A full block, and the last partial one, is evaluated by one
     eval_F on the (n, d, d) stack: the same bits per matrix as n calls.
     """
-    if not (_is_int(T) and T >= 1):
-        raise ValueError("T must be >= 1")
-    if eval_stride is not None and not (_is_int(eval_stride)
-                                        and eval_stride >= 1):
-        raise ValueError(
-            f"eval_stride must be None or an integer >= 1, got {eval_stride!r}")
+    T = _check("T", T, "an integer >= 1")
+    if eval_stride is not None:
+        eval_stride = _check("eval_stride", eval_stride, "an integer >= 1")
+    seed = _check("seed", rng, "an integer >= 0")
     # Python floats: the loop's scalar arithmetic is cheaper on them
     alphas = [1.0] * T if alphas is None else alphas.tolist()
-    gen = make_rng(rng)
+    gen = make_rng(seed)
     echo = {"solver": name, **params, "T": T, "mu": prob.mu,
             "oracle": oracle_echo(prob.oracle)}
     start = time.perf_counter()
@@ -199,13 +190,14 @@ def _run(name, params, prob, T, rng, step, alphas=None, at_md=False,
             f = np.array(tops)
             return RunTrace(t=ts, F_ag=f, Psi_ag=f + penalty, grad_norm=gn,
                             elapsed_s=el, final_point=SymMatrix(x_ag.copy()),
-                            config_echo={**echo, "T": t}, seed=int(rng),
+                            config_echo={**echo, "T": t}, seed=seed,
                             total_seconds=time.perf_counter() - start,
                             oracle_seconds=oracle_seconds)
 
 
 def _oblivious(name, prob, sched, T, rng, at_md, eval_stride, stop=None):
-    alphas, gammas = sched.weights(T)
+    # the weights are built from T before _run checks it
+    alphas, gammas = sched.weights(_check("T", T, "an integer >= 1"))
 
     def prox(t, x, g, gnorm):
         return prox_step(x, g, alphas[t - 1], gammas[t - 1], prob)
@@ -265,6 +257,8 @@ def lan_acsa(prob: CompositeProblem, L: float, T: int, rng,
     The step reads L only; AC-SA's noise level sigma enters no step here.
     """
     L = _check_constant("L", L)
+    # the weights are built from T before _run checks it
+    T = _check("T", T, "an integer >= 1")
 
     def step(t, x, g, gnorm):
         eta = t / (4.0 * L)
@@ -281,8 +275,7 @@ def relative_md(prob: CompositeProblem, Lstar: float, Gamma: float, T: int, rng,
     Lstar = _check_constant("Lstar", Lstar)
     Gamma = _check_constant("Gamma", Gamma)
     # the step divides by T before the loop checks it
-    if not (_is_int(T) and T >= 1):
-        raise ValueError("T must be >= 1")
+    T = _check("T", T, "an integer >= 1")
     eta = 1.0 / math.sqrt(Gamma * Lstar * T)
 
     def step(t, x, g, gnorm):

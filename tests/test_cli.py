@@ -11,7 +11,9 @@ from specmd import cli
 from specmd.cli import main
 from specmd.harness import ExperimentConfig, read_trace, theory_parameters
 from specmd.oracles import ExactOracleConfig
-from specmd.problem import load_instance
+from specmd.problem import load_instance, make_problem
+from specmd.solvers import (StepSchedule, lan_acsa, levy_adaptive,
+                            oblivious_acsmd, oblivious_smd, relative_md)
 
 SRC = str(Path(specmd.__file__).resolve().parents[1])
 
@@ -105,9 +107,9 @@ def test_bad_oracle_option_exits_2_with_one_line(tmp_path, instance, oracle,
 
 
 @pytest.mark.parametrize("args, message", [
-    (("--T", "0"), "T must be >= 1"),
-    (("--T", "-3"), "T must be >= 1"),
-    (("--T", "0", "--mu", "0.1"), "T must be >= 1"),
+    (("--T", "0"), "T must be an integer >= 1, got 0"),
+    (("--T", "-3"), "T must be an integer >= 1, got -3"),
+    (("--T", "0", "--mu", "0.1"), "T must be an integer >= 1, got 0"),
     (("--target", "0", "--f-ref", "0.1"),
      "target must be positive and finite, got 0.0"),
     (("--target", "-0.01"), "target must be positive and finite, got -0.01"),
@@ -118,7 +120,7 @@ def test_bad_oracle_option_exits_2_with_one_line(tmp_path, instance, oracle,
     (("--mu", "nan"), "mu must be positive and finite, got nan"),
     (("--mu", "inf"), "mu must be positive and finite, got inf"),
     (("--mu", "0"), "mu must be positive and finite, got 0.0"),
-    (("--seed", "-1"), "seed must be >= 0, got -1"),
+    (("--seed", "-1"), "seed must be an integer >= 0, got -1"),
     (("--f-ref", "nan"), "f-ref must be finite, got nan"),
     (("--f-ref", "inf"), "f-ref must be finite, got inf"),
     # negative numbers in every float form reach these checks, not argparse
@@ -172,28 +174,29 @@ def test_unknown_campaign_key_exits_2_with_one_line(tmp_path):
             (head + f"output_dir: {outdir}\n",
              f"missing key 'solvers' in campaign config {config}"),
             (full.replace("T: 20", "T: abc"),
-             "T must be an integer, got 'abc'"),
-            (full.replace("T: 20", "T: 1.5"), "T must be an integer, got 1.5"),
+             "T must be an integer >= 1, got 'abc'"),
+            (full.replace("T: 20", "T: 1.5"),
+             "T must be an integer >= 1, got 1.5"),
             (full.replace("dims: [6]", "dims: 6"),
-             "dims must be a list of integers, got 6"),
+             "dims must be a nonempty list, got 6"),
             (full.replace("0.01", "abc"),
-             "target_precision must be a number, got 'abc'"),
+             "target_precision must be positive and finite, got 'abc'"),
             (full.replace("noise_sigma: 0.2", "noise_sigma: abc"),
-             "noise_sigma must be a number, got 'abc'"),
+             "noise_sigma must be nonnegative and finite, got 'abc'"),
             (full.replace("noise_sigma: 0.2", "noise_sigma: -1"),
              "noise_sigma must be nonnegative and finite, got -1"),
             (full + "eval_stride: 1.5\n",
-             "eval_stride must be an integer or null, got 1.5"),
-            (full + "eval_stride: 0\n", "eval_stride must be >= 1, got 0"),
+             "eval_stride must be an integer >= 1, got 1.5"),
+            (full + "eval_stride: 0\n",
+             "eval_stride must be an integer >= 1, got 0"),
             (full + "hyper_tuned: true\n",
              f"unknown key 'hyper_tuned' in campaign config {config}"),
             (full.replace("{kind: exact}", "exact"),
-             "oracle must be a mapping, got 'exact'"),
+             "oracle must be a nonempty mapping, got 'exact'"),
             (full + "reference_budget: 0\n",
-             "reference_budget must be >= 1, got 0"),
+             "reference_budget must be an integer >= 1, got 0"),
             (full.replace("seeds: [0]", "seeds: [-1, 2]"),
-             "seeds must be a nonempty list of nonnegative integers, "
-             "got [-1, 2]"),
+             "seeds must be an integer >= 0, got -1"),
             # every cell is distinct: no repeated dim or seed, and each
             # solver label a plain word naming one spec
             (full.replace("dims: [6]", "dims: [6, 6]"),
@@ -321,7 +324,7 @@ def test_run_and_reference_check_the_output_directory_first(
     assert main(["run", "--instance", "nosuch.txt", "--solver", "acsmd",
                  "--seed", "-2", "--out", str(tmp_path / "o.csv")]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "specmd: error: seed must be >= 0, got -2"]
+        "specmd: error: seed must be an integer >= 0, got -2"]
     assert list(tmp_path.iterdir()) == []
 
 
@@ -386,4 +389,49 @@ def test_reference_prints_certified_anchor(tmp_path, instance, capsys):
     done = run_cli("reference", "--instance", str(instance), "--budget", "0")
     assert done.returncode == 2
     assert done.stderr.splitlines() == [
-        "specmd: error: reference budget must be >= 1, got 0"]
+        "specmd: error: reference budget must be an integer >= 1, got 0"]
+
+
+def _refusal(call):
+    with pytest.raises(ValueError) as err:
+        call()
+    return str(err.value)
+
+
+@pytest.mark.parametrize("T, seed, line", [
+    (0, 0, "T must be an integer >= 1, got 0"),
+    (20, -1, "seed must be an integer >= 0, got -1")])
+def test_one_bad_value_gives_one_line_on_every_path(tmp_path, instance, capsys,
+                                                    T, seed, line):
+    # one rule, one line: through make_problem, each public solver, a
+    # campaign config, `specmd run` and a campaign file; a campaign names
+    # its field, seeds
+    box, _ = load_instance(instance)
+    prob = make_problem(box, ExactOracleConfig(), mu=0.1)
+    fields = {"dims": [6], "oracle": {"kind": "exact"},
+              "solvers": [{"kind": "acsmd"}], "T": T, "seeds": [seed],
+              "target_precision": 0.01, "noise_sigma": 0.2,
+              "output_dir": str(tmp_path / "out")}
+    config = tmp_path / "campaign.yaml"
+    config.write_text("".join(f"{key}: {value}\n"
+                              for key, value in fields.items()))
+    direct = [_refusal(lambda: solver(prob, *params, T, seed))
+              for solver, params in (
+                  (oblivious_smd, (StepSchedule(),)),
+                  (oblivious_acsmd, (StepSchedule(),)),
+                  (levy_adaptive, (1.0, 1.0)), (lan_acsa, (40.0,)),
+                  (relative_md, (10.0, 0.01)))]
+    if T == 0:
+        direct.append(_refusal(
+            lambda: make_problem(box, ExactOracleConfig(), T=T)))
+    assert direct == [line] * len(direct)
+    assert main(["run", "--instance", str(instance), "--solver", "acsmd",
+                 "--T", str(T), "--seed", str(seed),
+                 "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err == f"specmd: error: {line}\n"
+    campaign = line.replace("seed ", "seeds ")
+    assert _refusal(lambda: ExperimentConfig(**fields)) == campaign
+    assert main(["bench", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"specmd: error: {campaign}\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "campaign.yaml", "inst.txt"]

@@ -97,6 +97,17 @@ class TestIterationsToPrecision:
                            match=f"F_ref must be finite, got {f_ref!r}"):
             iterations_to_precision(_rows([1], [1.0]), f_ref, 0.1)
 
+    @pytest.mark.parametrize("f_ref, target, message", [
+        (True, 0.01, "F_ref must be finite, got True"),
+        ("0.5", 0.01, "F_ref must be finite, got '0.5'"),
+        (0.0, "0.5", "target must be positive and finite, got '0.5'")])
+    def test_a_reference_or_target_that_is_no_number_is_refused(
+            self, f_ref, target, message):
+        # True read as 1.0 and a string raised a raw TypeError
+        with pytest.raises(ValueError) as err:
+            iterations_to_precision(_rows([1], [1.0]), f_ref, target)
+        assert str(err.value) == message
+
 
 def test_anchor_is_certified_and_its_bound_holds():
     box = gen_instance(6, 0.2, 0)
@@ -143,7 +154,8 @@ def test_anchor_weights_the_draws_like_its_average():
 
 
 def test_reference_budget_must_be_positive():
-    with pytest.raises(ValueError, match="reference budget must be >= 1"):
+    with pytest.raises(ValueError, match="^reference budget must be an "
+                       "integer >= 1, got 0$"):
         reference_run(gen_instance(4, 0.2, 0), 0.1, 0, 1e-3)
 
 
@@ -151,7 +163,8 @@ def test_reference_budget_must_be_positive():
 def test_reference_budget_must_be_an_integer(budget):
     with pytest.raises(ValueError) as err:
         reference_run(gen_instance(4, 0.2, 0), 0.1, budget, 1e-3)
-    assert str(err.value) == f"reference budget must be >= 1, got {budget}"
+    assert str(err.value) == (
+        f"reference budget must be an integer >= 1, got {budget}")
 
 
 def test_path_output_dir_holds_only_the_campaign_files(tmp_path):
@@ -246,10 +259,49 @@ def test_summary_warns_when_a_median_falls_with_dim(tmp_path):
             "dim: [30.0, 20.0, 40.0]"], dims
 
 
-def test_config_rules_cover_every_field_in_order():
-    # a campaign field without a rule would go unchecked
-    assert [rule[0] for rule in harness._CONFIG_RULES] == [
+# one bad value per campaign field, in field order, and the line it raises
+BAD_FIELDS = {
+    "dims": ([4, 0], "dims must be an integer >= 1, got 0"),
+    "oracle": ({}, "oracle must be a nonempty mapping, got {}"),
+    "solvers": ([{"kind": "acsmd"}, "smd"],
+                "solvers must be a list of mappings, got [{'kind': 'acsmd'}, "
+                "'smd']"),
+    "T": (2.5, "T must be an integer >= 1, got 2.5"),
+    "seeds": ([0, True], "seeds must be an integer >= 0, got True"),
+    "target_precision": (math.inf,
+                         "target_precision must be positive and finite, "
+                         "got inf"),
+    "noise_sigma": (math.nan,
+                    "noise_sigma must be nonnegative and finite, got nan"),
+    "output_dir": ("", "output_dir must be a nonempty path, got ''"),
+    "instance_seed": (-1, "instance_seed must be an integer >= 0, got -1"),
+    "reference_budget": ("10", "reference_budget must be an integer >= 1, "
+                         "got '10'"),
+    "eval_stride": (0, "eval_stride must be an integer >= 1, got 0"),
+}
+
+
+def test_each_config_field_refuses_a_bad_value_by_name(tmp_path):
+    # a field with no rule, or a rule that never runs, would let its bad
+    # value through
+    assert list(BAD_FIELDS) == [
         f.name for f in dataclasses.fields(ExperimentConfig)]
+    good = tiny_config(tmp_path, {"kind": "exact"})
+    for key, (value, message) in BAD_FIELDS.items():
+        with pytest.raises(ValueError) as err:
+            dataclasses.replace(good, **{key: value})
+        assert str(err.value) == message
+
+
+def test_config_numbers_are_stored_plain():
+    cfg = ExperimentConfig(
+        dims=[np.int64(6)], oracle={"kind": "exact"}, solvers=[{"kind": "smd"}],
+        T=np.int32(20), seeds=[np.uint8(3)], target_precision=np.float32(0.5),
+        noise_sigma=0, output_dir="out", eval_stride=np.int64(2))
+    assert [type(v) for v in (cfg.dims[0], cfg.T, cfg.seeds[0],
+                              cfg.target_precision, cfg.noise_sigma,
+                              cfg.eval_stride)] == [int, int, int, float,
+                                                    float, int]
 
 
 def test_build_oracle_rejects_unknown_keys():
@@ -307,8 +359,7 @@ def test_negative_seed_fails_before_any_reference_run(tmp_path, monkeypatch,
     monkeypatch.setattr(harness, "reference_run", no_reference_run)
     with pytest.raises(ValueError) as err:
         run_bench(tiny_config(tmp_path / "out", {"kind": "exact"}, seeds=seeds))
-    assert str(err.value) == ("seeds must be a nonempty list of nonnegative "
-                              f"integers, got {seeds!r}")
+    assert str(err.value) == f"seeds must be an integer >= 0, got {min(seeds)}"
     assert not (tmp_path / "out").exists()
 
 
@@ -454,6 +505,19 @@ def test_trace_without_a_final_point_is_malformed(tmp_path):
                             if not line.startswith("# final_point")))
     with pytest.raises(ValueError, match="malformed trace file"):
         read_trace(path)
+
+
+@pytest.mark.parametrize("key", ["config", "seed", "total_seconds",
+                                 "oracle_seconds"])
+def test_trace_without_a_header_line_is_malformed(tmp_path, key):
+    path = tmp_path / "trace.csv"
+    write_trace(path, synthetic_trace(3))
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line for line in lines
+                            if not line.startswith(f"# {key}:")))
+    with pytest.raises(ValueError) as err:
+        read_trace(path)
+    assert str(err.value) == f"malformed trace file: {path}"
 
 
 def test_trace_file_round_trip_is_exact(tmp_path):

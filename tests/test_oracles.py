@@ -430,6 +430,13 @@ class TestPlumbing:
             make()
         assert str(err.value) == f"oracle option {message}"
 
+    def test_an_integer_past_the_float_range_is_not_finite(self):
+        # float() of it overflowed, an OverflowError past the CLI's handler
+        with pytest.raises(ValueError) as err:
+            SmoothingOracleConfig(epsilon=10 ** 400)
+        assert str(err.value) == ("oracle option epsilon must be positive "
+                                  f"and finite, got {10 ** 400!r}")
+
     @pytest.mark.parametrize("oracle, function", [
         (ExactOracleConfig(), lambda x, cfg, rng: exact_subgrad(x)),
         (SmoothingOracleConfig(k=3, epsilon=0.2), smoothing_grad),

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import specmd
+from specmd.oracles import _NEEDS
 
 DELETED = ("GradSample", "power_value_grad", "sym_identity", "sym_zeros",
            "eval_Psi", "resolve_oracle", "schedule_at", "mat_power_apply",
@@ -42,6 +43,27 @@ def test_every_definition_has_a_caller():
                        if other != name or i not in own):
                 orphans.append(f"{name}:{node.name}")
     assert orphans == []
+
+
+def test_only_check_states_a_number_rule():
+    # every number an input must be is one of oracles._check's phrases; a
+    # ValueError raised elsewhere that states one (or an ad-hoc ">=") is a
+    # second copy of the rule: route the input through _check instead
+    rule = re.compile("must be.*(" + "|".join(map(re.escape, _NEEDS)) + "|>=)",
+                      re.S)
+    copies = []
+    for path in sorted(Path(specmd.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        tree = ast.parse(text)
+        own = {id(node) for fn in tree.body if isinstance(fn, ast.FunctionDef)
+               and fn.name == "_check" for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Raise) and id(node) not in own
+                    and isinstance(node.exc, ast.Call)
+                    and getattr(node.exc.func, "id", None) == "ValueError"
+                    and rule.search(ast.get_source_segment(text, node))):
+                copies.append(f"{path.name}:{node.lineno}")
+    assert copies == []
 
 
 def test_import_loads_no_scipy():

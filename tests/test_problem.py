@@ -55,6 +55,14 @@ class TestBoxSet:
                                f"and finite, got {radius!r}"):
                 BoxSet(center=SymMatrix(np.eye(2)), radius=radius)
 
+    def test_radius_must_be_a_number(self):
+        # "0.5" raised a raw TypeError from the comparison
+        with pytest.raises(ValueError) as err:
+            BoxSet(center=SymMatrix(np.eye(2)), radius="0.5")
+        assert str(err.value) == "radius must be positive and finite, got '0.5'"
+        assert type(BoxSet(SymMatrix(np.eye(2)), np.float32(0.5)).radius) \
+            is float
+
     def test_bounds_are_built_once_and_read_only(self):
         box = random_box(24)
         assert box.lower is box.lower and box.upper is box.upper
@@ -126,10 +134,18 @@ class TestCompositeProblem:
     @pytest.mark.parametrize("T", [2.5, 0, True, np.float64(4.0)])
     def test_make_problem_takes_an_integer_horizon(self, T):
         # the rule and message of the solver loop's own check
-        with pytest.raises(ValueError, match="^T must be >= 1$"):
+        with pytest.raises(ValueError) as err:
             make_problem(random_box(4), ExactOracleConfig(), T=T)
+        assert str(err.value) == f"T must be an integer >= 1, got {T!r}"
         assert make_problem(random_box(4), ExactOracleConfig(),
                             T=np.int64(4)).mu == 0.5
+
+    @pytest.mark.parametrize("mu", [True, "0.1"])
+    def test_mu_must_be_a_number(self, mu):
+        # True built mu = 1.0 and "0.1" raised a raw TypeError
+        with pytest.raises(ValueError) as err:
+            make_problem(random_box(4), ExactOracleConfig(), mu=mu)
+        assert str(err.value) == f"mu must be positive and finite, got {mu!r}"
 
 
 def with_nan(x, i=0, j=1):
@@ -444,6 +460,19 @@ class TestGenInstance:
             gen_instance(0, 0.1, seed=1)
         with pytest.raises(ValueError):
             gen_instance(3, -0.1, seed=1)
+
+    @pytest.mark.parametrize("args, message", [
+        ((2.5, 0.0, 0), "d must be an integer >= 1, got 2.5"),
+        ((True, 0.0, 0), "d must be an integer >= 1, got True"),
+        ((3, 0.0, 1.5), "seed must be an integer >= 0, got 1.5"),
+        ((3, 0.0, -1), "seed must be an integer >= 0, got -1")])
+    def test_rejects_a_dimension_or_seed_that_is_no_such_integer(
+            self, args, message):
+        # 2.5 built a 3 x 3 instance and True a 1 x 1 one; a seed of 1.5
+        # drew seed 1's noise
+        with pytest.raises(ValueError) as err:
+            gen_instance(*args)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf, -math.inf])
     def test_rejects_a_noise_level_that_is_not_finite_and_nonnegative(

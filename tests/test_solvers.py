@@ -52,7 +52,8 @@ class TestStepSchedule:
         assert alpha.size == gamma.size == 0
         prob = make_problem(gen_instance(3, 0.2, 0), ExactOracleConfig(), T=10)
         for solver in (oblivious_smd, oblivious_acsmd):
-            with pytest.raises(ValueError, match="T must be >= 1"):
+            with pytest.raises(ValueError,
+                               match="^T must be an integer >= 1, got 0$"):
                 solver(prob, StepSchedule(), 0, 0)
 
     @pytest.mark.parametrize("degree", [0, 1, 2, 3])
@@ -393,16 +394,25 @@ class TestDeterminismAndErrors:
     def test_rejects_a_non_integer_horizon(self, solver, params, T):
         with pytest.raises(ValueError) as err:
             solver(interior_problem(), *params, T, 0)
-        assert str(err.value) == "T must be >= 1"
+        assert str(err.value) == f"T must be an integer >= 1, got {T!r}"
+
+    @pytest.mark.parametrize("solver, params", SOLVER_PARAMS)
+    @pytest.mark.parametrize("seed", [1.5, True, -1])
+    def test_rejects_a_seed_that_is_not_a_nonnegative_integer(
+            self, solver, params, seed):
+        # 1.5 and True ran as seed 1; -1 failed in numpy without a name
+        with pytest.raises(ValueError) as err:
+            solver(interior_problem(), *params, 10, seed)
+        assert str(err.value) == f"seed must be an integer >= 0, got {seed!r}"
 
     @pytest.mark.parametrize("solver, params", SOLVER_PARAMS)
     def test_eval_stride_is_none_or_an_integer_of_at_least_1(self, solver,
                                                             params):
         prob = interior_problem()
         for stride in (0, -1, 2.5, True, "3"):
-            with pytest.raises(ValueError, match=re.escape(
-                    "eval_stride must be None or an integer >= 1, "
-                    f"got {stride!r}")):
+            with pytest.raises(ValueError, match="^" + re.escape(
+                    f"eval_stride must be an integer >= 1, got {stride!r}")
+                    + "$"):
                 solver(prob, *params, 10, 0, eval_stride=stride)
         trace = solver(prob, *params, 10, 0, eval_stride=np.int64(4))
         assert list(trace.t) == [4, 8, 10]
