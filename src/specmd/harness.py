@@ -202,14 +202,13 @@ class ExperimentConfig:
             value = getattr(self, key)
             if key in ("dims", "seeds"):
                 value = [_check(key, v, need) for v in value]
+                # a repeated dim or seed would run, and write, the same
+                # cells twice
+                if len(set(value)) < len(value):
+                    raise ValueError(f"{key} must not repeat, got {value!r}")
             elif not (key == "eval_stride" and value is None):
                 value = _check(key, value, need)
             setattr(self, key, value)
-        # a repeated dim or seed would run, and write, the same cells twice
-        for key in ("dims", "seeds"):
-            values = getattr(self, key)
-            if len(set(values)) < len(values):
-                raise ValueError(f"{key} must not repeat, got {values!r}")
 
 
 # the fields that are not numbers: each a nonempty value of its kind
