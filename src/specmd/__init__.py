@@ -2,8 +2,7 @@
 minimization: randomized oracles, parameter-free solvers, baselines, and a
 benchmark harness."""
 
-from .linalg import (SymMatrix, full_spectrum, leading_eigpair, make_rng,
-                     sym_from)
+from .linalg import SymMatrix, full_spectrum, leading_eigpair, make_rng
 from .oracles import (ExactOracleConfig, PowerOracleConfig,
                       SmoothingOracleConfig, exact_subgrad, power_grad,
                       smoothing_grad)
@@ -28,6 +27,6 @@ __all__ = [
     "levy_adaptive", "load_instance", "make_problem", "make_rng",
     "oblivious_acsmd", "oblivious_smd", "power_grad",
     "project_box", "prox_step", "read_trace", "reference_run", "relative_md",
-    "run_bench", "save_instance", "smoothing_grad",
-    "sym_from", "theory_parameters", "write_trace",
+    "run_bench", "save_instance", "smoothing_grad", "theory_parameters",
+    "write_trace",
 ]

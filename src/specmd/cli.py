@@ -49,6 +49,7 @@ def _coerce(value: str):
 
 
 def _cmd_generate(args):
+    _check("dim", args.dim, "an integer >= 1")
     box = gen_instance(args.dim, args.noise_sigma, args.seed)
     save_instance(args.out, box, seed=args.seed, noise_sigma=args.noise_sigma)
     print(f"wrote d={args.dim} instance (rho={box.radius:g}) to {args.out}")
@@ -80,6 +81,7 @@ def _cmd_run(args):
 
 
 def _cmd_reference(args):
+    _check("budget", args.budget, "an integer >= 1")
     box, _ = load_instance(args.instance)
     mu = make_problem(box, ExactOracleConfig(), T=RUN_T).mu
     value, gap, _, trace = reference_run(box, mu, args.budget, ANCHOR_GAP)

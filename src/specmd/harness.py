@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import sym_from
+from .linalg import SymMatrix
 # perfbench's tracer wraps exact_subgrad at this name (harness.reference_polish)
 from .oracles import (ExactOracleConfig, PowerOracleConfig,
                       SmoothingOracleConfig, _check, exact_subgrad)
@@ -145,7 +145,7 @@ def read_trace(path) -> RunTrace:
     return RunTrace(
         t=data[:, 0].astype(int), F_ag=data[:, 1], Psi_ag=data[:, 2],
         grad_norm=data[:, 3], elapsed_s=data[:, 4],
-        final_point=sym_from(point),
+        final_point=SymMatrix(point),
         config_echo=json.loads(header["config"]),
         seed=int(header["seed"]),
         total_seconds=float(header["total_seconds"]),

@@ -19,11 +19,11 @@ class SymMatrix:
     """Immutable dense real symmetric d x d matrix.
 
     Entries are finite and exactly symmetric (checked at construction, in
-    that order); use `sym_from` to symmetrize arbitrary square input. Built
-    only where data enters the system (a box center, `load_instance`,
-    `read_trace`) and for a trace's final point. Oracles, steps and the
-    solver loop work on plain float64 arrays; `np.asarray` of a SymMatrix
-    is its read-only `data`, and `np.array` a writable copy.
+    that order). Built at four entry points: `gen_instance`'s center,
+    `load_instance`, `read_trace` and `_run`'s final point. Nothing
+    symmetrizes input on the way in, so a file's matrix that is not exactly
+    symmetric is refused. Oracles, steps and the solver loop work on plain
+    arrays; `np.asarray` of it is its read-only `data`, `np.array` a copy.
     """
 
     data: np.ndarray
@@ -37,27 +37,11 @@ class SymMatrix:
         if not np.isfinite(a).all():
             raise ValueError("entries are not finite")
         if not np.array_equal(a, a.T):
-            raise ValueError("entries are not exactly symmetric; build via sym_from")
+            raise ValueError("entries are not exactly symmetric")
         a.setflags(write=False)
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.data, dtype=dtype, copy=copy)
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[0]
-
-
-def sym_from(raw) -> SymMatrix:
-    """Symmetrize a square array as (M + M^T)/2.
-
-    Exact no-op for already-symmetric input, since (a + a)/2 == a in floating
-    point.
-    """
-    a = np.array(raw, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square 2-d array, got shape {a.shape}")
-    return SymMatrix((a + a.T) / 2.0)
 
 
 try:  # LAPACK dsyevr, from the ILP64 OpenBLAS that numpy links

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import SymMatrix, full_spectrum, make_rng, sym_from
+from .linalg import SymMatrix, full_spectrum, make_rng
 from .oracles import _check
 
 
@@ -25,7 +25,7 @@ class BoxSet:
 
     @property
     def dim(self) -> int:
-        return self.center.dim
+        return self.center.data.shape[0]
 
     @cached_property
     def lower(self) -> np.ndarray:
@@ -67,10 +67,6 @@ class CompositeProblem:
     @property
     def x1(self) -> SymMatrix:
         return self.feasible.center
-
-    @property
-    def dim(self) -> int:
-        return self.feasible.dim
 
 
 def make_problem(box: BoxSet, oracle, T: int | None = None,
@@ -166,12 +162,14 @@ def gen_instance(d: int, noise_sigma: float, seed: int) -> BoxSet:
 
 def save_instance(path, box: BoxSet, seed: int, noise_sigma: float) -> None:
     """Write a self-describing text instance (full-precision entries)."""
+    seed = _check("seed", seed, "an integer >= 0")
+    noise_sigma = _check("noise_sigma", noise_sigma, "nonnegative and finite")
     lines = [
         "# box-instance v1",
         f"d {box.dim}",
         f"rho {box.radius!r}",
         f"seed {seed}",
-        f"noise_sigma {float(noise_sigma)!r}",
+        f"noise_sigma {noise_sigma!r}",
     ]
     for row in box.center.data:
         lines.append(" ".join(repr(float(v)) for v in row))
@@ -200,4 +198,4 @@ def load_instance(path) -> tuple[BoxSet, dict]:
     a = np.vstack(rows)
     if a.shape != (d, d):
         raise ValueError(f"instance body has shape {a.shape}, expected ({d}, {d})")
-    return BoxSet(center=sym_from(a), radius=meta["rho"]), meta
+    return BoxSet(center=SymMatrix(a), radius=meta["rho"]), meta

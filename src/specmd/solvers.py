@@ -149,8 +149,8 @@ def _run(name, params, prob, T, rng, step, alphas=None, at_md=False,
     x = prob.x1.data.copy()
     x_ag = x.copy()
     a_sum = 0.0
-    stride = eval_stride or (1 if prob.dim <= 150 else 10)
-    block = np.empty((_block_rows(prob.dim, T, stride), *x.shape))
+    stride = eval_stride or (1 if prob.feasible.dim <= 150 else 10)
+    block = np.empty((_block_rows(prob.feasible.dim, T, stride), *x.shape))
     filled, rows, tops, oracle_seconds = 0, [], [], 0.0
     for t in range(1, T + 1):
         alpha = alphas[t - 1]

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import asymmetric_instance
 import specmd
 from specmd import cli
 from specmd.cli import main
@@ -386,10 +387,36 @@ def test_reference_prints_certified_anchor(tmp_path, instance, capsys):
                  "40"]) == 0
     line = capsys.readouterr().out.strip()
     assert line.endswith("after 40 iterations (uncertified; raise --budget)"), line
-    done = run_cli("reference", "--instance", str(instance), "--budget", "0")
+
+
+@pytest.mark.parametrize("args, message", [
+    (("generate", "--dim", "0"), "dim must be an integer >= 1, got 0"),
+    (("reference", "--budget", "0"), "budget must be an integer >= 1, got 0"),
+], ids=["generate", "reference"])
+def test_generate_and_reference_name_their_flag(tmp_path, instance, args,
+                                                message):
+    out = tmp_path / "o.txt"
+    extra = ("--instance", str(instance)) if args[0] == "reference" else ()
+    done = run_cli(*args, *extra, "--out", str(out))
     assert done.returncode == 2
-    assert done.stderr.splitlines() == [
-        "specmd: error: reference budget must be an integer >= 1, got 0"]
+    assert done.stderr.splitlines() == [f"specmd: error: {message}"]
+    assert done.stdout == ""
+    assert not out.exists()
+
+
+def test_asymmetric_instance_exits_2_with_one_line(tmp_path):
+    # the file was averaged into a symmetric matrix and run with exit 0
+    bad = asymmetric_instance(tmp_path / "bad.txt")
+    out = tmp_path / "o.csv"
+    for args in (("run", "--instance", str(bad), "--solver", "acsmd",
+                  "--oracle", "exact", "--out", str(out)),
+                 ("reference", "--instance", str(bad), "--out", str(out))):
+        done = run_cli(*args)
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == [
+            "specmd: error: entries are not exactly symmetric"]
+        assert done.stdout == ""
+        assert not out.exists()
 
 
 def _refusal(call):

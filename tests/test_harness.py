@@ -8,12 +8,13 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import sym_matrix
 import specmd.harness as harness
 from specmd.harness import (EXCEEDED, BenchReport, CellResult,
                             ExperimentConfig, _write_report_files,
                             build_oracle, iterations_to_precision, read_trace,
                             reference_run, run_bench, write_trace)
-from specmd.linalg import make_rng, sym_from
+from specmd.linalg import SymMatrix, make_rng
 from specmd.oracles import (ExactOracleConfig, PowerOracleConfig,
                             SmoothingOracleConfig, exact_subgrad)
 from specmd.problem import (box_lower_bound, eval_F, eval_penalty,
@@ -48,7 +49,7 @@ def _rows(t, f_ag):
     zeros = np.zeros(len(t))
     return RunTrace(t=np.array(t), F_ag=np.array(f_ag, dtype=float),
                     Psi_ag=np.array(f_ag, dtype=float), grad_norm=zeros,
-                    elapsed_s=zeros, final_point=sym_from(np.eye(2)),
+                    elapsed_s=zeros, final_point=SymMatrix(np.eye(2)),
                     config_echo={}, seed=0)
 
 
@@ -461,7 +462,7 @@ def synthetic_trace(d, rows=11):
         t=np.arange(1, rows + 1) * 10, F_ag=gen.standard_normal(rows),
         Psi_ag=gen.standard_normal(rows), grad_norm=gen.random(rows),
         elapsed_s=np.cumsum(gen.random(rows)),
-        final_point=sym_from(point),
+        final_point=sym_matrix(point),
         config_echo={"oracle": {"kind": "power", "p": 21}, "mu": 0.1},
         seed=7, total_seconds=1.25, oracle_seconds=0.5)
 
@@ -505,6 +506,23 @@ def test_trace_without_a_final_point_is_malformed(tmp_path):
                             if not line.startswith("# final_point")))
     with pytest.raises(ValueError, match="malformed trace file"):
         read_trace(path)
+
+
+def test_trace_with_an_asymmetric_final_point_is_refused(tmp_path):
+    # one off-diagonal entry changed: read back as the mean of the pair,
+    # a point the file does not hold
+    path = tmp_path / "trace.csv"
+    write_trace(path, synthetic_trace(3))
+    lines = path.read_text().splitlines(keepends=True)
+    key = "# final_point: "
+    i = next(i for i, line in enumerate(lines) if line.startswith(key))
+    point = json.loads(lines[i][len(key):])
+    point[0][1] += 1.0
+    lines[i] = key + json.dumps(point) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError) as err:
+        read_trace(path)
+    assert str(err.value) == "entries are not exactly symmetric"
 
 
 @pytest.mark.parametrize("key", ["config", "seed", "total_seconds",

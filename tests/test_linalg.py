@@ -7,10 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import sym_matrix
 import specmd
 from specmd import linalg
-from specmd.linalg import (SymMatrix, full_spectrum, leading_eigpair, make_rng,
-                           sym_from)
+from specmd.linalg import SymMatrix, full_spectrum, leading_eigpair, make_rng
 from specmd.oracles import exact_subgrad
 from specmd.problem import gen_instance, make_problem
 from specmd.solvers import SolverError, StepSchedule, oblivious_smd
@@ -18,38 +18,25 @@ from specmd.solvers import SolverError, StepSchedule, oblivious_smd
 SRC = str(Path(specmd.__file__).resolve().parents[1])
 
 
-class TestSymFrom:
-    def test_identity_unchanged(self):
-        m = sym_from(np.eye(3))
-        assert np.array_equal(m.data, np.eye(3))
-
-    def test_symmetrizes_strict_upper(self):
-        m = sym_from([[0.0, 2.0], [0.0, 0.0]])
-        assert np.array_equal(m.data, [[0.0, 1.0], [1.0, 0.0]])
-
-    def test_matches_half_sum_recomputation(self):
-        rng = make_rng(1)
-        raw = rng.standard_normal((5, 5))
-        m = sym_from(raw)
-        assert np.array_equal(m.data, (raw + raw.T) / 2.0)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            sym_from(np.zeros((2, 3)))
-
+class TestSymMatrix:
     def test_direct_constructor_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             SymMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert str(err.value) == "entries are not exactly symmetric"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_fails_as_not_finite(self, bad):
-        # checked before symmetry: NaN != NaN would otherwise read as asymmetric
-        with pytest.raises(ValueError, match="not finite"):
-            sym_from([[bad, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="not finite"):
-            sym_from([[0.0, bad], [bad, 1.0]])
-        with pytest.raises(ValueError, match="not finite"):
-            SymMatrix(np.array([[0.0, bad], [0.0, 1.0]]))
+        # checked before symmetry: NaN != NaN would otherwise read as
+        # asymmetric, and an entry that is both fails as not finite
+        for a in ([[bad, 0.0], [0.0, 1.0]], [[0.0, bad], [bad, 1.0]],
+                  [[0.0, bad], [0.0, 1.0]]):
+            with pytest.raises(ValueError, match="^entries are not finite$"):
+                SymMatrix(np.array(a))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (0, 0), (3,), (1, 2, 2)])
+    def test_rejects_an_array_that_is_no_nonempty_square(self, shape):
+        with pytest.raises(ValueError, match="nonempty square 2-d array"):
+            SymMatrix(np.zeros(shape))
 
     def test_entries_are_read_only(self):
         m = SymMatrix(np.eye(2))
@@ -118,14 +105,14 @@ class TestLeadingEigpair:
     def test_matches_full_spectrum_on_randoms(self, path):
         rng = make_rng(4)
         for _ in range(20):
-            m = sym_from(rng.standard_normal((10, 10)))
+            m = sym_matrix(rng.standard_normal((10, 10)))
             lam, v = leading_eigpair(m.data)
             assert lam == pytest.approx(full_spectrum(m.data)[0], abs=1e-12)
 
     def test_residual_contract(self, path):
         rng = make_rng(5)
         for _ in range(20):
-            m = sym_from(3.0 * rng.standard_normal((8, 8)))
+            m = sym_matrix(3.0 * rng.standard_normal((8, 8)))
             lam, v = leading_eigpair(m.data)
             assert np.linalg.norm(m.data @ v - lam * v) <= 1e-8 * max(1.0, abs(lam))
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
@@ -262,7 +249,7 @@ class TestLeadingEigpair:
 
 class TestFullSpectrum:
     def test_sorted_nonincreasing(self):
-        assert np.array_equal(full_spectrum(sym_from(np.diag([1.0, 2.0, 3.0])).data),
+        assert np.array_equal(full_spectrum(np.diag([1.0, 2.0, 3.0])),
                               [3.0, 2.0, 1.0])
 
     def test_zero_matrix(self):
@@ -271,7 +258,7 @@ class TestFullSpectrum:
     @pytest.mark.parametrize("d", [2, 8, 17, 64])
     def test_trace_and_frobenius_identities(self, d):
         rng = make_rng(d)
-        m = sym_from(rng.standard_normal((d, d)))
+        m = sym_matrix(rng.standard_normal((d, d)))
         spec = full_spectrum(m.data)
         assert np.all(np.diff(spec) <= 0)
         tr = float(np.trace(m.data))

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import sym_matrix
 from specmd.harness import build_oracle
-from specmd.linalg import full_spectrum, leading_eigpair, make_rng, sym_from
+from specmd.linalg import full_spectrum, leading_eigpair, make_rng
 from specmd.oracles import (ExactOracleConfig, PowerOracleConfig,
                             SmoothingOracleConfig, _krylov_value_grad,
                             exact_subgrad, oracle_echo, power_grad,
@@ -12,7 +13,7 @@ from specmd.problem import gen_instance, make_problem
 
 def sym(raw):
     """Exactly symmetric float array (M + M^T) / 2 of a square input."""
-    return sym_from(raw).data
+    return sym_matrix(raw).data
 
 
 def random_psd(d, seed, floor=0.1):

@@ -10,7 +10,7 @@ from specmd.oracles import _NEEDS
 
 DELETED = ("GradSample", "power_value_grad", "sym_identity", "sym_zeros",
            "eval_Psi", "resolve_oracle", "schedule_at", "mat_power_apply",
-           "relative_step")
+           "relative_step", "sym_from")
 
 
 def test_every_exported_name_resolves():
@@ -64,6 +64,23 @@ def test_only_check_states_a_number_rule():
                     and rule.search(ast.get_source_segment(text, node))):
                 copies.append(f"{path.name}:{node.lineno}")
     assert copies == []
+
+
+def test_only_gen_instance_symmetrizes_a_matrix():
+    # a matrix that enters the package is checked, never repaired: a
+    # (m + m.T) / 2 anywhere but in gen_instance, which builds its own
+    # matrix, would silently turn asymmetric input into another matrix
+    half_sum = re.compile(r"\.T\s*\)\s*/\s*2")
+    repairs = []
+    for path in sorted(Path(specmd.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        own = {i for fn in ast.parse(text).body
+               if isinstance(fn, ast.FunctionDef) and fn.name == "gen_instance"
+               for i in range(fn.lineno, fn.end_lineno + 1)}
+        repairs += [f"{path.name}:{i}" for i, line in
+                    enumerate(text.splitlines(), 1)
+                    if i not in own and half_sum.search(line)]
+    assert repairs == []
 
 
 def test_import_loads_no_scipy():

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specmd.linalg import SymMatrix, make_rng, sym_from
+from conftest import asymmetric_instance, sym_matrix
+from specmd.linalg import SymMatrix, make_rng
 from specmd.oracles import ExactOracleConfig, PowerOracleConfig
 from specmd.problem import (BoxSet, CompositeProblem, box_lower_bound,
                             eval_F, eval_penalty, gen_instance, load_instance,
@@ -16,7 +17,7 @@ from specmd.solvers import StepSchedule, oblivious_acsmd
 
 
 def random_box(seed, d=3, radius=0.8):
-    return BoxSet(center=sym_from(make_rng(seed).standard_normal((d, d))),
+    return BoxSet(center=sym_matrix(make_rng(seed).standard_normal((d, d))),
                   radius=radius)
 
 
@@ -44,7 +45,7 @@ def prox_kkt_violations(x, xt, g, alpha, gamma, prob):
 
 def random_feasible(box, rng):
     offs = rng.uniform(-box.radius, box.radius, size=(box.dim, box.dim))
-    return project_box(sym_from(box.center.data + offs).data, box)
+    return project_box(sym_matrix(box.center.data + offs).data, box)
 
 
 class TestBoxSet:
@@ -85,14 +86,14 @@ class TestProjectBox:
 
     def test_scaled_identity_clamps(self):
         box = BoxSet(center=SymMatrix(np.zeros((3, 3))), radius=1.0)
-        assert np.array_equal(project_box(sym_from(3.0 * np.eye(3)).data, box),
+        assert np.array_equal(project_box(3.0 * np.eye(3), box),
                               np.eye(3))
 
     def test_matches_per_entry_clamp(self):
         box = random_box(3)
         rng = make_rng(4)
         for _ in range(25):
-            x = sym_from(3.0 * rng.standard_normal((3, 3)))
+            x = sym_matrix(3.0 * rng.standard_normal((3, 3)))
             out = project_box(x.data, box)
             for i in range(3):
                 for j in range(3):
@@ -104,8 +105,8 @@ class TestProjectBox:
         box = random_box(5)
         rng = make_rng(6)
         for _ in range(50):
-            x = sym_from(2.0 * rng.standard_normal((3, 3)))
-            y = sym_from(2.0 * rng.standard_normal((3, 3)))
+            x = sym_matrix(2.0 * rng.standard_normal((3, 3)))
+            y = sym_matrix(2.0 * rng.standard_normal((3, 3)))
             dist_before = np.linalg.norm(x.data - y.data)
             dist_after = np.linalg.norm(project_box(x.data, box)
                                         - project_box(y.data, box))
@@ -204,7 +205,7 @@ class TestProxStep:
         box = random_box(13)
         prob = make_problem(box, ExactOracleConfig(), mu=0.7)
         xt = random_feasible(box, make_rng(14))
-        g = sym_from(make_rng(15).standard_normal((box.dim, box.dim)))
+        g = sym_matrix(make_rng(15).standard_normal((box.dim, box.dim)))
         out = prox_step(xt, g.data, 1e-14, 3.0, prob)
         assert np.allclose(out, xt, atol=1e-12)
 
@@ -213,7 +214,7 @@ class TestProxStep:
         prob = make_problem(box, ExactOracleConfig(), mu=0.9)
         rng = make_rng(18)
         xt = random_feasible(box, rng)
-        g = sym_from(rng.standard_normal((box.dim, box.dim)))
+        g = sym_matrix(rng.standard_normal((box.dim, box.dim)))
         alpha, gamma = 1.3, 2.1
 
         def objective(x):
@@ -239,7 +240,7 @@ class TestProxStep:
             xt = random_feasible(box, rng)
             # the last trials scale g so that entries land on both faces
             scale = 1e3 if trial >= 4 else 1.0
-            g = sym_from(scale * rng.standard_normal((d, d)))
+            g = sym_matrix(scale * rng.standard_normal((d, d)))
             alpha = float(rng.uniform(0.01, 5.0))
             gamma = float(rng.uniform(0.01, 5.0))
             out = prox_step(xt, g.data, alpha, gamma, prob)
@@ -279,7 +280,7 @@ class TestProxStep:
         rng = make_rng(20)
         for _ in range(50):
             xt = random_feasible(box, rng)
-            g = sym_from(rng.standard_normal((2, 2)))
+            g = sym_matrix(rng.standard_normal((2, 2)))
             alpha = float(rng.uniform(0.1, 3.0))
             gamma = float(rng.uniform(0.1, 3.0))
             out = prox_step(xt, g.data, alpha, gamma, prob)
@@ -311,7 +312,7 @@ class TestCommonStepFactorCancels:
             xt = random_feasible(box, rng)
             # the last trials scale g so that entries land on both faces
             scale = 1e3 if trial >= 4 else 1.0
-            g = sym_from(scale * rng.standard_normal((d, d))).data
+            g = sym_matrix(scale * rng.standard_normal((d, d))).data
             alpha = float(rng.uniform(0.01, 5.0))
             gamma = float(rng.uniform(0.01, 5.0))
             base = prox_step(xt, g, alpha, gamma, prob)
@@ -341,7 +342,7 @@ class TestCommonStepFactorCancels:
 
 class TestEvaluation:
     def test_eval_f_diagonal(self):
-        assert eval_F(sym_from(np.diag([5.0, 1.0])).data) == 5.0
+        assert eval_F(np.diag([5.0, 1.0])) == 5.0
 
     # Psi = eval_F + eval_penalty, as the solver traces compute it
 
@@ -495,6 +496,33 @@ class TestInstanceFiles:
         assert back.radius == box.radius
         assert meta == {"d": 9, "rho": box.radius, "seed": 17,
                         "noise_sigma": 0.2}
+
+    def test_asymmetric_file_is_refused_not_averaged(self, tmp_path):
+        # (0, 1) and (1, 0) were both loaded as their mean, -0.1529: a
+        # matrix the file does not hold
+        path = asymmetric_instance(tmp_path / "instance.txt")
+        rows = [line.split() for line in path.read_text().splitlines()[5:]]
+        assert (rows[0][1], round(float(rows[1][0]), 4)) == ("0.123", -0.4288)
+        with pytest.raises(ValueError) as err:
+            load_instance(path)
+        assert str(err.value) == "entries are not exactly symmetric"
+
+    @pytest.mark.parametrize("seed, sigma, message", [
+        (1.5, 0.2, "seed must be an integer >= 0, got 1.5"),
+        (-1, 0.2, "seed must be an integer >= 0, got -1"),
+        (True, 0.2, "seed must be an integer >= 0, got True"),
+        (0, math.nan, "noise_sigma must be nonnegative and finite, got nan"),
+        (0, -0.1, "noise_sigma must be nonnegative and finite, got -0.1")])
+    def test_save_refuses_a_bad_seed_or_noise_level_and_writes_nothing(
+            self, tmp_path, seed, sigma, message):
+        # a seed of 1.5 was written as "seed 1.5", which load_instance then
+        # failed to read as an int
+        path = tmp_path / "instance.txt"
+        with pytest.raises(ValueError) as err:
+            save_instance(path, gen_instance(3, 0.2, 0), seed=seed,
+                          noise_sigma=sigma)
+        assert str(err.value) == message
+        assert not path.exists()
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "broken.txt"

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import constant_oracle, zero_oracle
 from specmd.harness import resolve_solver_spec
-from specmd.linalg import SymMatrix, sym_from
+from specmd.linalg import SymMatrix
 from specmd.oracles import (ExactOracleConfig, PowerOracleConfig,
                             SmoothingOracleConfig)
 from specmd.problem import BoxSet, gen_instance, make_problem, project_box
@@ -123,7 +123,7 @@ class TestScalarEndpointConvergence:
     """d=1 objective min x over [a - rho, a + rho]: the left endpoint wins."""
 
     def setup_problem(self, mu):
-        box = BoxSet(center=sym_from([[1.3]]), radius=0.4)
+        box = BoxSet(center=SymMatrix(np.array([[1.3]])), radius=0.4)
         return make_problem(box, ExactOracleConfig(), mu=mu)
 
     def test_smd_reaches_left_endpoint(self):
@@ -255,7 +255,7 @@ class TestLanAcsa:
     def test_scalar_quadratic_rate(self):
         # f(x) = (L/2)(x - b)^2 with exact gradients; gap must beat 1/T decay
         L, b = 4.0, 1.1
-        box = BoxSet(center=sym_from([[1.0]]), radius=0.5)
+        box = BoxSet(center=SymMatrix(np.array([[1.0]])), radius=0.5)
 
         def grad_oracle(x, rng):
             return 0.5 * L * (x[0, 0] - b) ** 2, np.array([[L * (x[0, 0] - b)]])
