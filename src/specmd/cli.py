@@ -10,7 +10,7 @@ from .harness import (ExperimentConfig, build_oracle,
                       iterations_to_precision, load_experiment_config,
                       reference_run, run_bench, run_solver_spec,
                       theory_parameters, write_trace)
-from .oracles import ExactOracleConfig, _check
+from .oracles import ExactOracleConfig, _check, _parse
 from .problem import load_instance, make_problem, save_instance, gen_instance
 
 # `run`'s --T and --target defaults; `reference` anchors `run` at them, as a
@@ -23,29 +23,12 @@ def _parse_kv_spec(text: str) -> dict:
     """Parse "kind:key=val,key=val" solver/oracle shorthand."""
     kind, _, rest = text.partition(":")
     out = {"kind": kind}
-    if rest:
-        for item in rest.split(","):
-            key, _, value = item.partition("=")
-            if not value:
-                raise ValueError(f"malformed option {item!r} in {text!r}")
-            out[key] = _coerce(value)
+    for item in rest.split(",") if rest else ():
+        key, _, value = item.partition("=")
+        if not value:
+            raise ValueError(f"malformed option {item!r} in {text!r}")
+        out[key] = _parse(value)
     return out
-
-
-def _coerce(value: str):
-    lowered = value.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    if lowered == "theory":
-        return "theory"
-    try:
-        return int(value)
-    except ValueError:
-        pass
-    try:
-        return float(value)
-    except ValueError:
-        return value
 
 
 def _cmd_generate(args):

@@ -13,7 +13,7 @@ import numpy as np
 from .linalg import SymMatrix
 # perfbench's tracer wraps exact_subgrad at this name (harness.reference_polish)
 from .oracles import (ExactOracleConfig, PowerOracleConfig,
-                      SmoothingOracleConfig, _check, exact_subgrad)
+                      SmoothingOracleConfig, _check, _parse, exact_subgrad)
 from .problem import (BoxSet, box_lower_bound, eval_F, eval_penalty,
                       gen_instance, make_problem, save_instance)
 from .solvers import (RunTrace, StepSchedule, _check_constant, _oblivious,
@@ -98,6 +98,10 @@ def theory_parameters(instance: BoxSet, oracle, T: int) -> dict:
 
 _TRACE_COLUMNS = "t,F_ag,Psi_ag,grad_norm,elapsed_s"
 _POINT_KEY = "# final_point: "
+# each number header of a trace file, in file order, with its _check rule
+_TRACE_HEADER = {"seed": "an integer >= 0",
+                 "total_seconds": "nonnegative and finite",
+                 "oracle_seconds": "nonnegative and finite"}
 
 
 def write_trace(path, trace: RunTrace) -> None:
@@ -107,14 +111,12 @@ def write_trace(path, trace: RunTrace) -> None:
     rows = [",".join([str(int(t))] + [repr(float(c[i])) for c in cols])
             for i, t in enumerate(trace.t)]
     # built first: a header json.dumps refuses leaves no file behind
-    header = ("# specmd-trace v1\n"
-              f"# config: {json.dumps(trace.config_echo, sort_keys=True)}\n"
-              f"# seed: {trace.seed}\n"
-              f"# total_seconds: {trace.total_seconds!r}\n"
-              f"# oracle_seconds: {trace.oracle_seconds!r}\n"
-              f"{_POINT_KEY}[")
+    header = "".join(
+        ["# specmd-trace v1\n",
+         f"# config: {json.dumps(trace.config_echo, sort_keys=True)}\n"]
+        + [f"# {key}: {getattr(trace, key)}\n" for key in _TRACE_HEADER])
     with open(path, "w") as out:
-        out.write(header)
+        out.write(header + _POINT_KEY + "[")
         for i, row in enumerate(trace.final_point.data):
             out.write((", " if i else "") + json.dumps(row.tolist()))
         out.write("]\n" + "\n".join([_TRACE_COLUMNS] + rows) + "\n")
@@ -123,7 +125,8 @@ def write_trace(path, trace: RunTrace) -> None:
 def read_trace(path) -> RunTrace:
     """Parse a trace file written by write_trace (exact float round trip),
     line by line and the final point row by row, with float() as in
-    json.loads."""
+    json.loads; each number header is held to its _TRACE_HEADER rule, named
+    by file and key. A missing part or a non-JSON config is malformed."""
     header, rows, point, saw_columns = {}, [], None, False
     with open(path) as lines:
         for line in lines:
@@ -139,18 +142,20 @@ def read_trace(path) -> RunTrace:
             elif saw_columns and line != "\n":
                 rows.append([float(v) for v in line.split(",")])
     if not saw_columns or not rows or point is None or not header.keys() >= {
-            "config", "seed", "total_seconds", "oracle_seconds"}:
+            "config", *_TRACE_HEADER}:
         raise ValueError(f"malformed trace file: {path}")
+    try:
+        config = json.loads(header["config"])
+    except ValueError:  # a JSONDecodeError, which names no file
+        raise ValueError(f"malformed trace file: {path}") from None
     data = np.array(rows)
     return RunTrace(
         t=data[:, 0].astype(int), F_ag=data[:, 1], Psi_ag=data[:, 2],
         grad_norm=data[:, 3], elapsed_s=data[:, 4],
         final_point=SymMatrix(point),
-        config_echo=json.loads(header["config"]),
-        seed=int(header["seed"]),
-        total_seconds=float(header["total_seconds"]),
-        oracle_seconds=float(header["oracle_seconds"]),
-    )
+        config_echo=config,
+        **{key: _check(f"{path}: {key}", _parse(header[key]), need)
+           for key, need in _TRACE_HEADER.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -347,20 +352,19 @@ def run_bench(cfg: ExperimentConfig) -> BenchReport:
     oracle_cfg = build_oracle(cfg.oracle)
     instances = {dim: gen_instance(dim, cfg.noise_sigma, cfg.instance_seed)
                  for dim in cfg.dims}
-    theories = {dim: theory_parameters(box, oracle_cfg, cfg.T)
-                for dim, box in instances.items()}
-    # a bad solver spec or label fails here, before any reference run is
-    # paid for
-    for spec in cfg.solvers:
-        for theory in theories.values():
-            resolve_solver_spec(spec, theory)
+    # each (dim, spec) is resolved once, here, into the (solver, params) its
+    # cells run: a bad solver spec or label fails before any reference run
+    # is paid for
+    plans = {}
+    for dim, box in instances.items():
+        theory = theory_parameters(box, oracle_cfg, cfg.T)
+        plans[dim] = [resolve_solver_spec(spec, theory) for spec in cfg.solvers]
     _check_labels(cfg.solvers)
 
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     cells, anchors = [], {}
     for dim, instance in instances.items():
-        theory = theories[dim]
         save_instance(outdir / f"instance_d{dim}.txt", instance,
                       seed=cfg.instance_seed, noise_sigma=cfg.noise_sigma)
         # the anchor solves the cells' own problem: make_problem's mu
@@ -370,12 +374,12 @@ def run_bench(cfg: ExperimentConfig) -> BenchReport:
         anchors[dim] = (f_ref, gap, int(ref_trace.t[-1]))
         write_trace(outdir / f"reference_d{dim}.csv", ref_trace)
 
-        for spec in cfg.solvers:
+        for spec, (solver, params) in zip(cfg.solvers, plans[dim]):
             label = _solver_label(spec)
             for seed in cfg.seeds:
                 try:
-                    trace = run_solver_spec(spec, prob, cfg.T, seed, theory,
-                                            eval_stride=cfg.eval_stride)
+                    trace = solver(prob, T=cfg.T, rng=seed,
+                                   eval_stride=cfg.eval_stride, **params)
                 except Exception as err:
                     cells.append(CellResult(
                         dim=dim, solver=label, seed=seed, status="error",

@@ -52,6 +52,17 @@ def _check(name, value, need):
     raise ValueError(f"{name} must be {need}, got {value!r}")
 
 
+def _parse(text: str):
+    """Text as a value for its _check rule: an int, else a float, else True
+    or False for "true" or "false" in any casing, else the text itself."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return {"true": True, "false": False}.get(text.lower(), text)
+
+
 @dataclass(frozen=True)
 class SmoothingOracleConfig:
     """Rank-one Gaussian smoothing: max over k draws of lambda_max(X + (eps/d) z z^T).

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .linalg import SymMatrix, full_spectrum, make_rng
-from .oracles import _check
+from .oracles import _check, _parse
 
 
 @dataclass(frozen=True)
@@ -160,37 +160,35 @@ def gen_instance(d: int, noise_sigma: float, seed: int) -> BoxSet:
     return BoxSet(center=SymMatrix(a), radius=rho)
 
 
+# the instance-header keys in file order, each with its _check rule
+_HEADER = {"d": "an integer >= 1", "rho": "positive and finite",
+           "seed": "an integer >= 0", "noise_sigma": "nonnegative and finite"}
+
+
 def save_instance(path, box: BoxSet, seed: int, noise_sigma: float) -> None:
-    """Write a self-describing text instance (full-precision entries)."""
-    seed = _check("seed", seed, "an integer >= 0")
-    noise_sigma = _check("noise_sigma", noise_sigma, "nonnegative and finite")
-    lines = [
-        "# box-instance v1",
-        f"d {box.dim}",
-        f"rho {box.radius!r}",
-        f"seed {seed}",
-        f"noise_sigma {noise_sigma!r}",
-    ]
+    """Write a text instance: each _HEADER value checked by its rule (a
+    refused one writes no file), then the center's full-precision rows."""
+    lines = ["# box-instance v1"] + [
+        f"{key} {_check(key, value, _HEADER[key])!r}" for key, value in
+        zip(_HEADER, (box.dim, box.radius, seed, noise_sigma))]
     for row in box.center.data:
         lines.append(" ".join(repr(float(v)) for v in row))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-_META_TYPES = {"d": int, "rho": float, "seed": int, "noise_sigma": float}
-
-
 def load_instance(path) -> tuple[BoxSet, dict]:
-    """Read an instance file back; returns the box and its header metadata."""
+    """Read an instance file back: the box and its header, each value held
+    to its _HEADER rule (a ValueError naming the file and the key)."""
     text = Path(path).read_text().strip().splitlines()
     body_start, meta = None, {}
     for idx, line in enumerate(text):
         if line.startswith("#"):
             continue
         key, _, value = line.partition(" ")
-        if key not in _META_TYPES:
+        if key not in _HEADER:
             body_start = idx
             break
-        meta[key] = _META_TYPES[key](value)
+        meta[key] = _check(f"{path}: {key}", _parse(value), _HEADER[key])
     if body_start is None or "d" not in meta or "rho" not in meta:
         raise ValueError(f"malformed instance file: {path}")
     d = meta["d"]

@@ -67,6 +67,25 @@ def test_each_solver_spec_runs_through_its_traced_name(spec, row):
     assert rec.summary().get(f"solvers.{row}", {"n": 0})["n"] == 1
 
 
+def test_a_traced_campaign_books_one_solver_span_per_cell(tmp_path):
+    # run_bench resolves its specs inside the call, on specmd.harness's
+    # names: a plan bound at import time would bypass the tracer's wrappers
+    specs = [{"kind": "smd"}, {"kind": "acsmd"}, {"kind": "levy"},
+             {"kind": "lan", "L": 40.0}, {"kind": "relative", "Lstar": 10}]
+    cfg = harness.ExperimentConfig(
+        dims=[4, 5], oracle={"kind": "exact"}, solvers=specs, T=5,
+        seeds=[0, 1], target_precision=1e-2, noise_sigma=0.2,
+        output_dir=str(tmp_path), reference_budget=100)
+    rec = SpanRecorder()
+    with Tracer(rec):
+        report = harness.run_bench(cfg)
+    assert len(report.cells) == 2 * 5 * 2
+    spans = rec.summary()
+    for name in ("oblivious_smd", "oblivious_acsmd", "levy_adaptive",
+                 "lan_acsa", "relative_md"):
+        assert spans.get(f"solvers.{name}", {"n": 0})["n"] == 2 * 2, name
+
+
 @pytest.mark.parametrize("call", [
     lambda x, rng: smoothing_grad(x, SmoothingOracleConfig(), rng),
     lambda x, rng: power_grad(x, PowerOracleConfig(), rng),

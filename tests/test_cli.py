@@ -1,3 +1,4 @@
+import importlib
 import os
 import re
 import subprocess
@@ -335,7 +336,8 @@ def test_bad_box_radius_exits_2_with_one_line(tmp_path, instance, rho):
     bad.write_text(re.sub(r"^rho \S+$", f"rho {rho}", instance.read_text(),
                           flags=re.MULTILINE))
     out = tmp_path / "o.csv"
-    message = f"radius must be positive and finite, got {float(rho)!r}"
+    # refused as the header is read, by rho's rule, naming the file and key
+    message = f"{bad}: rho must be positive and finite, got {rho}"
     for args in (("run", "--instance", str(bad), "--solver", "acsmd",
                   "--oracle", "exact", "--out", str(out)),
                  ("reference", "--instance", str(bad))):
@@ -344,6 +346,63 @@ def test_bad_box_radius_exits_2_with_one_line(tmp_path, instance, rho):
         assert done.stderr.splitlines() == [f"specmd: error: {message}"]
         assert done.stdout == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("seed 1.5", "seed must be an integer >= 0, got 1.5"),
+    ("noise_sigma nan", "noise_sigma must be nonnegative and finite, got nan"),
+    ("d x", "d must be an integer >= 1, got 'x'"),
+], ids=["seed", "noise_sigma", "d"])
+def test_bad_instance_header_exits_2_and_writes_nothing(tmp_path, instance,
+                                                         line, message):
+    key = line.split()[0]
+    bad = tmp_path / "bad.txt"
+    bad.write_text(re.sub(rf"^{key} \S+$", line, instance.read_text(),
+                          flags=re.MULTILINE))
+    out = tmp_path / "o.csv"
+    for args in (("run", "--instance", str(bad), "--solver", "acsmd",
+                  "--oracle", "exact", "--T", "20", "--out", str(out)),
+                 ("reference", "--instance", str(bad), "--out", str(out))):
+        done = run_cli(*args)
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == [f"specmd: error: {bad}: {message}"]
+        assert done.stdout == ""
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "bad.txt", "inst.txt"]
+
+
+def test_theory_in_another_casing_is_refused_as_a_campaign_refuses_it(
+        tmp_path, instance):
+    # "theory" is matched exactly, on the command line as in a YAML file
+    message = ("specmd: error: solver option L must be positive and finite, "
+               "got 'THEORY'")
+    out = tmp_path / "o.csv"
+    done = run_cli("run", "--instance", str(instance), "--solver",
+                   "lan:L=THEORY", "--oracle", "smoothing", "--T", "20",
+                   "--out", str(out))
+    assert (done.returncode, done.stderr.splitlines()) == (2, [message])
+    assert not out.exists()
+    config = tmp_path / "campaign.yaml"
+    config.write_text("dims: [6]\noracle: {kind: smoothing}\n"
+                      "solvers: [{kind: lan, L: THEORY}]\nT: 20\n"
+                      "seeds: [0]\ntarget_precision: 0.01\n"
+                      f"noise_sigma: 0.2\noutput_dir: {tmp_path / 'out'}\n")
+    done = run_cli("bench", "--config", str(config))
+    assert (done.returncode, done.stderr.splitlines()) == (2, [message])
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_installed_script_names_main():
+    # pyproject.toml read as text: tomllib is not in Python 3.10
+    text = (Path(SRC).parent / "pyproject.toml").read_text()
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text,
+                        re.MULTILINE | re.DOTALL)
+    assert section, "pyproject.toml has no [project.scripts] table"
+    entries = re.findall(r'^(\S+)\s*=\s*"([^"]+)"', section.group(1),
+                         re.MULTILINE)
+    assert entries == [("specmd", "specmd.cli:main")]
+    module, _, attr = entries[0][1].partition(":")
+    assert getattr(importlib.import_module(module), attr) is main
 
 
 def test_negative_f_ref_in_exponent_form_runs(tmp_path, instance, capsys):

@@ -351,6 +351,23 @@ def test_bad_solver_spec_fails_before_any_reference_run(tmp_path, monkeypatch,
     assert not (tmp_path / "out").exists()
 
 
+def test_run_bench_resolves_each_dim_and_spec_once(tmp_path, monkeypatch):
+    calls = []
+    resolve = harness.resolve_solver_spec
+
+    def counted(spec, theory):
+        calls.append(spec["kind"])
+        return resolve(spec, theory)
+
+    monkeypatch.setattr(harness, "resolve_solver_spec", counted)
+    cfg = tiny_config(tmp_path, {"kind": "exact"}, seeds=(0, 1, 2))
+    cfg.dims = [4, 6]
+    report = run_bench(cfg)
+    assert len(report.cells) == 2 * 2 * 3
+    assert all(c.status != "error" for c in report.cells)
+    assert sorted(calls) == sorted(["acsmd", "smd"] * 2)
+
+
 @pytest.mark.parametrize("seeds", [[-1, 2], [0, -3]])
 def test_negative_seed_fails_before_any_reference_run(tmp_path, monkeypatch,
                                                       seeds):
@@ -533,6 +550,43 @@ def test_trace_without_a_header_line_is_malformed(tmp_path, key):
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(line for line in lines
                             if not line.startswith(f"# {key}:")))
+    with pytest.raises(ValueError) as err:
+        read_trace(path)
+    assert str(err.value) == f"malformed trace file: {path}"
+
+
+# per number header of a trace file, texts its rule refuses and the value
+# the message shows
+BAD_TRACE_HEADERS = {"seed": [("-1", "-1"), ("1.5", "1.5")],
+                     "total_seconds": [("nan", "nan"), ("-1.0", "-1.0")],
+                     "oracle_seconds": [("inf", "inf"), ("x", "'x'")]}
+
+
+def test_every_trace_header_key_has_refusal_cases():
+    assert BAD_TRACE_HEADERS.keys() == harness._TRACE_HEADER.keys()
+
+
+@pytest.mark.parametrize("key, text, shown", [
+    (key, text, shown) for key, cases in BAD_TRACE_HEADERS.items()
+    for text, shown in cases])
+def test_a_trace_header_its_rule_refuses_names_file_and_key(tmp_path, key,
+                                                           text, shown):
+    path = tmp_path / "trace.csv"
+    write_trace(path, synthetic_trace(3))
+    path.write_text(re.sub(rf"^# {key}: .*$", f"# {key}: {text}",
+                           path.read_text(), flags=re.MULTILINE))
+    with pytest.raises(ValueError) as err:
+        read_trace(path)
+    assert str(err.value) == (
+        f"{path}: {key} must be {harness._TRACE_HEADER[key]}, got {shown}")
+
+
+def test_a_config_line_that_is_not_json_is_malformed(tmp_path):
+    # it raised a bare JSONDecodeError that named no file
+    path = tmp_path / "trace.csv"
+    write_trace(path, synthetic_trace(3))
+    path.write_text(re.sub(r"^# config: .*$", "# config: {oracle",
+                           path.read_text(), flags=re.MULTILINE))
     with pytest.raises(ValueError) as err:
         read_trace(path)
     assert str(err.value) == f"malformed trace file: {path}"

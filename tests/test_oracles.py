@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from specmd.harness import build_oracle
 from specmd.linalg import full_spectrum, leading_eigpair, make_rng
 from specmd.oracles import (ExactOracleConfig, PowerOracleConfig,
                             SmoothingOracleConfig, _krylov_value_grad,
-                            exact_subgrad, oracle_echo, power_grad,
+                            _parse, exact_subgrad, oracle_echo, power_grad,
                             smoothing_grad)
 from specmd.problem import gen_instance, make_problem
 
@@ -475,3 +477,17 @@ class TestPlumbing:
         echo = oracle_echo(oracle)
         assert echo["kind"] == oracle.kind
         assert build_oracle(echo) == oracle
+
+
+@pytest.mark.parametrize("text, value", [
+    ("3", 3), ("-1", -1), ("1.5", 1.5), ("2.0", 2.0), ("1e-3", 1e-3),
+    ("inf", float("inf")), ("true", True), ("False", False),
+    # "theory" is matched exactly where it is read, as a YAML string is
+    ("theory", "theory"), ("THEORY", "THEORY"), ("abc", "abc")])
+def test_parse_reads_text_as_one_value(text, value):
+    got = _parse(text)
+    assert (type(got), got) == (type(value), value)
+
+
+def test_parse_keeps_nan_for_its_rule_to_refuse():
+    assert math.isnan(_parse("nan"))

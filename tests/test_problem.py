@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,13 +8,21 @@ import pytest
 from conftest import asymmetric_instance, sym_matrix
 from specmd.linalg import SymMatrix, make_rng
 from specmd.oracles import ExactOracleConfig, PowerOracleConfig
-from specmd.problem import (BoxSet, CompositeProblem, box_lower_bound,
-                            eval_F, eval_penalty, gen_instance, load_instance,
-                            make_problem, project_box, prox_step,
-                            save_instance)
+from specmd.problem import (_HEADER, BoxSet, CompositeProblem,
+                            box_lower_bound, eval_F, eval_penalty,
+                            gen_instance, load_instance, make_problem,
+                            project_box, prox_step, save_instance)
 from specmd.harness import theory_parameters
 import specmd.solvers as solvers
 from specmd.solvers import StepSchedule, oblivious_acsmd
+
+
+# per instance-header key, header texts its rule refuses and the value the
+# message shows
+BAD_HEADERS = {"d": [("x", "'x'"), ("2.0", "2.0")],
+               "rho": [("nan", "nan"), ("0", "0")],
+               "seed": [("-1", "-1"), ("1.5", "1.5")],
+               "noise_sigma": [("nan", "nan"), ("-0.1", "-0.1")]}
 
 
 def random_box(seed, d=3, radius=0.8):
@@ -523,6 +532,25 @@ class TestInstanceFiles:
                           noise_sigma=sigma)
         assert str(err.value) == message
         assert not path.exists()
+
+    def test_every_header_key_has_refusal_cases(self):
+        assert BAD_HEADERS.keys() == _HEADER.keys()
+
+    @pytest.mark.parametrize("key, text, shown", [
+        (key, text, shown) for key, cases in BAD_HEADERS.items()
+        for text, shown in cases])
+    def test_a_header_value_its_rule_refuses_names_file_and_key(
+            self, tmp_path, key, text, shown):
+        # seed 1.5 failed as a raw "invalid literal for int()", and
+        # noise_sigma nan loaded and was echoed into trace headers as NaN
+        path = tmp_path / "instance.txt"
+        save_instance(path, gen_instance(3, 0.2, 0), seed=0, noise_sigma=0.2)
+        path.write_text(re.sub(rf"^{key} \S+$", f"{key} {text}",
+                               path.read_text(), flags=re.MULTILINE))
+        with pytest.raises(ValueError) as err:
+            load_instance(path)
+        assert str(err.value) == (
+            f"{path}: {key} must be {_HEADER[key]}, got {shown}")
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "broken.txt"
