@@ -96,9 +96,9 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a synthetic box instance")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--noise-sigma", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--dim", type=_parse, required=True)
+    p.add_argument("--noise-sigma", type=_parse, default=0.2)
+    p.add_argument("--seed", type=_parse, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_generate)
 
@@ -119,20 +119,20 @@ def main(argv=None) -> int:
                    help='e.g. "smoothing:k=1,epsilon=0.01" (exact eigen-solve '
                         'per draw) | "power:p=21,square_input=true" | "exact"; '
                         'other options are rejected')
-    p.add_argument("--T", type=int, default=RUN_T)
-    p.add_argument("--mu", type=float, default=None,
+    p.add_argument("--T", type=_parse, default=RUN_T)
+    p.add_argument("--mu", type=_parse, default=None,
                    help="regularization weight (default 1/sqrt(T))")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--f-ref", type=float, default=None,
+    p.add_argument("--seed", type=_parse, default=0)
+    p.add_argument("--f-ref", type=_parse, default=None,
                    help="reference value for the iterations-to-precision line")
-    p.add_argument("--target", type=float, default=RUN_TARGET)
+    p.add_argument("--target", type=_parse, default=RUN_TARGET)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("reference",
                        help="compute a certified reference objective value")
     p.add_argument("--instance", required=True)
-    p.add_argument("--budget", type=int,
+    p.add_argument("--budget", type=_parse,
                    default=ExperimentConfig.reference_budget,
                    help="cap on the iterations of the anchor run")
     p.add_argument("--out", default=None, help="optional reference trace file")

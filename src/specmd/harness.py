@@ -123,39 +123,37 @@ def write_trace(path, trace: RunTrace) -> None:
 
 
 def read_trace(path) -> RunTrace:
-    """Parse a trace file written by write_trace (exact float round trip),
-    line by line and the final point row by row, with float() as in
-    json.loads; each number header is held to its _TRACE_HEADER rule, named
-    by file and key. A missing part or a non-JSON config is malformed."""
-    header, rows, point, saw_columns = {}, [], None, False
+    """Read back write_trace's layout exactly. Its head is one line each, in
+    order: the version, `# config: ` JSON, `# key: value` per _TRACE_HEADER
+    key (held to its rule), `# final_point: ` and the point's rows as JSON
+    lists, the column names; a row per evaluated iteration follows. A head
+    line missing, extra or moved, no rows or non-JSON config is malformed;
+    np.loadtxt reads the point and the rows (t an integer)."""
+    head = ("# specmd-trace v1\n", "# config: ", *(f"# {key}: " for key in
+            _TRACE_HEADER), _POINT_KEY, _TRACE_COLUMNS + "\n")
     with open(path) as lines:
-        for line in lines:
-            if line.startswith(_POINT_KEY):
-                point = np.array([
-                    np.fromiter(map(float, row[1].split(",")), dtype=float)
-                    for row in re.finditer(r"\[([^][]+)\]", line)])
-            elif line.startswith("# ") and ":" in line:
-                key, _, value = line[2:].partition(":")
-                header[key.strip()] = value.strip()
-            elif line.rstrip("\n") == _TRACE_COLUMNS:
-                saw_columns = True
-            elif saw_columns and line != "\n":
-                rows.append([float(v) for v in line.split(",")])
-    if not saw_columns or not rows or point is None or not header.keys() >= {
-            "config", *_TRACE_HEADER}:
+        text = [next(lines, "") for _ in head]
+        rows = lines.readlines()
+    if not (rows and all(map(str.startswith, text, head))):
         raise ValueError(f"malformed trace file: {path}")
-    try:
-        config = json.loads(header["config"])
-    except ValueError:  # a JSONDecodeError, which names no file
+    # the point's line is the file's bulk: searched in place, never copied
+    _, config, *numbers = (
+        line[len(start):].strip() for line, start in zip(text[:-2], head))
+    try:  # loadtxt's errors give a row and column but no file
+        config = json.loads(config)
+        point = np.loadtxt((row[1] for row in re.finditer(
+            r"\[([^][]+)\]", text[-2])), delimiter=",", ndmin=2)
+        data = np.loadtxt(rows, delimiter=",", ndmin=1, dtype=[(
+            c, int if c == "t" else float) for c in _TRACE_COLUMNS.split(",")])
+    except json.JSONDecodeError:  # a config that is not JSON
         raise ValueError(f"malformed trace file: {path}") from None
-    data = np.array(rows)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
     return RunTrace(
-        t=data[:, 0].astype(int), F_ag=data[:, 1], Psi_ag=data[:, 2],
-        grad_norm=data[:, 3], elapsed_s=data[:, 4],
-        final_point=SymMatrix(point),
-        config_echo=config,
-        **{key: _check(f"{path}: {key}", _parse(header[key]), need)
-           for key, need in _TRACE_HEADER.items()})
+        **{name: data[name] for name in data.dtype.names},
+        final_point=SymMatrix(point), config_echo=config,
+        **{key: _check(f"{path}: {key}", _parse(value), need)
+           for (key, need), value in zip(_TRACE_HEADER.items(), numbers)})
 
 
 # ---------------------------------------------------------------------------
@@ -459,13 +457,19 @@ def _write_report_files(report: BenchReport, outdir: Path) -> None:
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    """Read a YAML benchmark config file.
-
-    A file that is not a mapping, an unknown key or a missing required key
-    raises ValueError naming the first such key.
-    """
+    """Read a YAML benchmark config file. A plain scalar is null (`null`,
+    `~` or nothing) or _parse's value, never a YAML 1.1 bool, number or
+    date; a quoted one stays text. A file that is not a mapping, an unknown
+    key or a missing required key raises ValueError naming the first."""
     import yaml  # here, not at module level: only campaign files need YAML
-    raw = yaml.safe_load(Path(path).read_text())
+
+    class Loader(yaml.SafeLoader):  # no YAML 1.1 bools, numbers or dates
+        yaml_implicit_resolvers = {key: [r for r in rules if r[0].endswith(
+            (":null", ":merge"))] for key, rules in
+            yaml.SafeLoader.yaml_implicit_resolvers.items()}
+    Loader.add_constructor("tag:yaml.org,2002:str", lambda _, node: (
+        _parse(node.value) if node.style is None else node.value))
+    raw = yaml.load(Path(path).read_text(), Loader)
     if not isinstance(raw, dict):
         raise ValueError(f"campaign config {path} is not a mapping")
     known = fields(ExperimentConfig)

@@ -178,7 +178,8 @@ def save_instance(path, box: BoxSet, seed: int, noise_sigma: float) -> None:
 
 def load_instance(path) -> tuple[BoxSet, dict]:
     """Read an instance file back: the box and its header, each value held
-    to its _HEADER rule (a ValueError naming the file and the key)."""
+    to its _HEADER rule, then the body's rows by np.loadtxt; a ValueError
+    names the file (and the key, or loadtxt's row and column)."""
     text = Path(path).read_text().strip().splitlines()
     body_start, meta = None, {}
     for idx, line in enumerate(text):
@@ -191,9 +192,11 @@ def load_instance(path) -> tuple[BoxSet, dict]:
         meta[key] = _check(f"{path}: {key}", _parse(value), _HEADER[key])
     if body_start is None or "d" not in meta or "rho" not in meta:
         raise ValueError(f"malformed instance file: {path}")
-    d = meta["d"]
-    rows = [np.array([float(v) for v in line.split()]) for line in text[body_start:]]
-    a = np.vstack(rows)
-    if a.shape != (d, d):
-        raise ValueError(f"instance body has shape {a.shape}, expected ({d}, {d})")
+    try:  # loadtxt's errors give a row and column but no file
+        a = np.loadtxt(text[body_start:], ndmin=2, comments=None)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+    if a.shape != (meta["d"],) * 2:
+        raise ValueError(f"{path}: instance body has shape {a.shape}, "
+                         f"expected {(meta['d'],) * 2}")
     return BoxSet(center=SymMatrix(a), radius=meta["rho"]), meta

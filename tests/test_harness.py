@@ -12,7 +12,8 @@ from conftest import sym_matrix
 import specmd.harness as harness
 from specmd.harness import (EXCEEDED, BenchReport, CellResult,
                             ExperimentConfig, _write_report_files,
-                            build_oracle, iterations_to_precision, read_trace,
+                            build_oracle, iterations_to_precision,
+                            load_experiment_config, read_trace,
                             reference_run, run_bench, write_trace)
 from specmd.linalg import SymMatrix, make_rng
 from specmd.oracles import (ExactOracleConfig, PowerOracleConfig,
@@ -590,6 +591,85 @@ def test_a_config_line_that_is_not_json_is_malformed(tmp_path):
     with pytest.raises(ValueError) as err:
         read_trace(path)
     assert str(err.value) == f"malformed trace file: {path}"
+
+
+def _trace_lines(tmp_path):
+    path = tmp_path / "trace.csv"
+    write_trace(path, synthetic_trace(3))
+    return path, path.read_text().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("move", ["swap", "extra", "version"])
+def test_a_trace_head_out_of_order_is_malformed(tmp_path, move):
+    # the head is read line by line in write_trace's order
+    path, lines = _trace_lines(tmp_path)
+    if move == "swap":
+        lines[2], lines[3] = lines[3], lines[2]
+    elif move == "extra":
+        lines.insert(2, "# note: 1\n")
+    else:
+        lines[0] = "# specmd-trace v2\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError) as err:
+        read_trace(path)
+    assert str(err.value) == f"malformed trace file: {path}"
+
+
+# edits of a d = 3 trace (lines[5] is the final point, lines[8] data row
+# 2) and loadtxt's account of each: a data row short of a column, a ragged
+# point row, and a t that is no whole number or past int64
+BAD_TRACE_ROWS = {
+    "short data row": (8, lambda line: line.rsplit(",", 1)[0] + "\n",
+                       "the dtype passed requires 5 columns but 4 were "
+                       "found at row 2"),
+    "ragged point row": (5, lambda line: line.replace("], [", ", 1.0], [", 1),
+                         "the number of columns changed from 4 to 3 at "
+                         "row 2"),
+    "fractional t": (8, lambda line: "20.5" + line[2:],
+                     "could not convert string '20.5' to int64 at row 1, "
+                     "column 1"),
+    "huge t": (8, lambda line: "1e30" + line[2:],
+               "could not convert string '1e30' to int64 at row 1, "
+               "column 1"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_TRACE_ROWS)
+def test_a_bad_trace_row_is_one_line_naming_file_and_row(tmp_path, case):
+    # the float() loop raised numpy's inhomogeneous-shape error, t = 20.5
+    # read as 20 and t = 1e30 warned in the int cast
+    path, lines = _trace_lines(tmp_path)
+    number, edit, detail = BAD_TRACE_ROWS[case]
+    lines[number] = edit(lines[number])
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError) as err:
+        read_trace(path)
+    assert str(err.value).startswith(f"{path}: {detail}")
+    assert "\n" not in str(err.value)
+
+
+def test_campaign_numbers_read_as_python_reads_them(tmp_path):
+    # YAML 1.1 read 1e-2 as the string '1e-2', which the rules refused
+    reports = []
+    for number in ("0.01", "1e-2"):
+        config = tmp_path / f"campaign_{number}.yaml"
+        config.write_text(
+            "dims: [4]\n"
+            f"oracle: {{kind: smoothing, epsilon: {number}}}\n"
+            "solvers: [&a {kind: acsmd},\n"
+            "          {<<: *a, kind: levy, tuned: true}]\n"
+            f"T: 20\nseeds: [0]\ntarget_precision: {number}\n"
+            "noise_sigma: 0.2\neval_stride: ~\n"
+            f"output_dir: {tmp_path / number}\n")
+        cfg = load_experiment_config(config)
+        assert (cfg.target_precision, cfg.oracle["epsilon"]) == (0.01, 0.01)
+        assert cfg.eval_stride is None
+        # a merge key is YAML structure, not a value: it still merges
+        assert cfg.solvers == [{"kind": "acsmd"},
+                               {"kind": "levy", "tuned": True}]
+        run_bench(cfg)
+        reports.append((tmp_path / number / "report.csv").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_trace_file_round_trip_is_exact(tmp_path):

@@ -83,6 +83,20 @@ def test_only_gen_instance_symmetrizes_a_matrix():
     assert repairs == []
 
 
+def test_text_is_read_only_by_parse_and_loadtxt():
+    # a value's text goes through oracles._parse and a row of numbers
+    # through np.loadtxt: argparse's int and float, YAML 1.1's number and
+    # bool resolvers and hand-written float() loops each judged text their
+    # own way
+    second_readers = (r"\btype=int\b", r"\btype=float\b", r"yaml\.safe_load",
+                      r"float\(v\) for v in", r"fromiter\(map\(float")
+    found = [f"{path.name}: {reader}"
+             for path in sorted(Path(specmd.__file__).parent.glob("*.py"))
+             for reader in second_readers
+             if re.search(reader, path.read_text())]
+    assert found == []
+
+
 def test_import_loads_no_scipy():
     # the LAPACK binding comes from numpy's own library: scipy.linalg would
     # add hundreds of milliseconds and tens of MB to every start-up. YAML is
