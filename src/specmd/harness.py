@@ -14,8 +14,8 @@ from .linalg import SymMatrix
 # perfbench's tracer wraps exact_subgrad at this name (harness.reference_polish)
 from .oracles import (ExactOracleConfig, PowerOracleConfig,
                       SmoothingOracleConfig, _check, _parse, exact_subgrad)
-from .problem import (BoxSet, box_lower_bound, eval_F, eval_penalty,
-                      gen_instance, make_problem, save_instance)
+from .problem import (BoxSet, _loadtxt, box_lower_bound, eval_F,
+                      eval_penalty, gen_instance, make_problem, save_instance)
 from .solvers import (RunTrace, StepSchedule, _check_constant, _oblivious,
                       lan_acsa, levy_adaptive, oblivious_acsmd, oblivious_smd,
                       relative_md)
@@ -127,8 +127,8 @@ def read_trace(path) -> RunTrace:
     order: the version, `# config: ` JSON, `# key: value` per _TRACE_HEADER
     key (held to its rule), `# final_point: ` and the point's rows as JSON
     lists, the column names; a row per evaluated iteration follows. A head
-    line missing, extra or moved, no rows or non-JSON config is malformed;
-    np.loadtxt reads the point and the rows (t an integer)."""
+    line missing, extra or moved, no rows or non-JSON config is malformed,
+    and a bad point or data row (t is an integer) names its file line."""
     head = ("# specmd-trace v1\n", "# config: ", *(f"# {key}: " for key in
             _TRACE_HEADER), _POINT_KEY, _TRACE_COLUMNS + "\n")
     with open(path) as lines:
@@ -139,16 +139,15 @@ def read_trace(path) -> RunTrace:
     # the point's line is the file's bulk: searched in place, never copied
     _, config, *numbers = (
         line[len(start):].strip() for line, start in zip(text[:-2], head))
-    try:  # loadtxt's errors give a row and column but no file
+    try:
         config = json.loads(config)
-        point = np.loadtxt((row[1] for row in re.finditer(
-            r"\[([^][]+)\]", text[-2])), delimiter=",", ndmin=2)
-        data = np.loadtxt(rows, delimiter=",", ndmin=1, dtype=[(
-            c, int if c == "t" else float) for c in _TRACE_COLUMNS.split(",")])
     except json.JSONDecodeError:  # a config that is not JSON
         raise ValueError(f"malformed trace file: {path}") from None
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
+    point = _loadtxt(path, (row[1] for row in re.finditer(r"\[([^][]+)\]",
+                     text[-2])), lambda _: len(head) - 1, delimiter=",", ndmin=2)
+    data = _loadtxt(path, rows, lambda k: len(head) + k + 1, delimiter=",",
+                    ndmin=1, dtype=[(c, int if c == "t" else float) for c in
+                                    _TRACE_COLUMNS.split(",")])
     return RunTrace(
         **{name: data[name] for name in data.dtype.names},
         final_point=SymMatrix(point), config_echo=config,
@@ -162,22 +161,22 @@ def read_trace(path) -> RunTrace:
 
 @dataclass
 class ExperimentConfig:
-    """One benchmark campaign: instances x solvers x seeds.
+    """One benchmark campaign: a cell per dim x solver spec x seed.
 
+    Each dim's instance is gen_instance(dim, noise_sigma, instance_seed),
+    its anchor reference_run to a gap of target_precision / 10 (at most
+    reference_budget iterations). A cell runs T iterations and counts those
+    to reach target_precision above the anchor; files go to output_dir.
     `oracle` is a dict like {"kind": "smoothing", "k": 1, "epsilon": 1e-2},
     {"kind": "power", "p": 21, "square_input": true} or {"kind": "exact"}.
-    Each solver spec is a dict with a "kind", an optional "name" label and
-    that kind's options: smd and acsmd take degree (default 1); levy takes
-    D and M, lan L, relative Lstar and Gamma, each a number or "theory" (the
-    default, from theory_parameters), plus a "tuned" flag that divides D, L
-    and Lstar by TUNE_D, TUNE_L and TUNE_LSTAR; M and Gamma take "theory"
-    untuned. Each number field has its rule in _CONFIG_NUMBERS, each oracle
-    and solver option its rule in its class or solver, all of them phrases
-    of oracles._NEEDS. A value that breaks its rule, an empty or mistyped
-    field of _CONFIG_KINDS, any other key or a repeated dim or seed raises
-    ValueError; run_bench refuses two specs with one label.
-    reference_budget caps the iterations of each dim's certified anchor
-    (reference_run), which stops at a gap of target_precision / 10.
+    A solver spec is a dict with a "kind", an optional "name" label and its
+    kind's options: degree (default 1) for smd and acsmd; D and M for levy,
+    L for lan, Lstar and Gamma for relative, each a number or "theory" (the
+    default, theory_parameters'), and a "tuned" flag dividing D, L and
+    Lstar by TUNE_D, TUNE_L and TUNE_LSTAR. A field's rule is in
+    _CONFIG_KINDS or _CONFIG_NUMBERS, an option's in its class or solver: a
+    broken one, any other key or a repeated dim or seed raises ValueError,
+    and run_bench refuses two specs with one label.
     """
 
     dims: list
@@ -190,7 +189,6 @@ class ExperimentConfig:
     output_dir: str
     instance_seed: int = 0
     reference_budget: int = 20000
-    eval_stride: int | None = None
 
     def __post_init__(self):
         for key, kind, name in _CONFIG_KINDS:
@@ -209,7 +207,7 @@ class ExperimentConfig:
                 # cells twice
                 if len(set(value)) < len(value):
                     raise ValueError(f"{key} must not repeat, got {value!r}")
-            elif not (key == "eval_stride" and value is None):
+            else:
                 value = _check(key, value, need)
             setattr(self, key, value)
 
@@ -218,26 +216,25 @@ class ExperimentConfig:
 _CONFIG_KINDS = (("dims", list, "list"), ("oracle", dict, "mapping"),
                  ("solvers", list, "list"), ("seeds", list, "list"),
                  ("output_dir", (str, os.PathLike), "path"))
-# each number field's _check rule, for dims and seeds each entry's;
-# eval_stride may also be None
+# each number field's _check rule, for dims and seeds each entry's
 _CONFIG_NUMBERS = {
     "dims": "an integer >= 1", "T": "an integer >= 1",
     "seeds": "an integer >= 0", "target_precision": "positive and finite",
     "noise_sigma": "nonnegative and finite", "instance_seed": "an integer >= 0",
-    "reference_budget": "an integer >= 1", "eval_stride": "an integer >= 1"}
+    "reference_budget": "an integer >= 1"}
 
 
 @dataclass
 class CellResult:
-    """Outcome of one (dim, solver, seed) run."""
+    """Outcome of one (dim, solver, seed) run; defaults are a failed cell's."""
 
     dim: int
     solver: str
     seed: int
-    status: str                  # "ok" | "exceeded" | "error"
-    iterations: int | None
-    final_gap: float
-    wall_seconds: float
+    status: str = "error"        # "ok" | "exceeded" | "error"
+    iterations: int | None = None
+    final_gap: float = math.nan
+    wall_seconds: float = 0.0
     message: str = ""
 
 
@@ -250,12 +247,6 @@ class BenchReport:
     anchors: dict
 
 
-def _nearest_rank(sorted_values: list, pct: float) -> float:
-    """Smallest value with at least pct percent of the values at or below it."""
-    rank = max(1, math.ceil(pct / 100.0 * len(sorted_values)))
-    return sorted_values[rank - 1]
-
-
 def _solver_label(spec: dict) -> str:
     if "name" in spec:
         return spec["name"]
@@ -265,9 +256,9 @@ def _solver_label(spec: dict) -> str:
     return kind
 
 
-def _check_labels(specs: list) -> None:
-    """Each spec's label names its cells in report.csv and its trace files,
-    so it must be a plain word and no two specs may share one."""
+def _check_labels(specs: list) -> list:
+    """Each spec's label, in spec order: it names the spec's cells in
+    report.csv and trace files, so it is a plain word no other spec has."""
     labels = [_solver_label(spec) for spec in specs]
     for label in labels:
         if not isinstance(label, str) or not re.fullmatch(r"[^,/\s]+", label):
@@ -276,6 +267,7 @@ def _check_labels(specs: list) -> None:
         if labels.count(label) > 1:
             raise ValueError(f"solver label {label!r} names more than one "
                              "solver spec; give each a distinct name")
+    return labels
 
 
 def build_oracle(spec: dict):
@@ -357,14 +349,14 @@ def run_bench(cfg: ExperimentConfig) -> BenchReport:
     for dim, box in instances.items():
         theory = theory_parameters(box, oracle_cfg, cfg.T)
         plans[dim] = [resolve_solver_spec(spec, theory) for spec in cfg.solvers]
-    _check_labels(cfg.solvers)
+    labels = _check_labels(cfg.solvers)
 
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     cells, anchors = [], {}
     for dim, instance in instances.items():
-        save_instance(outdir / f"instance_d{dim}.txt", instance,
-                      seed=cfg.instance_seed, noise_sigma=cfg.noise_sigma)
+        meta = save_instance(outdir / f"instance_d{dim}.txt", instance,
+                             seed=cfg.instance_seed, noise_sigma=cfg.noise_sigma)
         # the anchor solves the cells' own problem: make_problem's mu
         prob = make_problem(instance, oracle_cfg, T=cfg.T)
         f_ref, gap, _, ref_trace = reference_run(
@@ -372,22 +364,15 @@ def run_bench(cfg: ExperimentConfig) -> BenchReport:
         anchors[dim] = (f_ref, gap, int(ref_trace.t[-1]))
         write_trace(outdir / f"reference_d{dim}.csv", ref_trace)
 
-        for spec, (solver, params) in zip(cfg.solvers, plans[dim]):
-            label = _solver_label(spec)
+        for label, (solver, params) in zip(labels, plans[dim]):
             for seed in cfg.seeds:
                 try:
-                    trace = solver(prob, T=cfg.T, rng=seed,
-                                   eval_stride=cfg.eval_stride, **params)
+                    trace = solver(prob, T=cfg.T, rng=seed, **params)
                 except Exception as err:
-                    cells.append(CellResult(
-                        dim=dim, solver=label, seed=seed, status="error",
-                        iterations=None, final_gap=float("nan"),
-                        wall_seconds=0.0, message=str(err)))
+                    cells.append(CellResult(dim=dim, solver=label, seed=seed,
+                                            message=str(err)))
                     continue
-                trace.config_echo["instance"] = {
-                    "d": dim, "seed": cfg.instance_seed,
-                    "noise_sigma": cfg.noise_sigma, "rho": instance.radius,
-                    "F_ref": f_ref}
+                trace.config_echo["instance"] = {**meta, "F_ref": f_ref}
                 write_trace(outdir / f"trace_d{dim}_{label}_s{seed}.csv", trace)
                 iters = iterations_to_precision(trace, f_ref, cfg.target_precision)
                 cells.append(CellResult(
@@ -407,8 +392,8 @@ def _write_report_files(report: BenchReport, outdir: Path) -> None:
     lines = ["dim,solver,seed,status,iterations,final_gap"]
     for c in sorted(report.cells, key=lambda c: (c.dim, c.solver, c.seed)):
         iters = "" if c.iterations is None else str(c.iterations)
-        gap = repr(float(c.final_gap)) if math.isfinite(c.final_gap) else "nan"
-        lines.append(f"{c.dim},{c.solver},{c.seed},{c.status},{iters},{gap}")
+        lines.append(f"{c.dim},{c.solver},{c.seed},{c.status},{iters},"
+                     f"{float(c.final_gap)!r}")
     (outdir / "report.csv").write_text("\n".join(lines) + "\n")
 
     tol = cfg.target_precision / 10
@@ -423,13 +408,14 @@ def _write_report_files(report: BenchReport, outdir: Path) -> None:
         medians = []  # in ascending dim, for the check below
         for dim in sorted(cfg.dims):
             group = [c for c in report.cells if c.dim == dim and c.solver == name]
-            iters = sorted(float(c.iterations) if c.status == "ok"
-                           else math.inf for c in group)
+            iters = [float(c.iterations) if c.status == "ok" else math.inf
+                     for c in group]
             reached = sum(c.status == "ok" for c in group)
             failed = sum(c.status == "error" for c in group)
             miss = f"{reached}/{len(group)} reached" + (
                 f", {failed} failed" if failed else "")
-            med, p10, p90 = (_nearest_rank(iters, pct) for pct in (50, 10, 90))
+            med, p10, p90 = np.percentile(
+                iters, (50, 10, 90), method="inverted_cdf").tolist()
             med_s, p10_s, p90_s = (f"{v:.0f}" if math.isfinite(v) else miss
                                    for v in (med, p10, p90))
             entries[dim, name] = f"{med_s} [{p10_s}, {p90_s}]"

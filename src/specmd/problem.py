@@ -165,21 +165,33 @@ _HEADER = {"d": "an integer >= 1", "rho": "positive and finite",
            "seed": "an integer >= 0", "noise_sigma": "nonnegative and finite"}
 
 
-def save_instance(path, box: BoxSet, seed: int, noise_sigma: float) -> None:
-    """Write a text instance: each _HEADER value checked by its rule (a
-    refused one writes no file), then the center's full-precision rows."""
-    lines = ["# box-instance v1"] + [
-        f"{key} {_check(key, value, _HEADER[key])!r}" for key, value in
-        zip(_HEADER, (box.dim, box.radius, seed, noise_sigma))]
+def save_instance(path, box: BoxSet, seed: int, noise_sigma: float) -> dict:
+    """Write each _HEADER value, checked by its rule (a refused one writes no
+    file), then the center's full-precision rows; return that header."""
+    meta = {key: _check(key, value, _HEADER[key]) for key, value in
+            zip(_HEADER, (box.dim, box.radius, seed, noise_sigma))}
+    lines = ["# box-instance v1"] + [f"{k} {v!r}" for k, v in meta.items()]
     for row in box.center.data:
         lines.append(" ".join(repr(float(v)) for v in row))
     Path(path).write_text("\n".join(lines) + "\n")
+    return meta
+
+
+def _loadtxt(path, lines, line_of, **options) -> np.ndarray:
+    """np.loadtxt, a bad lines[k] raising `{path}: line {line_of(k)}: ...`."""
+    try:
+        return np.loadtxt(lines, **options)
+    except ValueError as err:  # loadtxt counts rows from 1 if ragged, else 0
+        detail, _, where = str(err).partition(" at row ")
+        row, _, column = where.partition(";")[0].rstrip(".").partition(", ")
+        raise ValueError(f"{path}: line {line_of(int(row) - (not column))}: "
+                         f"{detail}{column and ' at ' + column}") from None
 
 
 def load_instance(path) -> tuple[BoxSet, dict]:
     """Read an instance file back: the box and its header, each value held
     to its _HEADER rule, then the body's rows by np.loadtxt; a ValueError
-    names the file (and the key, or loadtxt's row and column)."""
+    names the file (and the key, or the line and column)."""
     text = Path(path).read_text().strip().splitlines()
     body_start, meta = None, {}
     for idx, line in enumerate(text):
@@ -192,10 +204,8 @@ def load_instance(path) -> tuple[BoxSet, dict]:
         meta[key] = _check(f"{path}: {key}", _parse(value), _HEADER[key])
     if body_start is None or "d" not in meta or "rho" not in meta:
         raise ValueError(f"malformed instance file: {path}")
-    try:  # loadtxt's errors give a row and column but no file
-        a = np.loadtxt(text[body_start:], ndmin=2, comments=None)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
+    a = _loadtxt(path, text[body_start:], lambda k: body_start + k + 1,
+                 ndmin=2, comments=None)
     if a.shape != (meta["d"],) * 2:
         raise ValueError(f"{path}: instance body has shape {a.shape}, "
                          f"expected {(meta['d'],) * 2}")

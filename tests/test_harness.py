@@ -19,7 +19,8 @@ from specmd.linalg import SymMatrix, make_rng
 from specmd.oracles import (ExactOracleConfig, PowerOracleConfig,
                             SmoothingOracleConfig, exact_subgrad)
 from specmd.problem import (box_lower_bound, eval_F, eval_penalty,
-                            gen_instance, make_problem, project_box)
+                            gen_instance, load_instance, make_problem,
+                            project_box)
 from specmd.solvers import (RunTrace, StepSchedule, levy_adaptive,
                             oblivious_acsmd, oblivious_smd)
 
@@ -206,6 +207,22 @@ def test_summary_prints_each_anchor_deterministically(tmp_path):
     assert anchor["oracle"] == {"kind": "exact"}
 
 
+def test_each_cell_echoes_its_instance_files_header(tmp_path):
+    # the echo is the header save_instance wrote, as load_instance reads
+    # it back, plus the dim's anchor value
+    cfg = dataclasses.replace(tiny_config(tmp_path, {"kind": "exact"}),
+                              dims=[4, 6])
+    report = run_bench(cfg)
+    for dim in cfg.dims:
+        _, meta = load_instance(tmp_path / f"instance_d{dim}.txt")
+        for name in ("acsmd_n1", "smd_n1"):
+            for seed in cfg.seeds:
+                echo = read_trace(tmp_path / f"trace_d{dim}_{name}_s{seed}"
+                                  ".csv").config_echo["instance"]
+                assert echo.pop("F_ref") == report.anchors[dim][0]
+                assert echo == meta
+
+
 def test_tiny_budget_flags_an_uncertified_anchor(tmp_path):
     run_bench(tiny_config(tmp_path, {"kind": "exact"}, seeds=(0,), budget=50))
     text = (tmp_path / "summary.txt").read_text()
@@ -214,26 +231,56 @@ def test_tiny_budget_flags_an_uncertified_anchor(tmp_path):
     assert "after 50 iterations)" in text.split("WARNING")[0]
 
 
-def test_nearest_rank_percentiles_and_reached_count(tmp_path):
-    cfg = tiny_config(tmp_path, {"kind": "exact"}, seeds=(0, 1, 2))
-    cells = [CellResult(dim=6, solver="acsmd_n1", seed=s, status=status,
-                        iterations=it, final_gap=gap, wall_seconds=0.0)
-             for s, status, it, gap in ((0, "ok", 30, 0.0),
-                                        (1, "exceeded", None, 0.5),
-                                        (2, "ok", 10, 0.0))]
-    cells += [CellResult(dim=6, solver="smd_n1", seed=s, status="exceeded",
-                         iterations=None, final_gap=0.5, wall_seconds=0.0)
-             for s in range(3)]
+def nearest_rank(values, pct):
+    """Smallest value with at least pct percent of the values at or below it."""
+    ordered = sorted(values)
+    return ordered[max(1, math.ceil(pct / 100.0 * len(ordered))) - 1]
+
+
+@pytest.mark.parametrize("n_seeds", [1, 2, 4, 5, 10])
+def test_nearest_rank_percentiles_and_reached_count(tmp_path, n_seeds):
+    # acsmd misses at seed 0 and fails at the last seed, smd fails at seed
+    # 0; every other cell reaches in 10..50 iterations, with ties from seed
+    # 6 on. A miss or a failed cell ranks above every reached cell.
+    seeds = range(n_seeds)
+    cfg = tiny_config(tmp_path, {"kind": "exact"}, seeds=seeds)
+    cells = []
+    for name, miss, fail in (("acsmd_n1", 0, n_seeds - 1),
+                             ("smd_n1", None, 0)):
+        for s in seeds:
+            if s == miss:
+                cell = CellResult(dim=6, solver=name, seed=s,
+                                  status="exceeded", final_gap=0.5)
+            elif s == fail:
+                cell = CellResult(dim=6, solver=name, seed=s, message="boom")
+            else:
+                cell = CellResult(dim=6, solver=name, seed=s, status="ok",
+                                  iterations=10 * (1 + 3 * s % 5),
+                                  final_gap=0.0)
+            cells.append(cell)
     report = BenchReport(config=cfg, cells=cells, anchors={6: (0.0, 0.0, 100)})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _write_report_files(report, tmp_path)
-    summary = (tmp_path / "summary.txt").read_text()
-    # acsmd: p10 = 10, median = 30 and p90 a miss, printed as the count
-    assert "30 [10, 2/3 reached]" in summary
-    assert "0/3 reached [0/3 reached, 0/3 reached]" in summary
-    assert "F_ref(d=6) = 0.0 (certified gap 0.000e+00 after 100 iterations)" \
-        in summary
+    lines = (tmp_path / "summary.txt").read_text().splitlines()
+    expected = ["6"]
+    for name in ("acsmd_n1", "smd_n1"):
+        group = [c for c in cells if c.solver == name]
+        reached = sum(c.status == "ok" for c in group)
+        failed = sum(c.status == "error" for c in group)
+        miss = f"{reached}/{n_seeds} reached" + (
+            f", {failed} failed" if failed else "")
+        iters = [c.iterations if c.status == "ok" else math.inf
+                 for c in group]
+        med, p10, p90 = (miss if v == math.inf else str(v) for v in (
+            nearest_rank(iters, pct) for pct in (50, 10, 90)))
+        expected.append(f"{med} [{p10}, {p90}]")
+    # each column is padded by at least two spaces; an entry has single ones
+    assert re.split(r"\s{2,}", lines[2].rstrip()) == [
+        "dim", "acsmd_n1", "smd_n1"]
+    assert re.split(r"\s{2,}", lines[3].rstrip()) == expected
+    assert lines[5] == ("F_ref(d=6) = 0.0 (certified gap 0.000e+00 after "
+                        "100 iterations)")
 
 
 def test_summary_warns_when_a_median_falls_with_dim(tmp_path):
@@ -279,7 +326,6 @@ BAD_FIELDS = {
     "instance_seed": (-1, "instance_seed must be an integer >= 0, got -1"),
     "reference_budget": ("10", "reference_budget must be an integer >= 1, "
                          "got '10'"),
-    "eval_stride": (0, "eval_stride must be an integer >= 1, got 0"),
 }
 
 
@@ -299,11 +345,11 @@ def test_config_numbers_are_stored_plain():
     cfg = ExperimentConfig(
         dims=[np.int64(6)], oracle={"kind": "exact"}, solvers=[{"kind": "smd"}],
         T=np.int32(20), seeds=[np.uint8(3)], target_precision=np.float32(0.5),
-        noise_sigma=0, output_dir="out", eval_stride=np.int64(2))
+        noise_sigma=0, output_dir="out", reference_budget=np.int64(2))
     assert [type(v) for v in (cfg.dims[0], cfg.T, cfg.seeds[0],
                               cfg.target_precision, cfg.noise_sigma,
-                              cfg.eval_stride)] == [int, int, int, float,
-                                                    float, int]
+                              cfg.reference_budget)] == [int, int, int, float,
+                                                         float, int]
 
 
 def test_build_oracle_rejects_unknown_keys():
@@ -615,21 +661,22 @@ def test_a_trace_head_out_of_order_is_malformed(tmp_path, move):
     assert str(err.value) == f"malformed trace file: {path}"
 
 
-# edits of a d = 3 trace (lines[5] is the final point, lines[8] data row
-# 2) and loadtxt's account of each: a data row short of a column, a ragged
-# point row, and a t that is no whole number or past int64
+# edits of a d = 3 trace (lines[5], file line 6, is the whole final point;
+# lines[8], file line 9, is data row 2) and the file line and loadtxt's
+# account of each: a data row short of a column, a ragged point row, and a
+# t that is no whole number or past int64
 BAD_TRACE_ROWS = {
     "short data row": (8, lambda line: line.rsplit(",", 1)[0] + "\n",
-                       "the dtype passed requires 5 columns but 4 were "
-                       "found at row 2"),
+                       "line 9: the dtype passed requires 5 columns but 4 "
+                       "were found"),
     "ragged point row": (5, lambda line: line.replace("], [", ", 1.0], [", 1),
-                         "the number of columns changed from 4 to 3 at "
-                         "row 2"),
+                         "line 6: the number of columns changed from 4 "
+                         "to 3"),
     "fractional t": (8, lambda line: "20.5" + line[2:],
-                     "could not convert string '20.5' to int64 at row 1, "
+                     "line 9: could not convert string '20.5' to int64 at "
                      "column 1"),
     "huge t": (8, lambda line: "1e30" + line[2:],
-               "could not convert string '1e30' to int64 at row 1, "
+               "line 9: could not convert string '1e30' to int64 at "
                "column 1"),
 }
 
@@ -644,8 +691,7 @@ def test_a_bad_trace_row_is_one_line_naming_file_and_row(tmp_path, case):
     path.write_text("".join(lines))
     with pytest.raises(ValueError) as err:
         read_trace(path)
-    assert str(err.value).startswith(f"{path}: {detail}")
-    assert "\n" not in str(err.value)
+    assert str(err.value) == f"{path}: {detail}"
 
 
 def test_campaign_numbers_read_as_python_reads_them(tmp_path):
@@ -659,17 +705,22 @@ def test_campaign_numbers_read_as_python_reads_them(tmp_path):
             "solvers: [&a {kind: acsmd},\n"
             "          {<<: *a, kind: levy, tuned: true}]\n"
             f"T: 20\nseeds: [0]\ntarget_precision: {number}\n"
-            "noise_sigma: 0.2\neval_stride: ~\n"
+            "noise_sigma: 0.2\n"
             f"output_dir: {tmp_path / number}\n")
         cfg = load_experiment_config(config)
         assert (cfg.target_precision, cfg.oracle["epsilon"]) == (0.01, 0.01)
-        assert cfg.eval_stride is None
         # a merge key is YAML structure, not a value: it still merges
         assert cfg.solvers == [{"kind": "acsmd"},
                                {"kind": "levy", "tuned": True}]
         run_bench(cfg)
         reports.append((tmp_path / number / "report.csv").read_bytes())
     assert reports[0] == reports[1]
+    # a null is None, not the text '~': no field takes None, so it is refused
+    config.write_text(config.read_text().replace(
+        f"output_dir: {tmp_path / number}", "output_dir: ~"))
+    with pytest.raises(ValueError) as err:
+        load_experiment_config(config)
+    assert str(err.value) == "output_dir must be a nonempty path, got None"
 
 
 def test_trace_file_round_trip_is_exact(tmp_path):
