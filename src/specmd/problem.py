@@ -3,7 +3,6 @@ synthetic instance generator, and instance (de)serialization."""
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +13,8 @@ from .oracles import _check, _parse
 
 @dataclass(frozen=True)
 class BoxSet:
-    """Feasible set {X : |X_ij - A_ij| <= rho for all i, j}."""
+    """Feasible set {X : |X_ij - A_ij| <= rho for all i, j}; its read-only
+    entrywise bounds lower = A - rho and upper = A + rho are built with it."""
 
     center: SymMatrix
     radius: float
@@ -22,24 +22,14 @@ class BoxSet:
     def __post_init__(self):
         object.__setattr__(self, "radius", _check("radius", self.radius,
                                                   "positive and finite"))
+        object.__setattr__(self, "lower", self.center.data - self.radius)
+        object.__setattr__(self, "upper", self.center.data + self.radius)
+        self.lower.setflags(write=False)
+        self.upper.setflags(write=False)
 
     @property
     def dim(self) -> int:
         return self.center.data.shape[0]
-
-    @cached_property
-    def lower(self) -> np.ndarray:
-        """Entrywise lower bound A - rho, built once per box (read-only)."""
-        bound = self.center.data - self.radius
-        bound.setflags(write=False)
-        return bound
-
-    @cached_property
-    def upper(self) -> np.ndarray:
-        """Entrywise upper bound A + rho, built once per box (read-only)."""
-        bound = self.center.data + self.radius
-        bound.setflags(write=False)
-        return bound
 
 
 @dataclass(frozen=True)
@@ -166,8 +156,8 @@ _HEADER = {"d": "an integer >= 1", "rho": "positive and finite",
 
 
 def save_instance(path, box: BoxSet, seed: int, noise_sigma: float) -> dict:
-    """Write each _HEADER value, checked by its rule (a refused one writes no
-    file), then the center's full-precision rows; return that header."""
+    """Write load_instance's layout: each _HEADER value, checked by its rule
+    (a refused one writes no file), then the rows; return the header."""
     meta = {key: _check(key, value, _HEADER[key]) for key, value in
             zip(_HEADER, (box.dim, box.radius, seed, noise_sigma))}
     lines = ["# box-instance v1"] + [f"{k} {v!r}" for k, v in meta.items()]
@@ -178,9 +168,16 @@ def save_instance(path, box: BoxSet, seed: int, noise_sigma: float) -> dict:
 
 
 def _loadtxt(path, lines, line_of, **options) -> np.ndarray:
-    """np.loadtxt, a bad lines[k] raising `{path}: line {line_of(k)}: ...`."""
+    """np.loadtxt with comments=None, a bad lines[k] raising `{path}: line
+    {line_of(k)}: ...`. A blank line is refused too: loadtxt would skip it
+    and count only the rows it keeps, naming each later row a line early."""
+    def rows():  # streamed: a trace's point rows are never held as a list
+        for k, line in enumerate(lines):
+            if not line.strip():  # loadtxt's words for a ragged row k + 1
+                raise ValueError(f"blank line at row {k + 1}")
+            yield line
     try:
-        return np.loadtxt(lines, **options)
+        return np.loadtxt(rows(), comments=None, **options)
     except ValueError as err:  # loadtxt counts rows from 1 if ragged, else 0
         detail, _, where = str(err).partition(" at row ")
         row, _, column = where.partition(";")[0].rstrip(".").partition(", ")
@@ -189,23 +186,20 @@ def _loadtxt(path, lines, line_of, **options) -> np.ndarray:
 
 
 def load_instance(path) -> tuple[BoxSet, dict]:
-    """Read an instance file back: the box and its header, each value held
-    to its _HEADER rule, then the body's rows by np.loadtxt; a ValueError
-    names the file (and the key, or the line and column)."""
-    text = Path(path).read_text().strip().splitlines()
-    body_start, meta = None, {}
-    for idx, line in enumerate(text):
-        if line.startswith("#"):
-            continue
-        key, _, value = line.partition(" ")
-        if key not in _HEADER:
-            body_start = idx
-            break
-        meta[key] = _check(f"{path}: {key}", _parse(value), _HEADER[key])
-    if body_start is None or "d" not in meta or "rho" not in meta:
+    """Read back save_instance's layout exactly. Its head is one line each, in
+    order: the version, then `key value` per _HEADER key (held to its rule);
+    the d body rows follow. A head line missing, extra or moved, or no body,
+    is malformed, and a bad body row names its file line."""
+    head = ("# box-instance v1\n", *(f"{key} " for key in _HEADER))
+    with open(path) as lines:
+        text = [next(lines, "") for _ in head]
+        rows = lines.readlines()
+    if not (rows and all(map(str.startswith, text, head))):
         raise ValueError(f"malformed instance file: {path}")
-    a = _loadtxt(path, text[body_start:], lambda k: body_start + k + 1,
-                 ndmin=2, comments=None)
+    meta = {key: _check(f"{path}: {key}", _parse(line[len(start):].strip()),
+                        need) for (key, need), line, start in
+            zip(_HEADER.items(), text[1:], head[1:])}
+    a = _loadtxt(path, rows, lambda k: len(head) + k + 1, ndmin=2)
     if a.shape != (meta["d"],) * 2:
         raise ValueError(f"{path}: instance body has shape {a.shape}, "
                          f"expected {(meta['d'],) * 2}")

@@ -694,6 +694,29 @@ def test_a_bad_trace_row_is_one_line_naming_file_and_row(tmp_path, case):
     assert str(err.value) == f"{path}: {detail}"
 
 
+@pytest.mark.parametrize("inserted, detail", [
+    ("# note\n", "the dtype passed requires 5 columns but 1 were found"),
+    ("\n", "blank line")])
+def test_a_line_among_trace_rows_is_named_as_itself(tmp_path, inserted,
+                                                   detail):
+    # loadtxt skipped a '#' or blank line 9 without counting it, so a bad
+    # row on line 10 was named as line 9's
+    path, lines = _trace_lines(tmp_path)
+    lines[8:9] = [inserted, "20.5" + lines[8][2:]]
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError) as err:
+        read_trace(path)
+    assert str(err.value) == f"{path}: line 9: {detail}"
+
+
+def test_a_blank_line_after_the_trace_rows_is_refused(tmp_path):
+    path, lines = _trace_lines(tmp_path)
+    path.write_text("".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        read_trace(path)
+    assert str(err.value) == f"{path}: line {len(lines) + 1}: blank line"
+
+
 def test_campaign_numbers_read_as_python_reads_them(tmp_path):
     # YAML 1.1 read 1e-2 as the string '1e-2', which the rules refused
     reports = []

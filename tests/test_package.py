@@ -97,6 +97,23 @@ def test_text_is_read_only_by_parse_and_loadtxt():
     assert found == []
 
 
+def test_rows_are_read_by_one_loadtxt_call():
+    # problem._loadtxt passes comments=None for every reader: a reader that
+    # let loadtxt skip a '#' or blank line named each later bad row a line
+    # early, so no other top-level definition calls np.loadtxt and no
+    # caller sets comments= again
+    calls = [(path.name, getattr(node, "name", None), ast.unparse(call.func),
+              [keyword.arg for keyword in call.keywords])
+             for path in sorted(Path(specmd.__file__).parent.glob("*.py"))
+             for node in ast.parse(path.read_text()).body
+             for call in ast.walk(node) if isinstance(call, ast.Call)
+             and ast.unparse(call.func).endswith("loadtxt")]
+    assert [(module, owner) for module, owner, name, _ in calls
+            if name != "_loadtxt"] == [("problem.py", "_loadtxt")]
+    assert [keywords for *_, name, keywords in calls
+            if name == "_loadtxt" and "comments" in keywords] == []
+
+
 def test_import_loads_no_scipy():
     # the LAPACK binding comes from numpy's own library: scipy.linalg would
     # add hundreds of milliseconds and tens of MB to every start-up. YAML is

@@ -557,3 +557,55 @@ class TestInstanceFiles:
         path.write_text("d 3\n1.0 2.0\n")
         with pytest.raises(ValueError):
             load_instance(path)
+
+    @staticmethod
+    def _lines(tmp_path):
+        """A d = 3 instance file and its lines: lines[0] is the version,
+        lines[1:5] the header keys in _HEADER order, lines[5:8] (file lines
+        6 to 8) the body rows."""
+        path = tmp_path / "instance.txt"
+        save_instance(path, gen_instance(3, 0.2, 0), seed=0, noise_sigma=0.2)
+        return path, path.read_text().splitlines(keepends=True)
+
+    @pytest.mark.parametrize("bad_body", [False, True])
+    @pytest.mark.parametrize("edit", [
+        "two blank lines on top", "comment in the head", "keys reordered",
+        "no seed", "no noise_sigma", "no version", "version v10",
+        "version v2"])
+    def test_a_head_save_instance_does_not_write_is_malformed(
+            self, tmp_path, edit, bad_body):
+        # the head loop skipped '#' lines and took keys in any order, or
+        # not at all, and the .strip() dropped blank lines on top; only
+        # save_instance writes these files. A bad body (a blank line, then
+        # a bad entry) was named a line early, and is now never reached.
+        path, lines = self._lines(tmp_path)
+        head, body = lines[:5], lines[5:]
+        if bad_body:
+            body = [body[0], "\n", "x.0 " + body[1].split(" ", 1)[1], body[2]]
+        head = {"two blank lines on top": ["\n", "\n", *head],
+                "comment in the head": [*head[:2], "# note\n", *head[2:]],
+                "keys reordered": [head[0], head[2], head[1], *head[3:]],
+                "no seed": [*head[:3], head[4]],
+                "no noise_sigma": head[:4],
+                "no version": head[1:],
+                "version v10": ["# box-instance v10\n", *head[1:]],
+                "version v2": ["# box-instance v2\n", *head[1:]]}[edit]
+        path.write_text("".join(head + body))
+        with pytest.raises(ValueError) as err:
+            load_instance(path)
+        assert str(err.value) == f"malformed instance file: {path}"
+
+    @pytest.mark.parametrize("blank_at, bad_row", [(6, 1), (8, None)])
+    def test_a_blank_line_is_refused_at_its_own_line(self, tmp_path,
+                                                     blank_at, bad_row):
+        # loadtxt skipped it and counted only the rows it kept, so a bad
+        # entry on line 8 after a blank line 7 was named as line 7's, and
+        # the .strip() of the whole text dropped a trailing one
+        path, lines = self._lines(tmp_path)
+        if bad_row is not None:
+            lines[5 + bad_row] = "x.0 " + lines[5 + bad_row].split(" ", 1)[1]
+        lines.insert(blank_at, "\n")
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError) as err:
+            load_instance(path)
+        assert str(err.value) == f"{path}: line {blank_at + 1}: blank line"

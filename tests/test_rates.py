@@ -1,8 +1,16 @@
-"""The paper's rates as checks on one d = 20 instance.
+"""The paper's rates and its robustness to constants, as checks on one
+d = 20 instance.
 
-Each gap is Psi(X_ag) minus the certified anchor's bound Psi_ag - gap from
-reference_run: an upper bound on the true gap Psi(X_ag) - Psi*, above it
-by at most the anchor's certified gap of 1e-5 or less.
+At a fixed mu, each gap is Psi(X_ag) minus the certified anchor's bound
+Psi_ag - gap from reference_run: an upper bound on the true gap Psi(X_ag) -
+Psi*, above it by at most the anchor's certified gap of 1e-5 or less.
+
+With the paper's mu = 1/sqrt(T) per horizon, each gap is F(X_ag) - LB_F,
+where LB_F = max_i A_ii - rho <= X_ii <= lambda_max(X) for every box point
+X; on this instance LB_F = 0.5 and F* is within 3e-8 of it. acsmd is below
+smd on Psi at a fixed mu, but not on F at mu = 1/sqrt(T): with the exact
+oracle it is above from T = 800 on (4.80e-4 against 4.39e-4 at T = 3,200),
+so that is not checked.
 """
 
 import math
@@ -10,7 +18,8 @@ import math
 import numpy as np
 import pytest
 
-from specmd.harness import reference_run
+from specmd.harness import (TUNE_D, TUNE_L, reference_run, run_solver_spec,
+                            theory_parameters)
 from specmd.oracles import ExactOracleConfig, SmoothingOracleConfig
 from specmd.problem import gen_instance, make_problem
 from specmd.solvers import StepSchedule, oblivious_acsmd, oblivious_smd
@@ -18,6 +27,7 @@ from specmd.solvers import StepSchedule, oblivious_acsmd, oblivious_smd
 MU = 1.0 / math.sqrt(500)
 SEED = 1
 HORIZONS = (100, 400, 1600)
+SWEEP = tuple(100 * 2 ** k for k in range(6))  # 100, 200, ..., 3,200
 
 
 @pytest.fixture(scope="module")
@@ -59,3 +69,58 @@ def test_smoothing_runs_end_within_epsilon_of_the_optimum(box_and_bound):
     gaps = _gaps(oblivious_acsmd, SmoothingOracleConfig(k=1, epsilon=eps),
                  *box_and_bound)
     assert 0 < gaps[-1] <= eps
+
+
+def _lb_F(box):
+    """max_i A_ii - rho: a lower bound on lambda_max over the box."""
+    return float(np.max(np.diag(box.center.data))) - box.radius
+
+
+@pytest.mark.parametrize("oracle", [
+    ExactOracleConfig(), SmoothingOracleConfig(k=1, epsilon=1e-3)],
+    ids=["exact", "smoothing"])
+@pytest.mark.parametrize("solver", [oblivious_smd, oblivious_acsmd])
+def test_F_gap_at_mu_one_over_sqrt_T_shrinks_as_one_over_sqrt_T(solver,
+                                                                oracle):
+    # each horizon runs at its own mu, so no run passes through another;
+    # measured log-log slopes: smd -1.42 and acsmd -1.34 (exact), -1.41 and
+    # -1.37 (smoothing)
+    box = gen_instance(20, 0.2, 0)
+    gaps = np.array([
+        solver(make_problem(box, oracle, T=T), StepSchedule(degree=1), T,
+               SEED, eval_stride=T).final_F_ag for T in SWEEP]) - _lb_F(box)
+    assert np.all(gaps >= 0), gaps
+    slope = np.polyfit(np.log(SWEEP), np.log(gaps), 1)[0]
+    assert slope <= -0.5, (slope, gaps)
+
+
+def test_only_the_baselines_need_their_constant():
+    # the paper's headline. smd and acsmd take no constant and end 4.19e-3
+    # to 4.29e-3 above LB_F (the mu ||X - X1||^2 bias of Psi). Each
+    # baseline's final gap over the scales ranges over levy 1.7e-3 to 0.70,
+    # lan 7.3e-5 to 0.17 and relative 2.9e-3 to 0.19.
+    box = gen_instance(20, 0.2, 0)
+    oracle = SmoothingOracleConfig(k=1, epsilon=1e-2)
+    T = 500
+    prob = make_problem(box, oracle, T=T)
+    theory = theory_parameters(box, oracle, T)
+    # levy's D and lan's L scaled from their tuned theory values, and
+    # relative's Lstar from 10, as perfbench's campaign sets it: the
+    # smoothing oracle has no theory Lstar
+    constants = {"levy": ("D", theory["D"] / TUNE_D),
+                 "lan": ("L", theory["L"] / TUNE_L),
+                 "relative": ("Lstar", 10.0)}
+
+    def gap(spec, seed):
+        trace = run_solver_spec(spec, prob, T, seed, theory, eval_stride=T)
+        return trace.final_F_ag - _lb_F(box)
+
+    for seed in (0, 1):
+        for kind in ("smd", "acsmd"):
+            assert 0 <= gap({"kind": kind}, seed) <= 1e-2
+        for kind, (key, value) in constants.items():
+            gaps = [gap({"kind": kind, key: value * scale}, seed)
+                    for scale in (0.01, 0.1, 1.0, 10.0, 100.0)]
+            assert min(gaps) >= 0, (kind, seed, gaps)
+            assert max(gaps) >= 10 * min(gaps), (kind, seed, gaps)
+            assert max(gaps) > 1e-2, (kind, seed, gaps)
