@@ -98,6 +98,7 @@ def theory_parameters(instance: BoxSet, oracle, T: int) -> dict:
 
 _TRACE_COLUMNS = "t,F_ag,Psi_ag,grad_norm,elapsed_s"
 _POINT_KEY = "# final_point: "
+_POINT_ROWS = re.compile(r"\[\[[^][]+\](?:, \[[^][]+\])*\]\n")
 # each number header of a trace file, in file order, with its _check rule
 _TRACE_HEADER = {"seed": "an integer >= 0",
                  "total_seconds": "nonnegative and finite",
@@ -124,17 +125,18 @@ def write_trace(path, trace: RunTrace) -> None:
 
 def read_trace(path) -> RunTrace:
     """Read back write_trace's layout exactly. Its head is one line each, in
-    order: the version, `# config: ` JSON, `# key: value` per _TRACE_HEADER
-    key (held to its rule), `# final_point: ` and the point's rows as JSON
-    lists, the column names; a row per evaluated iteration follows. A head
-    line missing, extra or moved, no rows or non-JSON config is malformed,
-    and a bad point or data row (t is an integer) names its file line."""
+    order: the version, `# config: ` and a JSON object, `# key: value` per
+    _TRACE_HEADER key (held to its rule), `# final_point: ` and the point's
+    rows in json.dumps's form, the column names; a row per evaluated
+    iteration follows. Any other head, or no rows, is malformed, and a bad
+    point or data row (t is an integer) names its file line."""
     head = ("# specmd-trace v1\n", "# config: ", *(f"# {key}: " for key in
             _TRACE_HEADER), _POINT_KEY, _TRACE_COLUMNS + "\n")
     with open(path) as lines:
         text = [next(lines, "") for _ in head]
         rows = lines.readlines()
-    if not (rows and all(map(str.startswith, text, head))):
+    if not (rows and all(map(str.startswith, text, head))
+            and _POINT_ROWS.fullmatch(text[-2], len(_POINT_KEY))):
         raise ValueError(f"malformed trace file: {path}")
     # the point's line is the file's bulk: searched in place, never copied
     _, config, *numbers = (
@@ -142,7 +144,9 @@ def read_trace(path) -> RunTrace:
     try:
         config = json.loads(config)
     except json.JSONDecodeError:  # a config that is not JSON
-        raise ValueError(f"malformed trace file: {path}") from None
+        config = None
+    if not isinstance(config, dict):
+        raise ValueError(f"malformed trace file: {path}")
     point = _loadtxt(path, (row[1] for row in re.finditer(r"\[([^][]+)\]",
                      text[-2])), lambda _: len(head) - 1, delimiter=",", ndmin=2)
     data = _loadtxt(path, rows, lambda k: len(head) + k + 1, delimiter=",",
@@ -336,8 +340,9 @@ def run_bench(cfg: ExperimentConfig) -> BenchReport:
 
     Per dim: instance_d{dim}.txt, reference_d{dim}.csv and one
     trace_d{dim}_{label}_s{seed}.csv per cell, whose header echoes the
-    cell's config and timings. Then report.csv and summary.txt, which are
-    deterministic given the config.
+    cell's config and timings. Then report.csv and summary.txt (iteration
+    percentiles per dim and solver, each F_ref with its certified gap, a
+    warning per uncertified anchor), both deterministic given the config.
     """
     oracle_cfg = build_oracle(cfg.oracle)
     instances = {dim: gen_instance(dim, cfg.noise_sigma, cfg.instance_seed)
@@ -396,17 +401,12 @@ def _write_report_files(report: BenchReport, outdir: Path) -> None:
                      f"{float(c.final_gap)!r}")
     (outdir / "report.csv").write_text("\n".join(lines) + "\n")
 
-    tol = cfg.target_precision / 10
-    warnings = [f"anchor d={dim} uncertified (gap {gap:.3e} > {tol:g} after "
-                f"{n} iterations)"
-                for dim, (_, gap, n) in report.anchors.items() if gap > tol]
     # per (dim, solver): nearest-rank iteration percentiles, a miss or a
     # failed cell counting as inf, which prints as the count reached
     solver_names = [_solver_label(s) for s in cfg.solvers]
     entries = {}
     for name in solver_names:
-        medians = []  # in ascending dim, for the check below
-        for dim in sorted(cfg.dims):
+        for dim in cfg.dims:
             group = [c for c in report.cells if c.dim == dim and c.solver == name]
             iters = [float(c.iterations) if c.status == "ok" else math.inf
                      for c in group]
@@ -419,13 +419,6 @@ def _write_report_files(report: BenchReport, outdir: Path) -> None:
             med_s, p10_s, p90_s = (f"{v:.0f}" if math.isfinite(v) else miss
                                    for v in (med, p10, p90))
             entries[dim, name] = f"{med_s} [{p10_s}, {p90_s}]"
-            medians.append(med)
-        # soft check: iterations-to-precision should not shrink as the
-        # dimension grows on this instance family
-        finite = [m for m in medians if math.isfinite(m)]
-        if any(b < a for a, b in zip(finite, finite[1:])):
-            warnings.append(f"median iterations for {name} are not monotone "
-                            f"in dim: {medians}")
     width = max(len(t) for t in [*solver_names, *entries.values()]) + 2
     text = [f"iterations to reach precision {cfg.target_precision:g} "
             f"(nearest-rank median over {len(cfg.seeds)} seeds, [p10, p90])", ""]
@@ -438,7 +431,10 @@ def _write_report_files(report: BenchReport, outdir: Path) -> None:
         f_ref, gap, iters = report.anchors[dim]
         text.append(f"F_ref(d={dim}) = {f_ref!r} (certified gap {gap:.3e} "
                     f"after {iters} iterations)")
-    text += [f"WARNING: {warning}" for warning in warnings]
+    tol = cfg.target_precision / 10
+    text += [f"WARNING: anchor d={dim} uncertified (gap {gap:.3e} > {tol:g} "
+             f"after {n} iterations)"
+             for dim, (_, gap, n) in report.anchors.items() if gap > tol]
     (outdir / "summary.txt").write_text("\n".join(text) + "\n")
 
 

@@ -203,4 +203,8 @@ def load_instance(path) -> tuple[BoxSet, dict]:
     if a.shape != (meta["d"],) * 2:
         raise ValueError(f"{path}: instance body has shape {a.shape}, "
                          f"expected {(meta['d'],) * 2}")
-    return BoxSet(center=SymMatrix(a), radius=meta["rho"]), meta
+    try:
+        center = SymMatrix(a)
+    except ValueError as err:  # not finite, or not exactly symmetric
+        raise ValueError(f"{path}: {err}") from None
+    return BoxSet(center=center, radius=meta["rho"]), meta

@@ -489,7 +489,7 @@ def test_asymmetric_instance_exits_2_with_one_line(tmp_path):
         done = run_cli(*args)
         assert done.returncode == 2
         assert done.stderr.splitlines() == [
-            "specmd: error: entries are not exactly symmetric"]
+            f"specmd: error: {bad}: entries are not exactly symmetric"]
         assert done.stdout == ""
         assert not out.exists()
 
@@ -576,8 +576,9 @@ def test_a_bad_number_flag_is_one_line_not_a_usage_dump(
 
 
 # edits of the body lines of a d = 6 instance (lines[5] is body row 1, file
-# line 6): a short row, an entry that is no number, and every row short,
-# which loadtxt reads as a 6 x 5 body
+# line 6): a short row, an entry that is no number, every row short, which
+# loadtxt reads as a 6 x 5 body, and a nan entry, which loadtxt reads and
+# SymMatrix refuses
 BAD_BODIES = {
     "short row": (slice(6, 7), lambda line: line.rsplit(" ", 1)[0] + "\n",
                   "line 7: the number of columns changed from 6 to 5"),
@@ -592,6 +593,8 @@ BAD_BODIES = {
     "all rows short": (slice(5, None),
                        lambda line: line.rsplit(" ", 1)[0] + "\n",
                        "instance body has shape (6, 5), expected (6, 6)"),
+    "nan entry": (slice(5, 6), lambda line: "nan " + line.split(" ", 1)[1],
+                  "entries are not finite"),
 }
 
 

@@ -283,10 +283,11 @@ def test_nearest_rank_percentiles_and_reached_count(tmp_path, n_seeds):
                         "100 iterations)")
 
 
-def test_summary_warns_when_a_median_falls_with_dim(tmp_path):
+def test_a_median_that_falls_with_dim_prints_no_warning(tmp_path):
     # one seed, so each cell is its (dim, solver) median: acsmd falls from
-    # d = 6 to d = 12, smd rises, and levy's miss at d = 12 is skipped. The
-    # medians are compared in ascending dim, whatever the config's order.
+    # d = 6 to d = 12, smd rises, and levy misses at d = 12. Nothing makes
+    # the medians monotone in dim, so the summary states them and judges
+    # nothing; its rows keep the config's dim order.
     iterations = {"acsmd_n1": (30, 20, 40), "smd_n1": (10, 20, 30),
                   "levy": (10, None, 30)}
     cells = [CellResult(dim=dim, solver=name, seed=0,
@@ -301,11 +302,12 @@ def test_summary_warns_when_a_median_falls_with_dim(tmp_path):
         anchors = dict.fromkeys(cfg.dims, (0.0, 0.0, 100))
         _write_report_files(
             BenchReport(config=cfg, cells=cells, anchors=anchors), tmp_path)
-        summary = (tmp_path / "summary.txt").read_text()
-        assert [line for line in summary.splitlines()
-                if "WARNING" in line] == [
-            "WARNING: median iterations for acsmd_n1 are not monotone in "
-            "dim: [30.0, 20.0, 40.0]"], dims
+        lines = (tmp_path / "summary.txt").read_text().splitlines()
+        assert not [line for line in lines if "WARNING" in line], dims
+        acsmd = dict(zip([6, 12, 24], iterations["acsmd_n1"]))
+        assert [re.split(r"\s{2,}", line)[:2] for line in lines[3:6]] == [
+            [str(dim), f"{acsmd[dim]} [{acsmd[dim]}, {acsmd[dim]}]"]
+            for dim in dims], dims
 
 
 # one bad value per campaign field, in field order, and the line it raises
@@ -643,6 +645,30 @@ def _trace_lines(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace(path, synthetic_trace(3))
     return path, path.read_text().splitlines(keepends=True)
+
+
+# head lines write_trace cannot write: the point lines were read as a 2 x 2
+# point and the configs as values that are not mappings, and the empty point
+# line raised numpy's "input contained no data" warning
+UNWRITABLE_HEAD_LINES = {
+    "point nested a level deeper": "# final_point: [[[1.0, 2.0]], [2.0, 1.0]]",
+    "point rows between text": "# final_point: xx[1.0, 2.0]yy[2.0, 1.0]zz",
+    "empty point": "# final_point: ",
+    "config a JSON list": "# config: [1]",
+    "config a JSON null": "# config: null"}
+
+
+@pytest.mark.parametrize("line", UNWRITABLE_HEAD_LINES.values(),
+                         ids=UNWRITABLE_HEAD_LINES)
+def test_a_head_line_write_trace_cannot_write_is_malformed(tmp_path, line):
+    path, lines = _trace_lines(tmp_path)
+    key = line.split(": ")[0] + ": "
+    i = next(i for i, old in enumerate(lines) if old.startswith(key))
+    lines[i] = line + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError) as err:
+        read_trace(path)
+    assert str(err.value) == f"malformed trace file: {path}"
 
 
 @pytest.mark.parametrize("move", ["swap", "extra", "version"])

@@ -514,7 +514,7 @@ class TestInstanceFiles:
         assert (rows[0][1], round(float(rows[1][0]), 4)) == ("0.123", -0.4288)
         with pytest.raises(ValueError) as err:
             load_instance(path)
-        assert str(err.value) == "entries are not exactly symmetric"
+        assert str(err.value) == f"{path}: entries are not exactly symmetric"
 
     @pytest.mark.parametrize("seed, sigma, message", [
         (1.5, 0.2, "seed must be an integer >= 0, got 1.5"),

@@ -8,9 +8,13 @@ Psi*, above it by at most the anchor's certified gap of 1e-5 or less.
 With the paper's mu = 1/sqrt(T) per horizon, each gap is F(X_ag) - LB_F,
 where LB_F = max_i A_ii - rho <= X_ii <= lambda_max(X) for every box point
 X; on this instance LB_F = 0.5 and F* is within 3e-8 of it. acsmd is below
-smd on Psi at a fixed mu, but not on F at mu = 1/sqrt(T): with the exact
-oracle it is above from T = 800 on (4.80e-4 against 4.39e-4 at T = 3,200),
-so that is not checked.
+smd on Psi at a fixed mu, but not reliably on F at mu = 1/sqrt(T), so that
+is not checked. Measured on gen_instance(20, 0.2, s) for s = 0, ..., 3, with
+the exact oracle and with smoothing eps = 1e-3 at seeds 1, 2 and 3: acsmd
+ends below smd on F at T = 400 on every instance, oracle and seed, but at
+T = 6,400 only on instances 1 and 3 with the exact oracle, and at 0, 2, 0
+and 1 of the 3 seeds of instances 0 to 3 with smoothing. On instances 1 and
+2, LB_F is loose: F - LB_F is still 1.4e-2 and 7.2e-2 at T = 6,400.
 """
 
 import math
