@@ -52,8 +52,8 @@ def _cmd_run(args):
     trace = run_solver_spec(solver_spec, prob, args.T, args.seed, theory)
     trace.config_echo["instance"] = meta
     write_trace(args.out, trace)
-    line = (f"{solver_spec['kind']}: final F(X_ag) = {trace.final_F_ag:.6g}, "
-            f"best = {trace.best_F_ag:.6g}, "
+    line = (f"{solver_spec['kind']}: final F(X_ag) = {trace.F_ag[-1]:.6g}, "
+            f"best = {trace.F_ag.min():.6g}, "
             f"{trace.total_seconds:.2f}s ({trace.oracle_seconds:.2f}s in oracle)")
     if args.f_ref is not None:
         iters = iterations_to_precision(trace, args.f_ref, args.target)

@@ -71,7 +71,7 @@ def reference_run(instance: BoxSet, mu: float, budget: int, tol: float):
     trace = _oblivious("oblivious_acsmd", prob, StepSchedule(degree=1), budget,
                        0, True, 10, certified)
     gap = float(trace.Psi_ag[-1]) - box_lower_bound(w_ag, prob)
-    return trace.best_F_ag, gap, w_ag, trace
+    return float(trace.F_ag.min()), gap, w_ag, trace
 
 
 def theory_parameters(instance: BoxSet, oracle, T: int) -> dict:
@@ -128,8 +128,8 @@ def read_trace(path) -> RunTrace:
     order: the version, `# config: ` and a JSON object, `# key: value` per
     _TRACE_HEADER key (held to its rule), `# final_point: ` and the point's
     rows in json.dumps's form, the column names; a row per evaluated
-    iteration follows. Any other head, or no rows, is malformed, and a bad
-    point or data row (t is an integer) names its file line."""
+    iteration follows. Any other head, or no rows, is malformed; any later
+    refusal names the file once, a bad row its line (t is an integer)."""
     head = ("# specmd-trace v1\n", "# config: ", *(f"# {key}: " for key in
             _TRACE_HEADER), _POINT_KEY, _TRACE_COLUMNS + "\n")
     with open(path) as lines:
@@ -147,16 +147,20 @@ def read_trace(path) -> RunTrace:
         config = None
     if not isinstance(config, dict):
         raise ValueError(f"malformed trace file: {path}")
-    point = _loadtxt(path, (row[1] for row in re.finditer(r"\[([^][]+)\]",
-                     text[-2])), lambda _: len(head) - 1, delimiter=",", ndmin=2)
-    data = _loadtxt(path, rows, lambda k: len(head) + k + 1, delimiter=",",
-                    ndmin=1, dtype=[(c, int if c == "t" else float) for c in
-                                    _TRACE_COLUMNS.split(",")])
-    return RunTrace(
-        **{name: data[name] for name in data.dtype.names},
-        final_point=SymMatrix(point), config_echo=config,
-        **{key: _check(f"{path}: {key}", _parse(value), need)
-           for (key, need), value in zip(_TRACE_HEADER.items(), numbers)})
+    try:  # names the file for every refusal past the head
+        point = _loadtxt((row[1] for row in re.finditer(r"\[([^][]+)\]",
+                         text[-2])), lambda _: len(head) - 1, delimiter=",",
+                         ndmin=2)
+        data = _loadtxt(rows, lambda k: len(head) + k + 1, delimiter=",",
+                        ndmin=1, dtype=[(c, int if c == "t" else float)
+                                        for c in _TRACE_COLUMNS.split(",")])
+        return RunTrace(
+            **{name: data[name] for name in data.dtype.names},
+            final_point=SymMatrix(point), config_echo=config,
+            **{key: _check(key, _parse(value), need)
+               for (key, need), value in zip(_TRACE_HEADER.items(), numbers)})
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +388,7 @@ def run_bench(cfg: ExperimentConfig) -> BenchReport:
                     dim=dim, solver=label, seed=seed,
                     status="ok" if iters != EXCEEDED else EXCEEDED,
                     iterations=iters if iters != EXCEEDED else None,
-                    final_gap=trace.final_F_ag - f_ref,
+                    final_gap=float(trace.F_ag[-1]) - f_ref,
                     wall_seconds=trace.total_seconds))
 
     report = BenchReport(config=cfg, cells=cells, anchors=anchors)

@@ -167,10 +167,10 @@ def save_instance(path, box: BoxSet, seed: int, noise_sigma: float) -> dict:
     return meta
 
 
-def _loadtxt(path, lines, line_of, **options) -> np.ndarray:
-    """np.loadtxt with comments=None, a bad lines[k] raising `{path}: line
-    {line_of(k)}: ...`. A blank line is refused too: loadtxt would skip it
-    and count only the rows it keeps, naming each later row a line early."""
+def _loadtxt(lines, line_of, **options) -> np.ndarray:
+    """np.loadtxt with comments=None, a bad lines[k] raising `line
+    {line_of(k)}: ...` for its reader to prefix with the file. A blank line
+    is refused: loadtxt would skip it and name each later row a line early."""
     def rows():  # streamed: a trace's point rows are never held as a list
         for k, line in enumerate(lines):
             if not line.strip():  # loadtxt's words for a ragged row k + 1
@@ -181,7 +181,7 @@ def _loadtxt(path, lines, line_of, **options) -> np.ndarray:
     except ValueError as err:  # loadtxt counts rows from 1 if ragged, else 0
         detail, _, where = str(err).partition(" at row ")
         row, _, column = where.partition(";")[0].rstrip(".").partition(", ")
-        raise ValueError(f"{path}: line {line_of(int(row) - (not column))}: "
+        raise ValueError(f"line {line_of(int(row) - (not column))}: "
                          f"{detail}{column and ' at ' + column}") from None
 
 
@@ -189,22 +189,21 @@ def load_instance(path) -> tuple[BoxSet, dict]:
     """Read back save_instance's layout exactly. Its head is one line each, in
     order: the version, then `key value` per _HEADER key (held to its rule);
     the d body rows follow. A head line missing, extra or moved, or no body,
-    is malformed, and a bad body row names its file line."""
+    is malformed; any later refusal names the file once, a bad row its line."""
     head = ("# box-instance v1\n", *(f"{key} " for key in _HEADER))
     with open(path) as lines:
         text = [next(lines, "") for _ in head]
         rows = lines.readlines()
     if not (rows and all(map(str.startswith, text, head))):
         raise ValueError(f"malformed instance file: {path}")
-    meta = {key: _check(f"{path}: {key}", _parse(line[len(start):].strip()),
-                        need) for (key, need), line, start in
-            zip(_HEADER.items(), text[1:], head[1:])}
-    a = _loadtxt(path, rows, lambda k: len(head) + k + 1, ndmin=2)
-    if a.shape != (meta["d"],) * 2:
-        raise ValueError(f"{path}: instance body has shape {a.shape}, "
-                         f"expected {(meta['d'],) * 2}")
-    try:
-        center = SymMatrix(a)
-    except ValueError as err:  # not finite, or not exactly symmetric
+    try:  # names the file for every refusal past the head
+        meta = {key: _check(key, _parse(line[len(start):].strip()), need)
+                for (key, need), line, start in
+                zip(_HEADER.items(), text[1:], head[1:])}
+        a = _loadtxt(rows, lambda k: len(head) + k + 1, ndmin=2)
+        if a.shape != (meta["d"],) * 2:
+            raise ValueError(f"instance body has shape {a.shape}, "
+                             f"expected {(meta['d'],) * 2}")
+        return BoxSet(center=SymMatrix(a), radius=meta["rho"]), meta
+    except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
-    return BoxSet(center=center, radius=meta["rho"]), meta

@@ -62,11 +62,13 @@ class StepSchedule:
 class RunTrace:
     """Per-iteration record of one solver run plus a final summary.
 
-    Arrays are aligned: entry i describes evaluated iteration t[i]. elapsed_s
-    is cumulative wall time, stamped when the row's averaged point is
-    formed: the eigen-solve that gives the row its F_ag runs later, with a
-    block of rows, and falls in later rows' elapsed_s and in total_seconds.
-    oracle_seconds sub-accounts time spent inside oracle calls.
+    Arrays are aligned: entry i describes evaluated iteration t[i], t rising
+    strictly from 1 or later. F_ag, Psi_ag and elapsed_s are finite, and
+    grad_norm is >= 0 or inf: a finite gradient's norm can overflow, and the
+    run goes on. elapsed_s is cumulative wall time, stamped when the row's
+    averaged point is formed: the eigen-solve that gives the row its F_ag runs
+    later, with a block of rows, and falls in later rows' elapsed_s and in
+    total_seconds. oracle_seconds sub-accounts time spent inside oracle calls.
     """
 
     t: np.ndarray
@@ -83,18 +85,16 @@ class RunTrace:
     def __post_init__(self):
         if len(self.t) == 0:
             raise ValueError("trace must contain at least one evaluated iteration")
+        if self.t[0] < 1:
+            raise ValueError("iteration indices must start at 1 or later")
         if np.any(np.diff(self.t) <= 0):
             raise ValueError("iteration indices must be strictly increasing")
+        if not np.isfinite(np.r_[self.F_ag, self.Psi_ag, self.elapsed_s]).all():
+            raise ValueError("F_ag, Psi_ag or elapsed_s has a non-finite entry")
+        if not (self.grad_norm >= 0).all():  # inf passes: see the docstring
+            raise ValueError("grad_norm has a negative or NaN entry")
         if np.any(np.diff(self.elapsed_s) < 0):
             raise ValueError("elapsed time must be nondecreasing")
-
-    @property
-    def final_F_ag(self) -> float:
-        return float(self.F_ag[-1])
-
-    @property
-    def best_F_ag(self) -> float:
-        return float(np.min(self.F_ag))
 
 
 # bytes of averaged points a trace holds before evaluating them: 256 KiB

@@ -455,7 +455,7 @@ def test_reference_prints_certified_anchor(tmp_path, instance, capsys):
     assert found, line
     assert 0.0 <= float(found.group(2)) <= 1e-3
     trace = read_trace(out)
-    assert float(found.group(1)) == trace.best_F_ag
+    assert float(found.group(1)) == trace.F_ag.min()
     assert int(found.group(3)) == trace.t[-1]
 
     assert main(["reference", "--instance", str(instance), "--budget",

@@ -79,7 +79,7 @@ class TestIterationsToPrecision:
         dense = oblivious_smd(prob, StepSchedule(degree=1), 50, 0, eval_stride=1)
         sparse = oblivious_smd(prob, StepSchedule(degree=1), 50, 0, eval_stride=7)
         assert list(sparse.t) == [7, 14, 21, 28, 35, 42, 49, 50]
-        f_ref = dense.best_F_ag
+        f_ref = dense.F_ag.min()
         target = float(dense.F_ag[9] - f_ref)
         first = iterations_to_precision(dense, f_ref, target)
         assert first % 7 != 0
@@ -117,7 +117,7 @@ def test_anchor_is_certified_and_its_bound_holds():
     mu = 1.0 / math.sqrt(50)
     f_ref, gap, w_ag, trace = reference_run(box, mu, 10_000, 1e-3)
     assert 0.0 <= gap <= 1e-3
-    assert f_ref == trace.best_F_ag
+    assert f_ref == trace.F_ag.min()
     assert trace.config_echo["oracle"] == {"kind": "exact"}
     # W_ag averages unit v v^T draws: a density matrix
     assert abs(np.trace(w_ag) - 1.0) <= 1e-12
@@ -574,21 +574,36 @@ def test_trace_without_a_final_point_is_malformed(tmp_path):
         read_trace(path)
 
 
-def test_trace_with_an_asymmetric_final_point_is_refused(tmp_path):
+def _with_point(edit):
+    """An edit of lines[5], a d = 3 trace's whole final point, as JSON."""
+    def apply(lines):
+        point = json.loads(lines[5][len("# final_point: "):])
+        lines[5] = "# final_point: " + json.dumps(edit(point)) + "\n"
+    return apply
+
+
+def _swap_rows(lines):  # data rows 1 and 2: t = 20 comes before t = 10
+    lines[7], lines[8] = lines[8], lines[7]
+
+
+@pytest.mark.parametrize("edit, detail", [
     # one off-diagonal entry changed: read back as the mean of the pair,
     # a point the file does not hold
-    path = tmp_path / "trace.csv"
-    write_trace(path, synthetic_trace(3))
-    lines = path.read_text().splitlines(keepends=True)
-    key = "# final_point: "
-    i = next(i for i, line in enumerate(lines) if line.startswith(key))
-    point = json.loads(lines[i][len(key):])
-    point[0][1] += 1.0
-    lines[i] = key + json.dumps(point) + "\n"
+    (_with_point(lambda p: [[p[0][0], p[0][1] + 1.0, p[0][2]], *p[1:]]),
+     "entries are not exactly symmetric"),
+    (_with_point(lambda p: [row[:2] for row in p]),
+     "expected a nonempty square 2-d array, got (3, 2)"),
+    (_swap_rows, "iteration indices must be strictly increasing")],
+    ids=["asymmetric point", "3 x 2 point", "swapped rows"])
+def test_trace_with_an_asymmetric_final_point_is_refused(tmp_path, edit,
+                                                         detail):
+    # SymMatrix's and RunTrace's refusals were raised without the file
+    path, lines = _trace_lines(tmp_path)
+    edit(lines)
     path.write_text("".join(lines))
     with pytest.raises(ValueError) as err:
         read_trace(path)
-    assert str(err.value) == "entries are not exactly symmetric"
+    assert str(err.value) == f"{path}: {detail}"
 
 
 @pytest.mark.parametrize("key", ["config", "seed", "total_seconds",
@@ -713,6 +728,30 @@ def test_a_bad_trace_row_is_one_line_naming_file_and_row(tmp_path, case):
     # read as 20 and t = 1e30 warned in the int cast
     path, lines = _trace_lines(tmp_path)
     number, edit, detail = BAD_TRACE_ROWS[case]
+    lines[number] = edit(lines[number])
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError) as err:
+        read_trace(path)
+    assert str(err.value) == f"{path}: {detail}"
+
+
+# data rows both loaders read but no run writes (lines[7], file line 8, is
+# data row 1; lines[8] is row 2), each with RunTrace's refusal
+UNWRITTEN_TRACE_ROWS = {
+    "nan F_ag": (8, lambda line: re.sub(",[^,]+", ",nan", line, count=1),
+                 "F_ag, Psi_ag or elapsed_s has a non-finite entry"),
+    "t = 0": (7, lambda line: "0" + line[2:],
+              "iteration indices must start at 1 or later"),
+}
+
+
+@pytest.mark.parametrize("case", UNWRITTEN_TRACE_ROWS)
+def test_a_trace_row_no_run_writes_is_one_line_naming_the_file(tmp_path,
+                                                                case):
+    # both were read back, and a trace whose F_ag rows are all nan scored
+    # "exceeded"
+    path, lines = _trace_lines(tmp_path)
+    number, edit, detail = UNWRITTEN_TRACE_ROWS[case]
     lines[number] = edit(lines[number])
     path.write_text("".join(lines))
     with pytest.raises(ValueError) as err:

@@ -92,7 +92,7 @@ def test_F_gap_at_mu_one_over_sqrt_T_shrinks_as_one_over_sqrt_T(solver,
     box = gen_instance(20, 0.2, 0)
     gaps = np.array([
         solver(make_problem(box, oracle, T=T), StepSchedule(degree=1), T,
-               SEED, eval_stride=T).final_F_ag for T in SWEEP]) - _lb_F(box)
+               SEED, eval_stride=T).F_ag[-1] for T in SWEEP]) - _lb_F(box)
     assert np.all(gaps >= 0), gaps
     slope = np.polyfit(np.log(SWEEP), np.log(gaps), 1)[0]
     assert slope <= -0.5, (slope, gaps)
@@ -117,7 +117,7 @@ def test_only_the_baselines_need_their_constant():
 
     def gap(spec, seed):
         trace = run_solver_spec(spec, prob, T, seed, theory, eval_stride=T)
-        return trace.final_F_ag - _lb_F(box)
+        return trace.F_ag[-1] - _lb_F(box)
 
     for seed in (0, 1):
         for kind in ("smd", "acsmd"):

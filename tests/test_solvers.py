@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -86,13 +87,22 @@ class TestRunTrace:
                         config_echo={}, seed=0)
 
     def test_validation(self):
-        self._mk([1, 2, 3], [0.1, 0.2, 0.3])
+        good = self._mk([1, 2, 3], [0.1, 0.2, 0.3])
         with pytest.raises(ValueError):
             self._mk([], [])
         with pytest.raises(ValueError):
             self._mk([1, 1, 2], [0.1, 0.2, 0.3])
         with pytest.raises(ValueError):
             self._mk([1, 2, 3], [0.3, 0.2, 0.1])
+        with pytest.raises(ValueError, match="start at 1"):
+            self._mk([0, 1, 2], [0.1, 0.2, 0.3])
+        for key, value, message in (("F_ag", math.nan, "non-finite"),
+                                    ("grad_norm", math.nan, "negative or NaN"),
+                                    ("grad_norm", -1.0, "negative or NaN")):
+            with pytest.raises(ValueError, match=message):
+                replace(good, **{key: np.array([1.0, value, 1.0])})
+        # a finite gradient's norm can overflow, and the run records it
+        replace(good, grad_norm=np.array([1.0, math.inf, 1.0]))
 
 
 def interior_problem(seed=1, d=5, mu=0.5, oracle=None):
