@@ -12,6 +12,7 @@ from .harness import (ExperimentConfig, build_oracle,
                       theory_parameters, write_trace)
 from .oracles import ExactOracleConfig, _check, _parse
 from .problem import load_instance, make_problem, save_instance, gen_instance
+from .solvers import SolverError
 
 # `run`'s --T and --target defaults; `reference` anchors `run` at them, as a
 # campaign anchors its cells, certified to within a tenth of the target
@@ -148,9 +149,9 @@ def main(argv=None) -> int:
         if getattr(args, "out", None) and not Path(args.out).parent.is_dir():
             raise ValueError(f"output directory {Path(args.out).parent} does not exist")
         return args.func(args)
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, SolverError) as err:
         print(f"specmd: error: {err}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(err, SolverError) else 2  # 1: a run failed
 
 
 if __name__ == "__main__":

@@ -79,7 +79,8 @@ def theory_parameters(instance: BoxSet, oracle, T: int) -> dict:
 
     M = 1 (rank-one unit projector draws), D = Frobenius box diameter
     2*rho*d, L = d/epsilon for the smoothing oracle, Lstar = p*d for the
-    power oracle, Gamma calibrated as lambda_max(A) / D^2.
+    power oracle, Gamma calibrated as lambda_max(A) / D^2. T is not read;
+    it stays because perfbench's DirectSolvers.setup still passes it.
     """
     d = instance.dim
     diameter = 2.0 * instance.radius * d
@@ -96,42 +97,36 @@ def theory_parameters(instance: BoxSet, oracle, T: int) -> dict:
 # Trace files
 # ---------------------------------------------------------------------------
 
-_TRACE_COLUMNS = "t,F_ag,Psi_ag,grad_norm,elapsed_s"
 _POINT_KEY = "# final_point: "
 _POINT_ROWS = re.compile(r"\[\[[^][]+\](?:, \[[^][]+\])*\]\n")
-# each number header of a trace file, in file order, with its _check rule
-_TRACE_HEADER = {"seed": "an integer >= 0",
-                 "total_seconds": "nonnegative and finite",
-                 "oracle_seconds": "nonnegative and finite"}
 
 
 def write_trace(path, trace: RunTrace) -> None:
     """CSV with commented JSON header, floats at full repr precision; the
     final point is streamed row by row, with json.dumps's bytes."""
-    cols = (trace.F_ag, trace.Psi_ag, trace.grad_norm, trace.elapsed_s)
-    rows = [",".join([str(int(t))] + [repr(float(c[i])) for c in cols])
-            for i, t in enumerate(trace.t)]
+    columns = (getattr(trace, c).tolist() for c in RunTrace.COLUMNS)
+    rows = [",".join(map(repr, row)) for row in zip(*columns)]
     # built first: a header json.dumps refuses leaves no file behind
     header = "".join(
         ["# specmd-trace v1\n",
          f"# config: {json.dumps(trace.config_echo, sort_keys=True)}\n"]
-        + [f"# {key}: {getattr(trace, key)}\n" for key in _TRACE_HEADER])
+        + [f"# {key}: {getattr(trace, key)}\n" for key in RunTrace.HEADER])
     with open(path, "w") as out:
         out.write(header + _POINT_KEY + "[")
         for i, row in enumerate(trace.final_point.data):
             out.write((", " if i else "") + json.dumps(row.tolist()))
-        out.write("]\n" + "\n".join([_TRACE_COLUMNS] + rows) + "\n")
+        out.write("]\n" + "\n".join([",".join(RunTrace.COLUMNS), *rows, ""]))
 
 
 def read_trace(path) -> RunTrace:
     """Read back write_trace's layout exactly. Its head is one line each, in
     order: the version, `# config: ` and a JSON object, `# key: value` per
-    _TRACE_HEADER key (held to its rule), `# final_point: ` and the point's
-    rows in json.dumps's form, the column names; a row per evaluated
+    RunTrace.HEADER key, `# final_point: ` and the point's rows in
+    json.dumps's form, the RunTrace.COLUMNS names; a row per evaluated
     iteration follows. Any other head, or no rows, is malformed; any later
     refusal names the file once, a bad row its line (t is an integer)."""
     head = ("# specmd-trace v1\n", "# config: ", *(f"# {key}: " for key in
-            _TRACE_HEADER), _POINT_KEY, _TRACE_COLUMNS + "\n")
+            RunTrace.HEADER), _POINT_KEY, ",".join(RunTrace.COLUMNS) + "\n")
     with open(path) as lines:
         text = [next(lines, "") for _ in head]
         rows = lines.readlines()
@@ -153,12 +148,11 @@ def read_trace(path) -> RunTrace:
                          ndmin=2)
         data = _loadtxt(rows, lambda k: len(head) + k + 1, delimiter=",",
                         ndmin=1, dtype=[(c, int if c == "t" else float)
-                                        for c in _TRACE_COLUMNS.split(",")])
+                                        for c in RunTrace.COLUMNS])
         return RunTrace(
             **{name: data[name] for name in data.dtype.names},
             final_point=SymMatrix(point), config_echo=config,
-            **{key: _check(key, _parse(value), need)
-               for (key, need), value in zip(_TRACE_HEADER.items(), numbers)})
+            **dict(zip(RunTrace.HEADER, map(_parse, numbers))))
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
 

@@ -62,14 +62,23 @@ class StepSchedule:
 class RunTrace:
     """Per-iteration record of one solver run plus a final summary.
 
-    Arrays are aligned: entry i describes evaluated iteration t[i], t rising
-    strictly from 1 or later. F_ag, Psi_ag and elapsed_s are finite, and
-    grad_norm is >= 0 or inf: a finite gradient's norm can overflow, and the
-    run goes on. elapsed_s is cumulative wall time, stamped when the row's
-    averaged point is formed: the eigen-solve that gives the row its F_ag runs
-    later, with a block of rows, and falls in later rows' elapsed_s and in
-    total_seconds. oracle_seconds sub-accounts time spent inside oracle calls.
+    Arrays are aligned 1-d columns: entry i describes evaluated iteration
+    t[i], t (signed integers) rising strictly from 1 or later. F_ag, Psi_ag
+    and elapsed_s are finite floats, and grad_norm floats >= 0 or inf: a
+    finite gradient's norm can overflow, and the run goes on. elapsed_s is
+    cumulative wall time, stamped when the row's averaged point is formed:
+    the eigen-solve that gives the row its F_ag runs later, with a block of
+    rows, and falls in later rows' elapsed_s and in total_seconds.
+    oracle_seconds sub-accounts time spent inside oracle calls.
+
+    COLUMNS and HEADER (each number with its _check rule) are the trace
+    file's rows and number lines: any trace this class accepts reads back.
     """
+
+    COLUMNS = ("t", "F_ag", "Psi_ag", "grad_norm", "elapsed_s")
+    HEADER = {"seed": "an integer >= 0",
+              "total_seconds": "nonnegative and finite",
+              "oracle_seconds": "nonnegative and finite"}
 
     t: np.ndarray
     F_ag: np.ndarray
@@ -83,8 +92,20 @@ class RunTrace:
     oracle_seconds: float = 0.0
 
     def __post_init__(self):
+        for key, need in self.HEADER.items():
+            setattr(self, key, _check(key, getattr(self, key), need))
+        cols = [getattr(self, c) for c in self.COLUMNS]
+        if not all(isinstance(c, np.ndarray) and c.ndim == 1
+                   and len(c) == len(cols[0]) for c in cols):
+            raise ValueError("the trace columns are not 1-d arrays of one length")
         if len(self.t) == 0:
             raise ValueError("trace must contain at least one evaluated iteration")
+        # signed: np.diff of an unsigned t wraps, so a falling t would pass
+        if [c.dtype.kind for c in cols] != ["i"] + ["f"] * (len(cols) - 1):
+            raise ValueError("t is not signed integers or another column not floats")
+        for key, kind in (("final_point", SymMatrix), ("config_echo", dict)):
+            if not isinstance(getattr(self, key), kind):
+                raise ValueError(f"{key} is not a {kind.__name__}")
         if self.t[0] < 1:
             raise ValueError("iteration indices must start at 1 or later")
         if np.any(np.diff(self.t) <= 0):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import asymmetric_instance
@@ -13,7 +14,9 @@ from specmd import cli
 from specmd.cli import main
 from specmd.harness import ExperimentConfig, read_trace, theory_parameters
 from specmd.oracles import ExactOracleConfig
-from specmd.problem import load_instance, make_problem
+from specmd.linalg import SymMatrix
+from specmd.problem import (BoxSet, gen_instance, load_instance, make_problem,
+                            save_instance)
 from specmd.solvers import (StepSchedule, lan_acsa, levy_adaptive,
                             oblivious_acsmd, oblivious_smd, relative_md)
 
@@ -310,6 +313,23 @@ def test_failed_cells_are_named_on_stderr_and_exit_1(tmp_path):
     # a failed cell is told apart from a run that missed the target
     assert "0/2 reached, 2 failed [0/2 reached, 2 failed, 0/2 reached, " \
         "2 failed]" in done.stdout
+
+
+def test_a_failed_run_is_one_line_and_exits_1(tmp_path):
+    # the unsquared power oracle needs <X u, u> > 0, and a negative-definite
+    # center fails its first draw; that was a SolverError traceback
+    box = gen_instance(6, 0.2, 0)
+    path = tmp_path / "negative.txt"
+    save_instance(path, BoxSet(center=SymMatrix(box.center.data - 5 * np.eye(6)),
+                               radius=box.radius), seed=0, noise_sigma=0.2)
+    out = tmp_path / "o.csv"
+    done = run_cli("run", "--instance", str(path), "--solver", "acsmd",
+                   "--oracle", "power:p=1,square_input=false", "--out", str(out))
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.splitlines() == [
+        "specmd: error: oracle failed at iteration 1: <X^n u, u> = -6.53331 "
+        "is not positive for the sampled direction"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("sigma", ["nan", "inf", "-1"])

@@ -17,7 +17,7 @@ from specmd.harness import (EXCEEDED, BenchReport, CellResult,
                             reference_run, run_bench, write_trace)
 from specmd.linalg import SymMatrix, make_rng
 from specmd.oracles import (ExactOracleConfig, PowerOracleConfig,
-                            SmoothingOracleConfig, exact_subgrad)
+                            SmoothingOracleConfig, _parse, exact_subgrad)
 from specmd.problem import (box_lower_bound, eval_F, eval_penalty,
                             gen_instance, load_instance, make_problem,
                             project_box)
@@ -627,7 +627,7 @@ BAD_TRACE_HEADERS = {"seed": [("-1", "-1"), ("1.5", "1.5")],
 
 
 def test_every_trace_header_key_has_refusal_cases():
-    assert BAD_TRACE_HEADERS.keys() == harness._TRACE_HEADER.keys()
+    assert BAD_TRACE_HEADERS.keys() == RunTrace.HEADER.keys()
 
 
 @pytest.mark.parametrize("key, text, shown", [
@@ -642,7 +642,46 @@ def test_a_trace_header_its_rule_refuses_names_file_and_key(tmp_path, key,
     with pytest.raises(ValueError) as err:
         read_trace(path)
     assert str(err.value) == (
-        f"{path}: {key} must be {harness._TRACE_HEADER[key]}, got {shown}")
+        f"{path}: {key} must be {RunTrace.HEADER[key]}, got {shown}")
+
+
+@pytest.mark.parametrize("key, text, shown", [
+    (key, text, shown) for key, cases in BAD_TRACE_HEADERS.items()
+    for text, shown in cases])
+def test_a_trace_header_read_trace_refuses_is_refused_when_built(key, text,
+                                                                shown):
+    # with the text read_trace gives after its path (the test above), so
+    # write_trace cannot write a header that read_trace then refuses
+    with pytest.raises(ValueError) as err:
+        dataclasses.replace(synthetic_trace(3), **{key: _parse(text)})
+    assert str(err.value) == f"{key} must be {RunTrace.HEADER[key]}, got {shown}"
+
+
+def _a_run_trace():
+    prob = make_problem(gen_instance(5, 0.2, 0), PowerOracleConfig(p=3), T=40)
+    return oblivious_acsmd(prob, StepSchedule(), 40, 2, eval_stride=3)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: synthetic_trace(1), lambda: synthetic_trace(6),
+    lambda: dataclasses.replace(synthetic_trace(3), seed=np.int64(5)),
+    lambda: dataclasses.replace(synthetic_trace(3), grad_norm=np.r_[
+        math.inf, synthetic_trace(3).grad_norm[1:]]),
+    _a_run_trace], ids=["d=1", "d=6", "numpy seed", "inf grad_norm", "run"])
+def test_every_trace_reads_back_field_equal(tmp_path, make):
+    trace = make()
+    path = tmp_path / "trace.csv"
+    write_trace(path, trace)
+    back = read_trace(path)
+    for name in RunTrace.COLUMNS:
+        assert getattr(back, name).tobytes() == getattr(trace, name).tobytes()
+    assert back.final_point.data.tobytes() == trace.final_point.data.tobytes()
+    assert (json.dumps(back.config_echo, sort_keys=True)
+            == json.dumps(trace.config_echo, sort_keys=True))
+    for key in RunTrace.HEADER:
+        value = getattr(trace, key)
+        assert (getattr(back, key), type(getattr(back, key))) == (
+            value, type(value))
 
 
 def test_a_config_line_that_is_not_json_is_malformed(tmp_path):

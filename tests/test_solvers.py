@@ -103,6 +103,29 @@ class TestRunTrace:
                 replace(good, **{key: np.array([1.0, value, 1.0])})
         # a finite gradient's norm can overflow, and the run records it
         replace(good, grad_norm=np.array([1.0, math.inf, 1.0]))
+        # traces write_trace wrote changed (a dropped or truncated entry),
+        # could not write (a bare IndexError or NotImplementedError), or
+        # wrote for read_trace to refuse
+        for changes, message in (
+                ({"grad_norm": np.ones(4)}, "not 1-d arrays of one length"),
+                ({"F_ag": np.zeros(1)}, "not 1-d arrays of one length"),
+                ({"t": np.array([1.0, 2.5, 3.0])}, "not signed integers"),
+                ({"t": np.array([3, 2, 1], dtype=np.uint64)},
+                 "not signed integers"),
+                ({"grad_norm": np.ones(3, dtype=bool)}, "not floats"),
+                ({"final_point": np.zeros((2, 2))},
+                 "final_point is not a SymMatrix"),
+                ({"config_echo": [1]}, "config_echo is not a dict"),
+                ({"seed": -1}, re.escape("seed must be an integer >= 0")),
+                ({"seed": 1.5}, re.escape("seed must be an integer >= 0")),
+                ({"seed": True}, re.escape("seed must be an integer >= 0")),
+                ({"total_seconds": math.nan}, "total_seconds must be"),
+                ({"oracle_seconds": -1}, "oracle_seconds must be")):
+            with pytest.raises(ValueError, match=message):
+                replace(good, **changes)
+        # each header number is stored plain, as read_trace reads it back
+        back = replace(good, seed=np.int64(3), total_seconds=np.float32(0.5))
+        assert (type(back.seed), type(back.total_seconds)) == (int, float)
 
 
 def interior_problem(seed=1, d=5, mu=0.5, oracle=None):
